@@ -138,11 +138,11 @@ def gapless(session, resumed_at: int) -> list[str]:
     return []
 
 
-def no_overlap(wakeups: list[tuple[str, float, float]]) -> list[str]:
+def no_overlap(wakeups: list[tuple]) -> list[str]:
     """No two wakeups of one session overlap in time."""
     last_end: dict[str, float] = {}
     problems = []
-    for session_id, start, end in sorted(wakeups, key=lambda w: w[1]):
+    for session_id, start, end, *_ in sorted(wakeups, key=lambda w: w[1]):
         if start < last_end.get(session_id, float("-inf")):
             problems.append(f"{session_id}: overlapping wakeups at {start:.6f}")
         last_end[session_id] = max(end, last_end.get(session_id, end))

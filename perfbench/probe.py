@@ -11,6 +11,8 @@ Two instruments:
 * `WakeupLog` (always on) times `Runtime.run_wakeup` and notes task
   submission and root-session completion. Its cost is two clock reads and
   one list append per wakeup; the end-to-end metrics come from it.
+* `calibration_pass` (always on) times a fixed piece of stdlib work between
+  the timed parts, so that times can be put on one scale of machine speed.
 * `Tracer` (only with --trace 1) records a span at every layer boundary:
   name, start, end, parent span and one trace id per wakeup. Spans stay in
   memory and are written out when the run ends. A span's self time is its
@@ -24,6 +26,8 @@ import functools
 import itertools
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter, defaultdict
@@ -39,6 +43,40 @@ def proc_wchar() -> int:
             if line.startswith(b"wchar:"):
                 return int(line.split()[1])
     raise RuntimeError("/proc/self/io has no wchar line")
+
+
+# seconds of simulated model latency slept in the current wakeup, per thread
+model_wait = threading.local()
+
+# the median time of one calibration pass on the machine the reference
+# figures come from (see README.md, "Machine speed")
+CALIBRATION_REFERENCE_S = 0.030
+
+_CALIBRATION_DOC = {f"s{i:04d}": {"parent_id": None, "status": "awaiting_followup",
+                                  "workspace_root": f"/work/ws/t{i:03d}",
+                                  "usage": {"input_tokens": 1000 * i, "output_tokens": 7 * i}}
+                    for i in range(40)}
+
+
+def calibration_pass(work_dir: Path) -> float:
+    """Seconds taken by a fixed mix of the kinds of work a skillet wakeup
+    does, with no skillet code in it: JSON encoding, whole-file rewrites
+    renamed into place, fsynced appends, path resolution and one `-S`
+    interpreter start."""
+    start = clock()
+    for i in range(8):
+        text = json.dumps(_CALIBRATION_DOC, sort_keys=True, indent=2)
+        json.loads(text)
+        tmp = work_dir / "calibration.json.tmp"
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, work_dir / "calibration.json")
+        with open(work_dir / "calibration.log", "a", encoding="utf-8") as fh:
+            fh.write(text[:200] + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.path.realpath(work_dir / "." / f"t{i:03d}" / ".." / "calibration.json")
+    subprocess.run([sys.executable, "-S", "-c", "pass"], check=True)
+    return clock() - start
 
 
 class Patches:
@@ -74,7 +112,8 @@ class WakeupLog:
     """
 
     def __init__(self):
-        self.wakeups: list[tuple[str, float, float]] = []  # (session, start, end)
+        # (session, start, end, seconds of simulated model latency inside)
+        self.wakeups: list[tuple[str, float, float, float]] = []
         self.submitted: dict[str, float] = {}
         self.completed: dict[str, float] = {}
         self.first_wakeup: float | None = None
@@ -101,10 +140,11 @@ class WakeupLog:
                 if log.first_wakeup is None:
                     log.first_wchar = proc_wchar()
                     log.first_wakeup = clock()
+                model_wait.seconds = 0.0
                 start = clock()
                 record = original(runtime, event)
                 end = clock()
-                log.wakeups.append((event.session_id, start, end))
+                log.wakeups.append((event.session_id, start, end, model_wait.seconds))
                 log.runtime = runtime
                 session = runtime.store.session(event.session_id)
                 if session.parent_id is None and session.status is SessionStatus.COMPLETED:
@@ -217,7 +257,7 @@ class Tracer:
         patches.wrap(planner, "render_messages", spanned(
             "planner.render_messages",
             lambda msgs, a: self.count("render_chars", sum(len(t) for _, t in msgs))))
-        patches.wrap(WakeupQueue, "enqueue", self._timed_enqueue)
+        patches.wrap(planner, "WakeupEvent", self._stamped_event)
         patches.wrap(WakeupQueue, "pop", self._timed_pop)
         patches.wrap(planner, "validate_action_args", spanned("schema.validate_action_args"))
         patches.wrap(planner, "route", spanned("router.route"))
@@ -275,13 +315,15 @@ class Tracer:
             return original(fd)
         return fsync
 
-    def _timed_enqueue(self, original):
-        @functools.wraps(original)
-        def enqueue(queue, session_id, cause, attempt=0):
-            event = original(queue, session_id, cause, attempt=attempt)
-            event.bench_enqueued = clock()
-            return event
-        return enqueue
+    @staticmethod
+    def _stamped_event(original):
+        """`WakeupQueue.enqueue` builds its event under the queue lock, before
+        the append, so the time is on the event before any worker can pop it."""
+        class StampedEvent(original):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.bench_enqueued = clock()
+        return StampedEvent
 
     def _timed_pop(self, original):
         @functools.wraps(original)
@@ -304,17 +346,15 @@ class Tracer:
                 fh.write(json.dumps(dict(zip(keys, span))) + "\n")
 
     def self_times(self) -> dict[str, tuple[int, float]]:
-        """Span name -> (calls, total self seconds) over the measured rounds.
-        A layer that only ran while a workload built its fixture (the
-        long_history session's creation) is taken over all spans instead."""
+        """Span name -> (calls, total self seconds) over the measured rounds;
+        a layer not called in them is absent and reads 0."""
         measured: dict[str, list] = defaultdict(lambda: [0, 0.0])
-        everywhere: dict[str, list] = defaultdict(lambda: [0, 0.0])
         for span in self.spans:
-            for table in ((measured, everywhere) if span[7] else (everywhere,)):
-                entry = table[span[3]]
+            if span[7]:
+                entry = measured[span[3]]
                 entry[0] += 1
                 entry[1] += span[6]
-        return {name: tuple(measured.get(name, entry)) for name, entry in everywhere.items()}
+        return {name: tuple(entry) for name, entry in measured.items()}
 
 
 # metric -> (span name, unit scale): mean self time per call

@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     import_skillet()
     from probe import Patches, Tracer, WakeupLog, clock, layer_metrics
-    from workloads import WORKLOADS, metrics
+    from workloads import WORKLOADS, metrics, speed
 
     out_dir = ROOT / ".perfbench"
     out_dir.mkdir(exist_ok=True)
@@ -124,14 +124,18 @@ def main(argv: list[str] | None = None) -> int:
     else:
         values = layer_metrics(tracer, attempted)
         values["trace.wakeup_ms_p50"] = end_to_end["wakeup_ms_p50"]
+        values["trace.speed_ratio"] = statistics.median(speed(r) for r in rounds)
         units = {name: layer_unit(name) for name in values}
         tracer.write(out_dir / f"trace-{args.workload}.jsonl")
 
     for problem in problems[:20]:
         print(f"problem: {problem}", file=sys.stderr)
-    wakeups = sum(len(r.wakeup_s) for r in rounds)
+    wakeups = sum(len(r.wakeups) for r in rounds)
     print(f"# {args.workload} seed={args.seed} rounds={len(rounds)} wakeups={wakeups} "
           f"tasks attempted={attempted} failed={failed} problems={len(problems)}")
+    print(f"# speed factor {statistics.median(speed(r) for r in rounds):.4f} "
+          f"(median over rounds); times as the clock read them: " + " ".join(
+              f"{name}={value:.4f}" for name, value in metrics(rounds, calibrated=False).items()))
     for name, value in values.items():
         print(f"{name:40s} {value:14.4f} {units[name]}")
     print(json.dumps({

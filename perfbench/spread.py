@@ -3,7 +3,8 @@
 Runs `run.py` once per seed and set, alternating the sets (set A seed 1,
 set B seed 1, set A seed 2, ...), and prints for each set and metric the
 median, the quartiles and the quartile distance as a share of the median,
-then the shift of set B's median against set A's. Run from the root of a
+then the shift of set B's median against set A's; each set's line also
+gives the range of its runs' speed factors. Run from the root of a
 skillet checkout:
 
     python3 perfbench/spread.py --workload model_latency --seeds 10 --sets 2
@@ -28,7 +29,11 @@ def one_run(workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["speed_factor"] = next(float(line.split()[3]) for line in lines
+                                  if line.startswith("# speed factor"))
+    return result
 
 
 def summary(results: list[dict]) -> dict[str, tuple[float, float, float]]:
@@ -60,8 +65,10 @@ def main() -> int:
     for i, (results, summ) in enumerate(zip(sets, summaries)):
         shares = {(r["failed"], r["attempted"]) for r in results}
         correct = all(r["correct"] for r in results)
+        speeds = [r["speed_factor"] for r in results]
         print(f"{args.workload} set {'AB'[i] if i < 2 else i}: correct={correct} "
-              f"failed/attempted={sorted(shares)}")
+              f"failed/attempted={sorted(shares)} "
+              f"speed factors {min(speeds):.2f} to {max(speeds):.2f}")
         for name, (median, q1, q3) in summ.items():
             print(f"  {name:24s} median {median:12.4f}  q1 {q1:12.4f}  q3 {q3:12.4f}  "
                   f"spread {(q3 - q1) / median:7.2%}")

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import checks
-from probe import WakeupLog, clock, proc_wchar
+from probe import (CALIBRATION_REFERENCE_S, WakeupLog, calibration_pass, clock, model_wait,
+                   proc_wchar)
 
 from skillet import (
     DelegatedTask,
@@ -62,6 +63,7 @@ class SessionScripts:
     def complete(self, request):
         if self.latency_s:
             time.sleep(self.latency_s)
+            model_wait.seconds += self.latency_s
         return self.scripts[request.session_id].complete(request)
 
 
@@ -179,10 +181,16 @@ def fanout_steps(variant: str, report: str, clobber: bool) -> list[dict]:
 
 @dataclass
 class Round:
-    setup_s: float = 0.0
-    wakeup_s: list[float] = field(default_factory=list)
-    task_s: list[float] = field(default_factory=list)
-    drain_s: float = 0.0
+    """Times are (seconds as the clock read them, the factor that puts them on
+    the reference machine's scale), the factor taken when they were recorded."""
+
+    open_s: list[tuple[float, float]] = field(default_factory=list)  # runtime opens, CLI set-ups
+    submit_s: list[tuple[float, float]] = field(default_factory=list)  # single task submissions
+    # (wall, simulated model latency inside, speed factor)
+    wakeups: list[tuple[float, float, float]] = field(default_factory=list)
+    task_s: list[tuple[float, float]] = field(default_factory=list)
+    drain_s: list[tuple[float, float]] = field(default_factory=list)
+    speed_factors: list[float] = field(default_factory=list)  # one per calibration pass
     sessions_done: int = 0
     input_tokens: list[int] = field(default_factory=list)
     written_bytes: int = 0
@@ -222,6 +230,7 @@ class Workload:
 
     backend_owner = SessionScripts
     config: dict = {}
+    calibration_passes = 8  # before each round
     # set by a traced run: a context in which spans do not count
     unmeasured = contextlib.nullcontext
 
@@ -249,6 +258,17 @@ class Workload:
         path.mkdir()
         return path
 
+    def calibrate(self, round_: Round, passes: int) -> None:
+        """Untimed: calibration passes; times recorded until the next call are
+        put on the reference scale with the speed factor they give."""
+        factors = [CALIBRATION_REFERENCE_S / calibration_pass(self.work_dir)
+                   for _ in range(passes)]
+        round_.speed_factors += factors
+        self.speed = statistics.median(factors)
+
+    def timed(self, seconds: float) -> tuple[float, float]:
+        return seconds, self.speed
+
     def open_runtime(self, store_dir: Path, backend, fsync: bool = True) -> Runtime:
         """The set-up a user of the library pays: load skills, open (or
         reload) the store and the usage log, build the runtime."""
@@ -260,14 +280,22 @@ class Workload:
                        RunConfig().merged(UNLIMITED).merged(self.config))
 
     def drain(self, runtime: Runtime, round_: Round) -> None:
-        """Drain the queue and fill in the timings of the window."""
+        """Drain the queue and record the window's timings."""
         try:
             runtime.run_until_quiescent()
         finally:
-            end = clock()
-            round_.written_bytes += proc_wchar() - self.log.first_wchar
-            round_.drain_s += end - self.log.first_wakeup
-            round_.wakeup_s += [e - s for _, s, e in self.log.wakeups]
+            self.record_drain(round_, clock())
+
+    def record_drain(self, round_: Round, end: float) -> None:
+        """The window's wakeups and drain time, and the factor for its longer
+        intervals (drain, task): the share of its wakeup time that was not
+        simulated model latency is scaled."""
+        wakeups = [(e - s, wait, self.speed) for _, s, e, wait in self.log.wakeups]
+        round_.wakeups += wakeups
+        wall = sum(w for w, _, _ in wakeups)
+        self.interval_speed = scaled(wall, sum(wait for _, wait, _ in wakeups), self.speed) / wall
+        round_.drain_s.append((end - self.log.first_wakeup, self.interval_speed))
+        round_.written_bytes += proc_wchar() - self.log.first_wchar
 
     def finish_round(self, round_: Round, store: SessionStore, store_dir: Path,
                      tasks: list[Task]) -> None:
@@ -280,7 +308,8 @@ class Workload:
                 round_.input_tokens.append(tokens[sid])
                 if sid in self.log.completed:
                     round_.sessions_done += 1
-                    round_.task_s.append(self.log.completed[sid] - self.log.submitted[sid])
+                    round_.task_s.append((self.log.completed[sid] - self.log.submitted[sid],
+                                          self.interval_speed))
             score_tasks(round_, [self.task_problems(store, t) for t in tasks])
             round_.problems += checks.usage_identity(store, requests)
             round_.problems += checks.reload_matches(store)
@@ -333,16 +362,19 @@ class Fanout(Workload):
         scripts = [ScriptedBackend(t.steps) for t in tasks]
         backend = SessionScripts(self.latency_s)
         round_ = Round()
+        self.calibrate(round_, self.calibration_passes)
         self.log.reset()
         start = clock()
         runtime = self.open_runtime(root / "store", backend)
+        round_.open_s.append(self.timed(clock() - start))
         for task, script in zip(tasks, scripts):
+            task_start = clock()
             session = runtime.submit_task(DelegatedTask(
                 TASK_TEXT, "code_repair", task.workspace, DONE_WHEN))
+            round_.submit_s.append(self.timed(clock() - task_start))
             task.session_id = session.session_id
             backend.scripts[session.session_id] = script
         self.drain(runtime, round_)
-        round_.setup_s = self.log.first_wakeup - start
         self.finish_round(round_, runtime.store, root / "store", tasks)
         shutil.rmtree(root)
         return round_
@@ -352,10 +384,10 @@ class ModelLatency(Fanout):
     """Batch of concurrent sessions with fanout's script mix, drained by the
     threaded workers, with a fixed simulated model latency before every reply."""
 
-    default_size = 40
+    default_size = 20
     config = {"workspace": {"command_allowlist": ["cat"]},
               "planner": {"single_worker": False}}
-    latency_s = 0.050
+    latency_s = 0.100
 
     def round_problems(self, store: SessionStore) -> list[str]:
         return checks.no_overlap(self.log.wakeups)
@@ -423,13 +455,14 @@ class LongHistory(Workload):
         backend = SessionScripts()
         backend.scripts[self.task.session_id] = ScriptedBackend(self.task.steps[self.prefix:])
         round_ = Round()
+        self.calibrate(round_, self.calibration_passes)
         self.log.reset()
         start = clock()
         runtime = self.open_runtime(store_dir, backend)
         runtime.queue.enqueue(self.task.session_id, "followup")
         self.log.submitted[self.task.session_id] = clock()
+        round_.open_s.append(self.timed(self.log.submitted[self.task.session_id] - start))
         self.drain(runtime, round_)
-        round_.setup_s = self.log.first_wakeup - start
         self.finish_round(round_, runtime.store, store_dir, [self.task])
         shutil.rmtree(root)
         return round_
@@ -440,7 +473,7 @@ class DelegatedRepair(Workload):
     a fresh store per task: a coordinator delegates to a routed repair child
     that runs real commands for evidence and verification."""
 
-    default_size = 20  # tasks per round; setup_s sums their CLI set-ups
+    default_size = 20  # tasks per round, each after one calibration pass
     backend_owner = ScriptedBackend
 
     def task_files(self, root: Path) -> tuple[Task, list[str]]:
@@ -471,15 +504,13 @@ class DelegatedRepair(Workload):
         for i in range(self.size):
             task_root = root / f"t{i:03d}"
             task, argv = self.task_files(task_root)
+            self.calibrate(round_, 1)
             self.log.reset()
             start = clock()
             with contextlib.redirect_stdout(io.StringIO()):
                 task.exit_code = cli.main(argv)
-            end = clock()
-            round_.setup_s += self.log.first_wakeup - start
-            round_.written_bytes += proc_wchar() - self.log.first_wchar
-            round_.drain_s += end - self.log.first_wakeup
-            round_.wakeup_s += [e - s for _, s, e in self.log.wakeups]
+            round_.open_s.append(self.timed(self.log.first_wakeup - start))
+            self.record_drain(round_, clock())
             (task.session_id,) = self.log.submitted
             self.finish_round(round_, self.log.runtime.store, task_root / "store", [task])
         shutil.rmtree(root)
@@ -504,30 +535,56 @@ WORKLOADS = {
 WINDOW = 100  # consecutive wakeups per window; its p90 keeps 10 samples beyond
 
 
-def windows(rounds: list[Round]) -> list[list[float]]:
+def speed(round_: Round) -> float:
+    """The round's median speed factor: the reference time of a calibration
+    pass over the time it took."""
+    return statistics.median(round_.speed_factors)
+
+
+def scaled(wall: float, wait: float, factor: float) -> float:
+    """Wall time on the reference scale. Simulated model latency is a fixed
+    sleep, not work the machine does, so it is not scaled."""
+    return wait + (wall - wait) * factor
+
+
+def windows(rounds: list[Round], calibrated: bool) -> list[list[float]]:
     """Each round's wakeup times (ms) in order, split into as many equal
     windows of at least WINDOW as fit; a shorter round is one window."""
     out = []
     for r in rounds:
-        ms = [w * 1000 for w in r.wakeup_s]
+        ms = [(scaled(wall, wait, f) if calibrated else wall) * 1000 for wall, wait, f in r.wakeups]
         n = max(len(ms) // WINDOW, 1)
         out += [ms[len(ms) * i // n:len(ms) * (i + 1) // n] for i in range(n)]
     return out
 
 
-def metrics(rounds: list[Round]) -> dict[str, float]:
+def metrics(rounds: list[Round], calibrated: bool = True) -> dict[str, float]:
     """The end-to-end metrics over the measured rounds. Times are medians
-    over windows or rounds, so a slow spell in part of a run moves them little."""
-    wins = windows(rounds)
+    over windows, rounds or single set-ups, on the reference machine's scale
+    (`calibrated=False`: as the clock read them)."""
+
+    def seconds(timed: tuple[float, float]) -> float:
+        return timed[0] * timed[1] if calibrated else timed[0]
+
+    def per_round(kind: str) -> float:
+        """A round's set-ups of one kind: how many it has times the median one."""
+        times = [seconds(t) for r in rounds for t in getattr(r, kind)]
+        if not times:
+            return 0.0
+        return statistics.median(len(getattr(r, kind)) for r in rounds) * statistics.median(times)
+
+    wins = windows(rounds, calibrated)
     tasks = sum(len(r.input_tokens) for r in rounds)
     return {
-        "setup_s": statistics.median(r.setup_s for r in rounds),
+        "setup_s": per_round("open_s") + per_round("submit_s"),
         "wakeup_ms_p50": statistics.median(statistics.median(w) for w in wins),
         "wakeup_ms_p90": statistics.median(
             statistics.quantiles(w, n=10, method="inclusive")[-1] for w in wins),
-        "sessions_per_s": statistics.median(r.sessions_done / r.drain_s for r in rounds),
-        "task_ms_p50": statistics.median(statistics.median(r.task_s) * 1000 for r in rounds),
+        "sessions_per_s": statistics.median(
+            r.sessions_done / sum(seconds(d) for d in r.drain_s) for r in rounds),
+        "task_ms_p50": statistics.median(
+            statistics.median(seconds(t) for t in r.task_s) * 1000 for r in rounds),
         "input_tokens_per_task": sum(sum(r.input_tokens) for r in rounds) / tasks,
         "written_kb_per_wakeup": (sum(r.written_bytes for r in rounds)
-                                  / sum(len(r.wakeup_s) for r in rounds) / 1000),
+                                  / sum(len(r.wakeups) for r in rounds) / 1000),
     }
