@@ -6,7 +6,7 @@ a method on a class, a function imported by name into a caller's module,
 or an entry of a `skillet.bindings` table. `Patches.restore` puts every
 original back.
 
-Two instruments:
+Three instruments:
 
 * `WakeupLog` (always on) times `Runtime.run_wakeup` and notes task
   submission and root-session completion. Its cost is two clock reads and
