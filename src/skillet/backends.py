@@ -205,7 +205,10 @@ class HttpBackend:
         usage_raw = doc.get("usage") or {}
         input_tokens = int(usage_raw.get("prompt_tokens", 0))
         output_tokens = int(usage_raw.get("completion_tokens", 0))
-        cache_tokens = int(usage_raw.get("cached_tokens", 0))
+        # OpenAI-style responses nest the cache count under prompt_tokens_details
+        details = usage_raw.get("prompt_tokens_details") or {}
+        cached = details.get("cached_tokens")
+        cache_tokens = int(usage_raw.get("cached_tokens", 0) if cached is None else cached)
         total = int(usage_raw.get("total_tokens", input_tokens + output_tokens + cache_tokens))
         return ModelResponse(
             text=message.get("content") or "",
@@ -224,7 +227,8 @@ class HttpBackend:
 class UsageLog:
     """requests.jsonl writer. One self-delimiting line per model request;
     the owning session's totals are updated under the same lock as the
-    append, so totals and log always agree."""
+    append, so totals and log always agree. This file is where a reopened
+    SessionStore rebuilds the totals from."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)

@@ -441,9 +441,7 @@ class Runtime:
             steps = self._drain_single(limit)
         else:
             steps = self._drain_threads(limit)
-        summary = self.summary(steps)
-        self.store.flush_index()
-        return summary
+        return self.summary(steps)
 
     def _drain_single(self, limit: int) -> int:
         steps = 0

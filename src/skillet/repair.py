@@ -3,9 +3,10 @@
 Five-phase workflow object enforced by hooks rather than prose: the model
 only ever sees the tools for the current phase plus a compact state-derived
 guidance message, patch calls pass shape/path/size guards before any side
-effect, verification is a structured check list, and completion stays
-blocked until verification has passed and the artifacts named by done_when
-exist on disk.
+effect, artifact writes are refused on protected paths and outside the
+policy's artifact directory, verification is a structured check list, and
+completion stays blocked until verification has passed and the artifacts
+named by done_when exist on disk.
 
 Phase transitions (the only legal edges):
 
@@ -44,6 +45,7 @@ from .patching import (
     is_pure_addition,
     parse_unified_diff,
 )
+from .registry import PolicyConfig
 from .workspace import glob_match, resolve, run_allowlisted
 
 SKILL_ID = "repair"
@@ -491,6 +493,13 @@ def _check_file(cargs: dict, ctx: ExecutionContext, needle: str | None) -> tuple
 @executor("repair.write_artifact")
 def write_artifact(args: dict, ctx: ExecutionContext) -> dict:
     scoped = resolve(ctx.workspace_root, args["path"])
+    policy = ctx.skill.policy if ctx.skill is not None else PolicyConfig()
+    if glob_match(scoped.relative, policy.protected_path_globs):
+        raise ToolError(f"artifact path {scoped.relative!r} matches a protected path")
+    artifact_root = (Path(ctx.workspace_root) / policy.artifact_dir).resolve()
+    if artifact_root not in scoped.resolved.parents:
+        raise ToolError(f"artifact path {scoped.relative!r} is outside the artifact "
+                        f"directory {policy.artifact_dir!r}")
     scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
     data = args["content"]
     scoped.resolved.write_text(data, encoding="utf-8")

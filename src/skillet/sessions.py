@@ -1,15 +1,22 @@
 """Sessions, the typed history, skill-local state, and durable persistence.
 
-Every session owns an append-only JSONL log at `<store>/sessions/<id>.log`.
-Line 0 is a `session_meta` record; history events follow with gapless seqs
-starting at 1; `skill_state_snapshot` records are interleaved at the seq of
-the last event written, so reloading any prefix of the log reconstructs the
-history up to that point and the last snapshot at or before it. Events are
-fsynced before append_event returns; a torn tail line is truncated on load
-with a warning, anything corrupt earlier raises CorruptStore.
+Every session owns an append-only JSONL log at `<store>/sessions/<id>.log`,
+and that log is the only durable session state. Line 0 is a `session_meta`
+record; history events follow with gapless seqs starting at 1. Two store
+records that are not history events are interleaved at the seq of the last
+event written: `skill_state_snapshot` and `session_status`. So reloading
+any prefix of the log reconstructs the history up to that point, the last
+snapshot at or before it, and the status of that moment. Every record is
+fsynced before the call that writes it returns; a torn tail line is
+truncated on load with a warning, anything corrupt earlier raises
+CorruptStore. A log without a `session_meta` line is moved to
+`<store>/quarantine/`, and new ids are allocated past every log file seen.
 
-`<store>/index.json` is a session directory (id, parent, status, roots,
-usage); it is a convenience cache, the logs are authoritative.
+Status starts ACTIVE at the meta line. `set_status` writes a status record
+only when the status changes, and none for COMPLETED when the session's
+completion event (which implies it) is already in the log. Usage totals are
+rebuilt on load from one scan of `<store>/requests.jsonl`, the per-request
+log that `UsageLog` appends to.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import copy
 import json
 import logging
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,6 +65,9 @@ OPEN_STATUSES = (SessionStatus.ACTIVE, SessionStatus.AWAITING_FOLLOWUP)
 # store-level record kinds that are not history events
 _META_KIND = "session_meta"
 _SNAPSHOT_KIND = "skill_state_snapshot"
+_STATUS_KIND = "session_status"
+
+_SESSION_ID = re.compile(r"s(\d+)")
 
 
 @dataclass
@@ -137,17 +148,43 @@ def _contains(root: Path, candidate: Path) -> bool:
     return True
 
 
+def _read_jsonl(path: Path) -> list[dict]:
+    """Parse one record per line. A torn or unparseable last line is cut
+    from the file with a warning; a corrupt earlier line raises."""
+    lines = path.read_bytes().split(b"\n")
+    # a well-formed log ends with a newline, so the final split chunk is empty;
+    # anything else is a torn tail
+    torn_tail = lines[-1] != b""
+    body = lines[:-1]
+    records: list[dict] = []
+    for i, line in enumerate(body):
+        try:
+            records.append(json.loads(line.decode("utf-8")))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            if i == len(body) - 1 and not torn_tail:
+                torn_tail = True
+                body = body[:-1]
+                break
+            raise CorruptStore(f"{path.name}: corrupt record at line {i + 1}: {exc}") from exc
+    if torn_tail:
+        path.write_bytes(b"\n".join(body) + (b"\n" if body else b""))
+        log.warning("%s: truncated torn tail record", path.name)
+    return records
+
+
 class SessionStore:
     """Durable home of sessions. Per-session writes are serialized by a lock."""
 
     def __init__(self, store_dir: str | Path, fsync: bool = True):
         self.store_dir = Path(store_dir)
         self.sessions_dir = self.store_dir / "sessions"
+        self.quarantine_dir = self.store_dir / "quarantine"
         self.sessions_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._sessions: dict[str, Session] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._store_lock = threading.Lock()
+        self._last_id = 0
         self._load()
 
     # -- public API --------------------------------------------------------
@@ -173,7 +210,8 @@ class SessionStore:
                     f"child root {root} escapes parent root {parent.workspace_root}"
                 )
         with self._store_lock:
-            session_id = f"s{len(self._sessions) + 1:04d}"
+            self._last_id += 1
+            session_id = f"s{self._last_id:04d}"
             session = Session(
                 session_id=session_id,
                 workspace_root=root,
@@ -196,7 +234,6 @@ class SessionStore:
             "done_when": done_when,
             "routed_skills": session.routed_skills,
         })
-        self._flush_index()
         self.append_event(session_id, EventKind.USER_MESSAGE, {"text": task_text})
         return session
 
@@ -247,11 +284,17 @@ class SessionStore:
 
     def set_status(self, session_id: str, status: SessionStatus | str) -> None:
         session = self.session(session_id)
-        session.status = SessionStatus(status)
-        self._flush_index()
-
-    def flush_index(self) -> None:
-        self._flush_index()
+        status = SessionStatus(status)
+        with self._locks[session_id]:
+            if status is session.status:
+                return
+            if status is not SessionStatus.COMPLETED or not session.has_completion():
+                self._write_record(session, {
+                    "seq": session.history[-1].seq if session.history else 0,
+                    "kind": _STATUS_KIND,
+                    "status": status.value,
+                })
+            session.status = status
 
     # -- persistence internals ----------------------------------------------
 
@@ -266,64 +309,44 @@ class SessionStore:
             if self.fsync:
                 os.fsync(fh.fileno())
 
-    def _flush_index(self) -> None:
-        with self._store_lock:
-            index = {
-                sid: {
-                    "parent_id": s.parent_id,
-                    "status": s.status.value,
-                    "workspace_root": str(s.workspace_root),
-                    "usage": s.usage.as_dict(),
-                }
-                for sid, s in sorted(self._sessions.items())
-            }
-            tmp = self.store_dir / "index.json.tmp"
-            tmp.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-            os.replace(tmp, self.store_dir / "index.json")
-
     def _load(self) -> None:
-        index_path = self.store_dir / "index.json"
-        index = {}
-        if index_path.exists():
-            index = json.loads(index_path.read_text(encoding="utf-8"))
         for log_path in sorted(self.sessions_dir.glob("*.log")):
+            self._note_id(log_path)
             session = self._load_log(log_path)
             if session is None:
+                self._quarantine(log_path)
                 continue
-            meta = index.get(session.session_id, {})
-            status = meta.get("status", SessionStatus.AWAITING_FOLLOWUP.value)
-            session.status = SessionStatus(status)
-            if session.has_completion():
-                session.status = SessionStatus.COMPLETED
-            usage = meta.get("usage")
-            if usage:
-                session.usage = UsageTotals(**usage)
             self._sessions[session.session_id] = session
             self._locks[session.session_id] = threading.Lock()
+        for log_path in self.quarantine_dir.glob("*.log"):
+            self._note_id(log_path)
+        self._load_usage()
+
+    def _note_id(self, log_path: Path) -> None:
+        match = _SESSION_ID.fullmatch(log_path.stem)
+        if match:
+            self._last_id = max(self._last_id, int(match.group(1)))
+
+    def _quarantine(self, log_path: Path) -> None:
+        # ids are allocated past quarantined logs too, so names never collide here
+        self.quarantine_dir.mkdir(exist_ok=True)
+        target = self.quarantine_dir / log_path.name
+        os.replace(log_path, target)
+        log.warning("%s: missing session_meta record, moved to %s", log_path.name, target)
+
+    def _load_usage(self) -> None:
+        requests = self.store_dir / "requests.jsonl"
+        if not requests.exists():
+            return
+        for line in _read_jsonl(requests):
+            session = self._sessions.get(line.get("session_id"))
+            if session is not None:
+                session.usage.add(line["input_tokens"], line["output_tokens"],
+                                  line["cache_tokens"], line["total_tokens"])
 
     def _load_log(self, log_path: Path) -> Session | None:
-        raw = log_path.read_bytes()
-        lines = raw.split(b"\n")
-        # a well-formed log ends with a newline, so the final split chunk is empty;
-        # anything else is a torn tail
-        torn_tail = lines[-1] != b""
-        body = lines[:-1]
-        records: list[dict] = []
-        for i, line in enumerate(body):
-            try:
-                records.append(json.loads(line.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                if i == len(body) - 1 and not torn_tail:
-                    torn_tail = True
-                    body = body[:-1]
-                    break
-                raise CorruptStore(f"{log_path.name}: corrupt record at line {i + 1}: {exc}") from exc
-        if torn_tail:
-            keep = b"\n".join(body) + (b"\n" if body else b"")
-            log_path.write_bytes(keep)
-            log.warning("%s: truncated torn tail record", log_path.name)
+        records = _read_jsonl(log_path)
         if not records or records[0].get("kind") != _META_KIND:
-            log.warning("%s: missing session_meta record, skipping", log_path.name)
             return None
         meta = records[0]
         session = Session(
@@ -337,7 +360,9 @@ class SessionStore:
         )
         for record in records[1:]:
             kind = record.get("kind")
-            if kind == _SNAPSHOT_KIND:
+            if kind == _STATUS_KIND:
+                session.status = SessionStatus(record["status"])
+            elif kind == _SNAPSHOT_KIND:
                 session.skill_state[record["skill_id"]] = record["state"]
                 session.state_snapshots.append(
                     (record["seq"], record["skill_id"], record["state"])
@@ -346,4 +371,6 @@ class SessionStore:
                 session.history.append(HistoryEvent(
                     seq=record["seq"], kind=EventKind(kind), payload=record["payload"],
                 ))
+                if kind == EventKind.COMPLETION.value:
+                    session.status = SessionStatus.COMPLETED
         return session

@@ -145,6 +145,19 @@ class TestHttp:
         sent = _StubHandler.last_body
         assert [t["function"]["name"] for t in sent["tools"]] == ["t_alpha", "t_beta"]
 
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": 11, "completion_tokens": 7, "total_tokens": 18,
+         "prompt_tokens_details": {"cached_tokens": 4}},
+        {"prompt_tokens": 11, "completion_tokens": 7, "total_tokens": 18, "cached_tokens": 4},
+    ], ids=["nested", "top_level"])
+    def test_cached_tokens(self, stub_server, usage):
+        _StubHandler.canned = (200, json.dumps({
+            "choices": [{"message": {"content": "ok"}}], "usage": usage,
+        }).encode())
+        response = http_backend(stub_server).complete(request())
+        assert response.usage.cache_tokens == 4
+        assert response.usage.total_tokens == 18
+
     def test_429_is_retryable(self, stub_server):
         _StubHandler.canned = (429, b"slow down")
         with pytest.raises(ModelBackendError) as exc:

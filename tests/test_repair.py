@@ -7,7 +7,13 @@ import pytest
 
 from skillet import SessionStore
 from skillet.backends import ModelResponse, ToolCallRequest
-from skillet.errors import CommandNotAllowed, EmptyEvidence, HunkMismatch, TargetMissing
+from skillet.errors import (
+    CommandNotAllowed,
+    EmptyEvidence,
+    HunkMismatch,
+    TargetMissing,
+    ToolError,
+)
 from skillet.execution import ExecutionContext, RuntimeServices
 from skillet.hooks import ContinuationKind, HookPipeline
 from skillet.repair import (
@@ -31,7 +37,7 @@ from skillet.repair import (
 from conftest import CALC_PATCH
 
 
-def make_ctx(ws, allowlist=("python3", "echo")):
+def make_ctx(ws, allowlist=("python3", "echo"), skill=None):
     return ExecutionContext(
         session=None, store=None, registry=None,
         workspace_root=ws,
@@ -39,6 +45,7 @@ def make_ctx(ws, allowlist=("python3", "echo")):
         command_timeout_s=10.0,
         output_truncate_bytes=32768,
         services=RuntimeServices(delegate=lambda *a: {}, finish=lambda *a: {}),
+        skill=skill,
     )
 
 
@@ -492,6 +499,27 @@ class TestArtifactExecutor:
         from skillet.errors import PathEscape
         with pytest.raises(PathEscape):
             write_artifact({"path": "/etc/owned", "content": "x"}, make_ctx(repair_workspace))
+
+    def test_protected_path_refused_before_any_write(self, repair_workspace, registry):
+        protected = repair_workspace / "tests" / "t.py"
+        protected.parent.mkdir()
+        protected.write_text("assert True\n")
+        ctx = make_ctx(repair_workspace, skill=registry.lookup("repair"))
+        with pytest.raises(ToolError, match="protected path"):
+            write_artifact({"path": "tests/t.py", "content": "# clobbered\n"}, ctx)
+        assert protected.read_text() == "assert True\n"
+
+    def test_path_outside_artifact_dir_refused_before_any_write(self, repair_workspace,
+                                                                  registry):
+        calc = repair_workspace / "in" / "calc.py"
+        before = calc.read_bytes()
+        ctx = make_ctx(repair_workspace, skill=registry.lookup("repair"))
+        for path in ("in/calc.py", "in/notes.md", "out"):
+            with pytest.raises(ToolError, match="outside the artifact directory"):
+                write_artifact({"path": path, "content": "x"}, ctx)
+        assert calc.read_bytes() == before
+        assert not (repair_workspace / "in" / "notes.md").exists()
+        assert not (repair_workspace / "out").exists()
 
 
 def test_workflow_message_is_pure():

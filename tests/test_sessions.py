@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skillet import EventKind, SessionStatus, SessionStore
+from skillet import EventKind, SessionStatus, SessionStore, UsageLog
+from skillet.backends import ModelRequest, ModelResponse, UsageRecord
 from skillet.errors import (
     CorruptStore,
     NotFound,
@@ -34,6 +35,14 @@ def make_session(store, ws, **kwargs):
     defaults = dict(task_text="task", task_type="misc", workspace_root=ws, done_when="")
     defaults.update(kwargs)
     return store.create_session(**defaults)
+
+
+def record_usage(store_dir, session, *usages):
+    """Record one model request per (input, output, cache, total) tuple."""
+    usage_log = UsageLog(store_dir / "requests.jsonl")
+    for usage in usages:
+        usage_log.record(session, ModelRequest([], [], session.session_id),
+                         ModelResponse(usage=UsageRecord("p", "m", *usage)))
 
 
 class TestCreate:
@@ -219,21 +228,166 @@ class TestPersistence:
         seqs = [e.seq for e in s.history]
         assert seqs == list(range(1, len(seqs) + 1))
 
-    def test_usage_totals_survive_reload_via_index(self, tmp_path, ws):
+    def test_usage_totals_survive_reload_via_requests_log(self, tmp_path, ws):
         store = SessionStore(tmp_path / "store")
         s = store.create_session("t", "misc", ws, "")
-        s.usage.add(10, 5, 0, 15)
-        s.usage.add(7, 3, 1, 11)
-        store.flush_index()
+        record_usage(tmp_path / "store", s, (10, 5, 0, 15), (7, 3, 1, 11))
         reloaded = SessionStore(tmp_path / "store").session(s.session_id)
         assert reloaded.usage.total_tokens == 26
         assert reloaded.usage.request_count == 2
+        assert reloaded.usage.as_dict() == s.usage.as_dict()
+
+    def test_usage_totals_survive_a_crash_right_after_record(self, tmp_path, ws):
+        import subprocess
+        import sys
+        code = (
+            "import os\n"
+            "from skillet import SessionStore, UsageLog\n"
+            "from skillet.backends import ModelRequest, ModelResponse, UsageRecord\n"
+            f"store = SessionStore({str(tmp_path / 'store')!r})\n"
+            f"s = store.create_session('t', 'misc', {str(ws)!r}, '')\n"
+            f"UsageLog({str(tmp_path / 'store' / 'requests.jsonl')!r}).record(\n"
+            "    s, ModelRequest([], [], s.session_id),\n"
+            "    ModelResponse(usage=UsageRecord('p', 'm', 10, 5, 2, 17)))\n"
+            "os._exit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        usage = SessionStore(tmp_path / "store").session("s0001").usage
+        assert usage.as_dict() == {"input_tokens": 10, "output_tokens": 5, "cache_tokens": 2,
+                                   "total_tokens": 17, "request_count": 1}
+
+    def test_torn_last_line_of_requests_log_is_tolerated(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = store.create_session("t", "misc", ws, "")
+        record_usage(tmp_path / "store", s, (10, 5, 0, 15), (7, 3, 1, 11))
+        requests = tmp_path / "store" / "requests.jsonl"
+        requests.write_bytes(requests.read_bytes()[:-9])  # cut into the second line
+        reloaded = SessionStore(tmp_path / "store").session(s.session_id)
+        assert reloaded.usage.total_tokens == 15
+        assert reloaded.usage.request_count == 1
+        # the torn line is cut, so the next record starts on a line of its own
+        record_usage(tmp_path / "store", reloaded, (1, 1, 0, 2))
+        again = SessionStore(tmp_path / "store").session(s.session_id)
+        assert again.usage.total_tokens == 17
+        assert again.usage.request_count == 2
+
+    def test_reload_reproduces_open_and_failed_statuses(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        failed, parked, fresh = (make_session(store, ws) for _ in range(3))
+        store.set_status(failed.session_id, SessionStatus.FAILED)
+        store.set_status(parked.session_id, SessionStatus.AWAITING_FOLLOWUP)
+        reloaded = SessionStore(tmp_path / "store")
+        assert [reloaded.session(s.session_id).status for s in (failed, parked, fresh)] == \
+            [SessionStatus.FAILED, SessionStatus.AWAITING_FOLLOWUP, SessionStatus.ACTIVE]
+
+    def test_status_follows_log_order(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = make_session(store, ws)
+        store.set_status(s.session_id, SessionStatus.AWAITING_FOLLOWUP)
+        store.set_status(s.session_id, SessionStatus.ACTIVE)
+        store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
+        store.set_status(s.session_id, SessionStatus.COMPLETED)
+        reloaded = SessionStore(tmp_path / "store").session(s.session_id)
+        assert reloaded.status is SessionStatus.COMPLETED
+        assert [e.seq for e in reloaded.history] == [1, 2]  # status records take no seq
+
+    def test_completed_without_a_completion_event_is_recorded(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = make_session(store, ws)
+        store.set_status(s.session_id, SessionStatus.COMPLETED)
+        reloaded = SessionStore(tmp_path / "store").session(s.session_id)
+        assert reloaded.status is SessionStatus.COMPLETED
+
+    def test_unchanged_status_writes_nothing(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = make_session(store, ws)
+        store.set_status(s.session_id, SessionStatus.AWAITING_FOLLOWUP)
+        store_files = sorted((tmp_path / "store").rglob("*"))
+        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
+        before = log.read_bytes()
+        store.set_status(s.session_id, SessionStatus.AWAITING_FOLLOWUP)
+        store.set_status(s.session_id, "awaiting_followup")
+        assert log.read_bytes() == before
+        assert sorted((tmp_path / "store").rglob("*")) == store_files
+
+    def test_completed_status_after_completion_event_writes_nothing(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = make_session(store, ws)
+        store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
+        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
+        before = log.read_bytes()
+        store.set_status(s.session_id, SessionStatus.COMPLETED)
+        assert log.read_bytes() == before
+
+    def test_store_keeps_no_index_file(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = make_session(store, ws)
+        store.set_status(s.session_id, SessionStatus.FAILED)
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["sessions"]
+
+    def test_log_without_meta_is_quarantined_and_its_id_never_reused(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        first, second = make_session(store, ws), make_session(store, ws, task_text="keep")
+        sessions_dir = tmp_path / "store" / "sessions"
+        meta_less = b"".join(
+            (sessions_dir / f"{first.session_id}.log").read_bytes().splitlines(keepends=True)[1:])
+        (sessions_dir / f"{first.session_id}.log").write_bytes(meta_less)
+
+        reopened = SessionStore(tmp_path / "store")
+        assert [s.session_id for s in reopened.sessions()] == [second.session_id]
+        assert make_session(reopened, ws, task_text="new").session_id == "s0003"
+
+        reloaded = SessionStore(tmp_path / "store")
+        assert [(s.session_id, s.task_text) for s in reloaded.sessions()] == \
+            [(second.session_id, "keep"), ("s0003", "new")]
+        assert (tmp_path / "store" / "quarantine" / f"{first.session_id}.log").read_bytes() \
+            == meta_less
+        assert make_session(reloaded, ws).session_id == "s0004"
+
+    def test_concurrent_creates_and_status_changes_reload_exactly(self, tmp_path, ws):
+        import sys
+        import threading
+        store = SessionStore(tmp_path / "store", fsync=False)
+        shared = make_session(store, ws)
+        cycle = [SessionStatus.AWAITING_FOLLOWUP, SessionStatus.ACTIVE, SessionStatus.FAILED]
+
+        def worker(n: int) -> None:
+            own = make_session(store, ws, task_text=f"w{n}")
+            for i in range(60):
+                store.set_status(own.session_id, cycle[(n + i) % 3])
+                store.set_status(shared.session_id, cycle[i % 3])
+                try:
+                    store.append_event(shared.session_id, EventKind.SYSTEM_NOTE,
+                                       {"n": n, "i": i})
+                except SessionClosed:  # another worker set FAILED
+                    pass
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        reloaded = SessionStore(tmp_path / "store")
+        assert sorted(s.task_text for s in reloaded.sessions()) == \
+            sorted(["task"] + [f"w{n}" for n in range(8)])
+        for live in store.sessions():
+            again = reloaded.session(live.session_id)
+            assert again.status is live.status
+            assert [(e.seq, e.payload) for e in again.history] == \
+                [(e.seq, e.payload) for e in live.history]
 
     def test_completion_event_forces_completed_status_on_load(self, tmp_path, ws):
         store = SessionStore(tmp_path / "store")
         s = store.create_session("t", "misc", ws, "")
         store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
-        # index not updated: simulate a crash before set_status
+        # no set_status: simulate a crash right after the completion event
         reloaded = SessionStore(tmp_path / "store").session(s.session_id)
         assert reloaded.status is SessionStatus.COMPLETED
 
