@@ -38,7 +38,7 @@ from .errors import (
     ScriptToolNotVisible,
 )
 from .schema import ActionSchema
-from .sessions import Session
+from .sessions import Session, cut_torn_tail, parse_jsonl
 
 
 @dataclass
@@ -228,12 +228,14 @@ class UsageLog:
     """requests.jsonl writer. One self-delimiting line per model request;
     the owning session's totals are updated under the same lock as the
     append, so totals and log always agree. This file is where a reopened
-    SessionStore rebuilds the totals from."""
+    SessionStore rebuilds the totals from. Readers skip a torn last line (a
+    crash mid-append); only the writer cuts it, before its first append."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
         self.fsync = fsync
         self._lock = threading.Lock()
+        self._tail_checked = False
 
     def record(self, session: Session, request: ModelRequest, response: ModelResponse) -> UsageRecord:
         usage = response.usage
@@ -254,6 +256,9 @@ class UsageLog:
         }, sort_keys=True)
         with self._lock:
             try:
+                if not self._tail_checked and self.path.exists():
+                    cut_torn_tail(self.path)
+                self._tail_checked = True
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(line + "\n")
                     fh.flush()
@@ -267,10 +272,7 @@ class UsageLog:
         return usage
 
     def lines(self) -> list[dict]:
+        """Every whole record; a torn last line is skipped, not cut."""
         if not self.path.exists():
             return []
-        return [
-            json.loads(line)
-            for line in self.path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        return parse_jsonl(self.path.read_bytes(), self.path.name)[0]

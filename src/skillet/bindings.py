@@ -29,7 +29,9 @@ def hook_program(binding_id: str):
 
 
 def completion_gate(skill_id: str):
-    """Register a gate consulted by complete_session for sessions routed to skill_id."""
+    """Register `fn(session, state_doc) -> open-gate reasons` for sessions routed
+    to skill_id. The planner asks every routed skill's gate before it lets a
+    session complete; an empty list means this skill does not object."""
     def wrap(fn):
         COMPLETION_GATES[skill_id] = fn
         return fn

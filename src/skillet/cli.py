@@ -124,7 +124,8 @@ def cmd_skills(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     store = SessionStore(args.store)
     session = store.session(args.session)
-    usage_lines = _usage_by_session(Path(args.store) / "requests.jsonl", args.session)
+    usage_lines = [line for line in UsageLog(Path(args.store) / "requests.jsonl").lines()
+                   if line.get("session_id") == args.session]
     snapshots = iter(session.state_snapshots)
     pending = next(snapshots, None)
     turn = 0
@@ -147,19 +148,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"     state[{skill_id}] {note}")
             pending = next(snapshots, None)
     return 0
-
-
-def _usage_by_session(path: Path, session_id: str) -> list[dict]:
-    if not path.exists():
-        return []
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if record.get("session_id") == session_id:
-            out.append(record)
-    return out
 
 
 def _brief(payload: dict, limit: int = 100) -> str:

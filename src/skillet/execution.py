@@ -2,8 +2,9 @@
 
 Executors are plain callables `fn(args, ctx) -> dict`; domain failures are
 raised as ToolError subclasses and become ok=false tool results. The context
-carries the owning session, effective command policy, and the two runtime
-services (delegate, finish) that tools are allowed to invoke.
+carries the session's workspace root, the effective command policy, the
+protected path globs every workspace write is checked against, and the two
+runtime services (delegate, finish) that tools are allowed to invoke.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .registry import SkillManifest, SkillRegistry
-    from .sessions import Session, SessionStore
+    from .registry import SkillManifest
 
 
 @dataclass
@@ -31,13 +31,10 @@ class RuntimeServices:
 
 @dataclass
 class ExecutionContext:
-    session: "Session"
-    store: "SessionStore"
-    registry: "SkillRegistry"
     workspace_root: Path
     command_allowlist: list[str]
     command_timeout_s: float
     output_truncate_bytes: int
+    protected_globs: list[str]  # union of the routed skills' protected_path_globs
     services: RuntimeServices
     skill: "SkillManifest | None" = None
-    call_id: str = ""

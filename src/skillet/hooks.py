@@ -8,7 +8,10 @@ then declaration order) and composes their HookDecisions into one effect:
   before_llm_call    -> visible tool set (filter intersection) + injected guidance
   after_llm_response -> a single ContinuationDecision (first non-proceed wins)
   before_tool_call   -> Allow (possibly rewritten args) or first Reject
-  after_tool_call    -> persisted state updates + follow-up / gate reasons
+  after_tool_call    -> persisted state updates + follow-up request
+
+Hooks never decide completion: that is the registered completion gate's
+job (`bindings.COMPLETION_GATES`), which the planner consults.
 
 A hook may write only its own skill's state, and only by returning
 `state_update`; the pipeline persists it through the store so snapshots land
@@ -68,16 +71,15 @@ class HookDecision:
     reject: Reject | None = None
     force_action: str | None = None
     schedule_followup: bool = False
-    block_completion: list[str] = field(default_factory=list)
     state_update: dict | None = None
     rewrite_args: dict | None = None
 
 
 _STAGE_FIELDS = {
     BEFORE_LLM: {"tool_filter", "injected_messages", "state_update"},
-    AFTER_LLM: {"force_action", "schedule_followup", "block_completion", "state_update"},
+    AFTER_LLM: {"force_action", "schedule_followup", "state_update"},
     BEFORE_TOOL: {"reject", "rewrite_args", "state_update"},
-    AFTER_TOOL: {"schedule_followup", "block_completion", "state_update"},
+    AFTER_TOOL: {"schedule_followup", "state_update"},
 }
 
 
@@ -113,7 +115,6 @@ class BeforeToolOutcome:
 @dataclass
 class AfterToolOutcome:
     followup_needed: bool = False
-    gate_reasons: list[str] = field(default_factory=list)
 
 
 class HookPipeline:
@@ -177,8 +178,6 @@ class HookPipeline:
             used.add("force_action")
         if decision.schedule_followup:
             used.add("schedule_followup")
-        if decision.block_completion:
-            used.add("block_completion")
         if decision.state_update is not None:
             used.add("state_update")
         if decision.rewrite_args is not None:
@@ -216,7 +215,7 @@ class HookPipeline:
                     tool_name=decision.force_action,
                     skill_id=manifest.skill_id,
                 )
-            elif decision.schedule_followup or decision.block_completion:
+            elif decision.schedule_followup:
                 candidate = ContinuationDecision(
                     ContinuationKind.SCHEDULE_FOLLOWUP, skill_id=manifest.skill_id
                 )
@@ -257,7 +256,4 @@ class HookPipeline:
             decision = self._invoke(manifest, program_id, session, AFTER_TOOL, tool_record)
             if decision.schedule_followup:
                 outcome.followup_needed = True
-            if decision.block_completion:
-                outcome.followup_needed = True
-                outcome.gate_reasons.extend(decision.block_completion)
         return outcome

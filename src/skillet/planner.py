@@ -143,7 +143,6 @@ class Runtime:
         self.queue = WakeupQueue()
         self.orchestration = orchestration_schemas()
         self._turns: dict[str, int] = defaultdict(int)
-        self._pending_completion: dict[str, str] = {}
 
     # -- session intake -----------------------------------------------------
 
@@ -162,12 +161,6 @@ class Runtime:
         self.queue.enqueue(session.session_id, "initial")
         return session
 
-    def spawn_subsession(self, parent: Session, task: DelegatedTask,
-                         routed: RoutedSkillSet | None = None) -> Session:
-        """Create a routed child session and enqueue its first wakeup. The
-        parent's placeholder tool_result is recorded by the normal tool flow."""
-        return self.submit_task(task, parent_id=parent.session_id, routed=routed)
-
     # -- runtime services exposed to tools -----------------------------------
 
     def _delegate(self, parent: Session, task_text: str, task_type: str,
@@ -176,7 +169,7 @@ class Runtime:
         scoped.resolved.mkdir(parents=True, exist_ok=True)
         task = DelegatedTask(task_text=task_text, task_type=task_type,
                              workspace_root=scoped.resolved, done_when=done_when)
-        child = self.spawn_subsession(parent, task)
+        child = self.submit_task(task, parent_id=parent.session_id)
         return {
             "session_id": child.session_id,
             "routed_skills": child.routed_skills,
@@ -188,29 +181,20 @@ class Runtime:
         reasons = [r for _, r in self._gate_reasons(session)]
         if reasons:
             raise CompletionBlocked(reasons)
-        # completion event is appended after this call's tool_result lands
-        self._pending_completion[session.session_id] = report_text
+        # the completion event is appended by _run_tool after this call's tool_result
         return {"completed": True, "report_text": report_text}
 
     def _gate_reasons(self, session: Session) -> list[tuple[str, str]]:
+        """(skill_id, reason) for every open gate of the routed skills: the
+        only place that decides whether a session may complete."""
         pairs: list[tuple[str, str]] = []
         for skill_id in session.routed_skills:
             gate = bindings.COMPLETION_GATES.get(skill_id)
             if gate is None or skill_id not in self.registry:
                 continue
-            manifest = self.registry.lookup(skill_id)
             state = self.store.get_skill_state(session.session_id, skill_id)
-            pairs.extend((skill_id, reason) for reason in gate(session, state, manifest))
+            pairs.extend((skill_id, reason) for reason in gate(session, state))
         return pairs
-
-    def complete_session(self, session: Session, report_text: str = "") -> list[str]:
-        """Complete if every routed skill's gate is satisfied; otherwise
-        return the open reasons and leave the session running."""
-        reasons = [r for _, r in self._gate_reasons(session)]
-        if reasons:
-            return reasons
-        self._complete(session, report_text)
-        return []
 
     def _complete(self, session: Session, report_text: str) -> None:
         self.store.append_event(session.session_id, EventKind.COMPLETION,
@@ -363,15 +347,14 @@ class Runtime:
         self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
             "name": call.name, "args": pre.args, "call_id": call_id, "accepted": True,
         })
-        ok, output = self._execute(schema, pre.args, session, call_id)
+        ok, output = self._execute(schema, pre.args, session)
         record.tool_ok = ok
         seq = self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
             "call_id": call_id, "name": call.name, "ok": ok, "output": output,
         })
-        report_text = self._pending_completion.pop(session.session_id, None)
-        if ok and report_text is not None:
+        if ok and schema.executor_id == "core.finish":
             # a successful finish: gates were checked inside the executor
-            self._complete(session, report_text)
+            self._complete(session, output["report_text"])
             return
         after = self.pipeline.run_after_tool(session, {
             "name": call.name, "ok": ok, "args": pre.args, "result": output, "seq": seq,
@@ -382,8 +365,8 @@ class Runtime:
         if after.followup_needed or not paused:
             enqueue_followup()
 
-    def _execute(self, schema: ActionSchema, args: dict, session: Session,
-                 call_id: str) -> tuple[bool, dict]:
+    def _execute(self, schema: ActionSchema, args: dict,
+                 session: Session) -> tuple[bool, dict]:
         allowlist = list(self.config.workspace.command_allowlist)
         try:
             skill = self.registry.lookup(schema.name)
@@ -391,20 +374,20 @@ class Runtime:
             skill = None  # orchestration tool
         else:
             allowlist.extend(a for a in skill.policy.command_allowlist if a not in allowlist)
+        # every routed skill's protected paths hold for every tool, visible or not
+        protected = [glob for skill_id in session.routed_skills if skill_id in self.registry
+                     for glob in self.registry.lookup(skill_id).policy.protected_path_globs]
         ctx = ExecutionContext(
-            session=session,
-            store=self.store,
-            registry=self.registry,
             workspace_root=session.workspace_root,
             command_allowlist=allowlist,
             command_timeout_s=self.config.workspace.command_timeout_s,
             output_truncate_bytes=self.config.workspace.output_truncate_bytes,
+            protected_globs=protected,
             services=RuntimeServices(
                 delegate=partial(self._delegate, session),
                 finish=partial(self._finish, session),
             ),
             skill=skill,
-            call_id=call_id,
         )
         executor = self.registry.executors[schema.executor_id]
         try:

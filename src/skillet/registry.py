@@ -350,13 +350,6 @@ class SkillRegistry:
             return self._skills[owner]
         raise NotFound(f"no skill or tool named {key!r}")
 
-    def tool_schema(self, tool_name: str) -> ActionSchema:
-        manifest = self.lookup(tool_name)
-        for tool in manifest.tools:
-            if tool.name == tool_name:
-                return tool
-        raise NotFound(f"no tool named {tool_name!r}")
-
     def manifests(self) -> list[SkillManifest]:
         return sorted(self._skills.values(), key=lambda m: m.skill_id)
 

@@ -3,10 +3,11 @@
 Five-phase workflow object enforced by hooks rather than prose: the model
 only ever sees the tools for the current phase plus a compact state-derived
 guidance message, patch calls pass shape/path/size guards before any side
-effect, artifact writes are refused on protected paths and outside the
-policy's artifact directory, verification is a structured check list, and
-completion stays blocked until verification has passed and the artifacts
-named by done_when exist on disk.
+effect, patches and artifacts are written through the workspace writer
+(which refuses protected paths, and artifact paths outside the policy's
+artifact directory), verification is a structured check list, and the
+registered completion gate keeps completion blocked until verification has
+passed and the artifacts named by done_when exist on disk.
 
 Phase transitions (the only legal edges):
 
@@ -17,8 +18,12 @@ Phase transitions (the only legal edges):
     verify    -> report         every check passed
     verify    -> patch          any check failed
 
-The skill state lives in the session's skill-local store and is consumed by
-all four hooks and by the completion gate.
+The skill state lives in the session's skill-local store. The before_llm
+hook is the one place that infers the required artifacts from done_when; it
+stores them in the state, where the completion gate reads them. The
+after_llm hook forces the phase action in reproduce and verify, the
+after_tool hook only advances the state, and whether the session may
+complete is decided by the gate alone.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .patching import (
     parse_unified_diff,
 )
 from .registry import PolicyConfig
-from .workspace import glob_match, resolve, run_allowlisted
+from .workspace import glob_match, resolve, run_allowlisted, write_file
 
 SKILL_ID = "repair"
 
@@ -91,8 +96,6 @@ class RepairState:
     verification_passed: bool = False
     failure_signature: str | None = None
     required_artifacts: list[str] = field(default_factory=list)
-    produced_artifacts: list[str] = field(default_factory=list)
-    gate_fail_reasons: list[str] = field(default_factory=list)
     last_tool: dict | None = None  # {"name", "ok", "seq"}
 
     @classmethod
@@ -109,8 +112,6 @@ class RepairState:
             "verification_passed": self.verification_passed,
             "failure_signature": self.failure_signature,
             "required_artifacts": list(self.required_artifacts),
-            "produced_artifacts": list(self.produced_artifacts),
-            "gate_fail_reasons": list(self.gate_fail_reasons),
             "last_tool": self.last_tool,
         }
 
@@ -187,13 +188,12 @@ def workflow_message(state: RepairState, visible: list[str], required: list[str]
     return "\n".join(lines)
 
 
-def completion_gate_reasons(state: RepairState, workspace_root: Path,
-                            required: list[str] | None = None) -> list[str]:
+def completion_gate_reasons(state: RepairState, workspace_root: Path) -> list[str]:
     """Open-gate reasons; empty list means completion is permitted."""
     reasons: list[str] = []
     if not state.verification_passed:
         reasons.append(VERIFICATION_NOT_PASSED)
-    for path in required if required is not None else state.required_artifacts:
+    for path in state.required_artifacts:
         try:
             scoped = resolve(workspace_root, path)
         except PathEscape:
@@ -204,22 +204,11 @@ def completion_gate_reasons(state: RepairState, workspace_root: Path,
     return reasons
 
 
-def _merged_required(state: RepairState, done_when: str, workspace_root: Path,
-                     config: dict) -> list[str]:
-    inferred = infer_required_artifacts(done_when, workspace_root, artifact_extensions(config))
-    merged = list(state.required_artifacts)
-    for path in inferred:
-        if path not in merged:
-            merged.append(path)
-    return merged
-
-
 @completion_gate(SKILL_ID)
-def repair_gate(session, state_doc: dict, manifest) -> list[str]:
-    state = RepairState.from_doc(state_doc)
-    required = _merged_required(state, session.done_when, session.workspace_root,
-                                manifest.config)
-    return completion_gate_reasons(state, session.workspace_root, required)
+def repair_gate(session, state_doc: dict) -> list[str]:
+    # required_artifacts were inferred and stored by before_llm, which runs
+    # before every model call and so before any finish
+    return completion_gate_reasons(RepairState.from_doc(state_doc), session.workspace_root)
 
 
 # -- hook programs --------------------------------------------------------------
@@ -227,7 +216,10 @@ def repair_gate(session, state_doc: dict, manifest) -> list[str]:
 @hook_program("repair.before_llm")
 def before_llm(ctx: HookContext) -> HookDecision:
     state = RepairState.from_doc(ctx.state)
-    required = _merged_required(state, ctx.done_when, ctx.workspace_root, ctx.config)
+    required = list(state.required_artifacts)
+    inferred = infer_required_artifacts(ctx.done_when, ctx.workspace_root,
+                                        artifact_extensions(ctx.config))
+    required += [path for path in inferred if path not in required]
     visible = set(PHASE_ACTIONS[state.phase]) | {"fs_read", "finish"}
     decision = HookDecision(
         tool_filter=visible,
@@ -249,10 +241,6 @@ def after_llm(ctx: HookContext) -> HookDecision | None:
         return HookDecision(force_action="repair_collect_evidence")
     if state.phase == VERIFY:
         return HookDecision(force_action="repair_run_verification")
-    required = _merged_required(state, ctx.done_when, ctx.workspace_root, ctx.config)
-    open_gates = completion_gate_reasons(state, ctx.workspace_root, required)
-    if open_gates:
-        return HookDecision(schedule_followup=True, block_completion=open_gates)
     return None
 
 
@@ -343,28 +331,13 @@ def after_tool(ctx: HookContext) -> HookDecision:
     elif ok and name == "repair_run_verification":
         if result.get("passed"):
             state.verification_passed = True
-            state.gate_fail_reasons = []
             if state.phase == VERIFY:
                 state.phase = REPORT
         else:
             state.verification_passed = False
-            failures = [c["name"] for c in result.get("checks", []) if not c.get("passed")]
-            state.gate_fail_reasons.extend(f"check failed: {n}" for n in failures)
             if state.phase == VERIFY:
                 state.phase = PATCH
-    elif ok and name == "repair_write_artifact":
-        path = result.get("path")
-        if path and path not in state.produced_artifacts:
-            state.produced_artifacts.append(path)
-
-    required = _merged_required(state, ctx.done_when, ctx.workspace_root, ctx.config)
-    open_gates = completion_gate_reasons(state, ctx.workspace_root, required)
-    decision = HookDecision(state_update=state.to_doc())
-    if open_gates:
-        decision.schedule_followup = True
-    if name == "finish" and not ok:
-        decision.block_completion = open_gates or [VERIFICATION_NOT_PASSED]
-    return decision
+    return HookDecision(state_update=state.to_doc())
 
 
 # -- executors -------------------------------------------------------------------
@@ -415,8 +388,7 @@ def apply_unified_patch(args: dict, ctx: ExecutionContext) -> dict:
     original = scoped.resolved.read_text(encoding="utf-8") if exists else ""
     lines = original.splitlines()
     patched = apply_hunks(lines, hunks)  # HunkMismatch leaves the file untouched
-    scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
-    scoped.resolved.write_text("\n".join(patched) + ("\n" if patched else ""), encoding="utf-8")
+    write_file(ctx, args["target"], "\n".join(patched) + ("\n" if patched else ""))
     return {
         "target": scoped.relative,
         "created": not exists,
@@ -492,15 +464,5 @@ def _check_file(cargs: dict, ctx: ExecutionContext, needle: str | None) -> tuple
 
 @executor("repair.write_artifact")
 def write_artifact(args: dict, ctx: ExecutionContext) -> dict:
-    scoped = resolve(ctx.workspace_root, args["path"])
     policy = ctx.skill.policy if ctx.skill is not None else PolicyConfig()
-    if glob_match(scoped.relative, policy.protected_path_globs):
-        raise ToolError(f"artifact path {scoped.relative!r} matches a protected path")
-    artifact_root = (Path(ctx.workspace_root) / policy.artifact_dir).resolve()
-    if artifact_root not in scoped.resolved.parents:
-        raise ToolError(f"artifact path {scoped.relative!r} is outside the artifact "
-                        f"directory {policy.artifact_dir!r}")
-    scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
-    data = args["content"]
-    scoped.resolved.write_text(data, encoding="utf-8")
-    return {"path": scoped.relative, "bytes_written": len(data.encode("utf-8"))}
+    return write_file(ctx, args["path"], args["content"], artifact_dir=policy.artifact_dir)

@@ -16,7 +16,8 @@ Status starts ACTIVE at the meta line. `set_status` writes a status record
 only when the status changes, and none for COMPLETED when the session's
 completion event (which implies it) is already in the log. Usage totals are
 rebuilt on load from one scan of `<store>/requests.jsonl`, the per-request
-log that `UsageLog` appends to.
+log that `UsageLog` appends to; its torn last line is skipped there, and
+cut only by `UsageLog` before it appends.
 """
 
 from __future__ import annotations
@@ -148,10 +149,12 @@ def _contains(root: Path, candidate: Path) -> bool:
     return True
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    """Parse one record per line. A torn or unparseable last line is cut
-    from the file with a warning; a corrupt earlier line raises."""
-    lines = path.read_bytes().split(b"\n")
+def parse_jsonl(data: bytes, name: str) -> tuple[list[dict], int | None]:
+    """Parse one record per line of a JSONL log's bytes. A torn or
+    unparseable last line is skipped, and the length of the bytes before it
+    is returned for the log's writer to cut to (None when the tail is
+    whole); a corrupt earlier line raises. Nothing is written here."""
+    lines = data.split(b"\n")
     # a well-formed log ends with a newline, so the final split chunk is empty;
     # anything else is a torn tail
     torn_tail = lines[-1] != b""
@@ -165,9 +168,17 @@ def _read_jsonl(path: Path) -> list[dict]:
                 torn_tail = True
                 body = body[:-1]
                 break
-            raise CorruptStore(f"{path.name}: corrupt record at line {i + 1}: {exc}") from exc
-    if torn_tail:
-        path.write_bytes(b"\n".join(body) + (b"\n" if body else b""))
+            raise CorruptStore(f"{name}: corrupt record at line {i + 1}: {exc}") from exc
+    return records, sum(len(line) + 1 for line in body) if torn_tail else None
+
+
+def cut_torn_tail(path: Path) -> list[dict]:
+    """Parse a log this process is about to append to, first cutting a torn
+    last line from the file (with a warning) so the next record starts a
+    line of its own."""
+    records, intact = parse_jsonl(path.read_bytes(), path.name)
+    if intact is not None:
+        os.truncate(path, intact)
         log.warning("%s: truncated torn tail record", path.name)
     return records
 
@@ -338,14 +349,17 @@ class SessionStore:
         requests = self.store_dir / "requests.jsonl"
         if not requests.exists():
             return
-        for line in _read_jsonl(requests):
+        # UsageLog owns this log and cuts a torn tail before it appends; a
+        # store opened only to read it (skillet trace) must not write to it
+        records, _ = parse_jsonl(requests.read_bytes(), requests.name)
+        for line in records:
             session = self._sessions.get(line.get("session_id"))
             if session is not None:
                 session.usage.add(line["input_tokens"], line["output_tokens"],
                                   line["cache_tokens"], line["total_tokens"])
 
     def _load_log(self, log_path: Path) -> Session | None:
-        records = _read_jsonl(log_path)
+        records = cut_torn_tail(log_path)
         if not records or records[0].get("kind") != _META_KIND:
             return None
         meta = records[0]

@@ -1,10 +1,13 @@
-"""Workspace scoping and the always-available orchestration tool set.
+"""Workspace scoping, the one workspace writer, and the always-available
+orchestration tool set.
 
 Every path the model supplies goes through `resolve`, which proves the
 target lies inside the session's workspace root (traversal, absolute
-escapes, and symlinks pointing out of the root are all rejected). Commands
-run with cwd at the root, an executable allowlist, a wall-clock bound, and
-captured, size-capped output.
+escapes, and symlinks pointing out of the root are all rejected). Every
+workspace write goes through `write_file`, which also enforces the routed
+skills' protected paths whether or not the calling tool was visible.
+Commands run with cwd at the root, an executable allowlist, a wall-clock
+bound, and captured, size-capped output.
 """
 
 from __future__ import annotations
@@ -43,6 +46,28 @@ def glob_match(relative: str, globs: list[str]) -> bool:
     # fnmatch semantics: '*' crosses path separators, which errs broad for a
     # deny-list ("tests/**" also covers nested files)
     return any(fnmatch.fnmatch(relative, g) for g in globs)
+
+
+def write_file(ctx: ExecutionContext, raw: str, text: str,
+               artifact_dir: str | None = None) -> dict:
+    """Write `text` to `raw` inside the workspace, creating parent directories.
+
+    Before any byte is written, refuses a path matching `ctx.protected_globs`
+    and, for an artifact write (`artifact_dir` given), a path outside that
+    directory of the workspace.
+    """
+    scoped = resolve(ctx.workspace_root, raw)
+    what = "path" if artifact_dir is None else "artifact path"
+    if glob_match(scoped.relative, ctx.protected_globs):
+        raise ToolError(f"{what} {scoped.relative!r} matches a protected path")
+    if artifact_dir is not None:
+        artifact_root = (Path(ctx.workspace_root) / artifact_dir).resolve()
+        if artifact_root not in scoped.resolved.parents:
+            raise ToolError(f"artifact path {scoped.relative!r} is outside the artifact "
+                            f"directory {artifact_dir!r}")
+    scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
+    scoped.resolved.write_text(text, encoding="utf-8")
+    return {"path": scoped.relative, "bytes_written": len(text.encode("utf-8"))}
 
 
 def run_allowlisted(
@@ -146,11 +171,7 @@ def fs_read(args: dict, ctx: ExecutionContext) -> dict:
 
 @executor("core.fs_write")
 def fs_write(args: dict, ctx: ExecutionContext) -> dict:
-    scoped = resolve(ctx.workspace_root, args["path"])
-    scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
-    data = args["content"]
-    scoped.resolved.write_text(data, encoding="utf-8")
-    return {"path": scoped.relative, "bytes_written": len(data.encode("utf-8"))}
+    return write_file(ctx, args["path"], args["content"])
 
 
 @executor("core.run_command")

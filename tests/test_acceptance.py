@@ -26,7 +26,7 @@ from skillet import (
     route,
     score_candidate,
 )
-from skillet.bindings import EXECUTORS
+from skillet.bindings import EXECUTORS, HOOK_PROGRAMS
 from skillet.errors import StepBudgetExhausted
 from skillet.hooks import HookPipeline
 from skillet.repair import PHASE_EDGES, RepairState
@@ -44,6 +44,7 @@ from conftest import (
     read_jsonl,
     repair_script,
     submit_repair_task,
+    tree_checksum,
 )
 
 REPORT = "ACCEPTANCE {n}: PASS — {detail}"
@@ -316,6 +317,61 @@ class TestCriterion4GuardSuite:
         assert spy_calls == [], f"executor ran for: {spy_calls}"
         print(REPORT.format(n=4, detail="5 guard violations refused with zero "
                                         "executor invocations (spy)"))
+
+    # (label, tool, args, phase): every tool that writes workspace files,
+    # aimed at the repair skill's protected tests/**
+    WRITES = [
+        ("fs_write", "fs_write",
+         {"path": "tests/test_calc.py", "content": "# clobbered\n"}, "patch"),
+        ("fs_write-new", "fs_write",
+         {"path": "tests/deep/new.py", "content": "x = 2\n"}, "patch"),
+        ("artifact", "repair_write_artifact",
+         {"path": "tests/test_calc.py", "content": "# clobbered\n"}, "report"),
+        ("patch", "repair_apply_unified_patch",
+         {"target": "tests/test_calc.py",
+          "body": "@@ -1,1 +1,1 @@\n-assert True\n+assert False\n"}, "patch"),
+    ]
+
+    def test_protected_paths_hold_through_every_writer(self, tmp_path):
+        # with the patch guard hook swapped out, the workspace writer is the
+        # only thing left between a tool and the protected tree
+        unguarded = SkillRegistry(
+            hook_programs={**HOOK_PROGRAMS, "repair.before_tool": lambda ctx: None})
+        guarded = SkillRegistry()
+        for registry in (guarded, unguarded):
+            registry.load_all(builtin_skills_dir())
+
+        runs = 0
+        for guard, registry in (("hook", guarded), ("nohook", unguarded)):
+            for filters in (True, False):
+                for label, name, args, phase in self.WRITES:
+                    case = f"{label}-{guard}-{'filtered' if filters else 'unfiltered'}"
+                    ws = tmp_path / f"ws-{case}"
+                    make_tiny_workspace(ws)
+                    (ws / "tests" / "deep").mkdir(parents=True)
+                    (ws / "tests" / "test_calc.py").write_text("assert True\n")
+                    (ws / "tests" / "deep" / "keep.py").write_text("x = 1\n")
+                    before = tree_checksum(ws / "tests")
+                    runtime = make_runtime(registry, ws, tmp_path / f"store-{case}",
+                                           [tool(name, args)], allowlist=(),
+                                           apply_tool_filters=filters)
+                    session = submit_repair_task(runtime, ws)
+                    runtime.store.put_skill_state(session.session_id, "repair",
+                                                  RepairState(phase=phase).to_doc())
+                    try:
+                        runtime.run_until_quiescent(2)
+                    except StepBudgetExhausted:
+                        pass
+                    # a tool the filter hides is never called (the scripted
+                    # model cannot pick it); any call that is made is refused
+                    results = [e.payload for e in session.history
+                               if e.kind is EventKind.TOOL_RESULT]
+                    assert not any(r["ok"] for r in results), f"{case}: write accepted"
+                    assert tree_checksum(ws / "tests") == before, f"{case}: tests/ changed"
+                    runs += 1
+        print(REPORT.format(n=4, detail=f"{runs} protected-path writes through fs_write, "
+                                        "repair_write_artifact and the patch executor "
+                                        "refused, filters on and off, tests/ byte-identical"))
 
 
 class TestCriterion5RoutingFormula:

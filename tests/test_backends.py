@@ -337,6 +337,19 @@ class TestUsageLog:
         assert providers == ["scripted", "http"]
         assert session.usage.request_count == 2
 
+    def test_lines_skip_a_torn_last_line_without_writing(self, tmp_path):
+        session = self.make_session(tmp_path)
+        log = UsageLog(tmp_path / "requests.jsonl")
+        backend = ScriptedBackend([{"respond": {"text": "one"}},
+                                   {"respond": {"text": "two"}}])
+        for _ in range(2):
+            req = request(session_id=session.session_id)
+            log.record(session, req, backend.complete(req))
+        log.path.write_bytes(log.path.read_bytes()[:-9])  # a crash mid-append
+        torn = log.path.read_bytes()
+        assert [l["assistant_text"] for l in log.lines()] == ["one"]
+        assert log.path.read_bytes() == torn
+
     def test_write_failure_is_fatal(self, tmp_path):
         session = self.make_session(tmp_path)
         blocked = tmp_path / "as_dir"

@@ -1,0 +1,57 @@
+"""The benchmark's outside-in probe still finds every name it wraps.
+
+`perfbench/probe.py` times each layer by replacing, by name, a method, a
+module-level function or a binding-table entry of the runtime. Installing
+its instruments here makes a rename or removal of a wrapped name fail this
+suite instead of only a traced benchmark run.
+"""
+
+import os
+import types
+from pathlib import Path
+
+from skillet import ScriptedBackend, SessionStatus, bindings
+from skillet.planner import Runtime
+
+from conftest import make_runtime, repair_script, submit_repair_task
+
+PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+
+
+def load_probe() -> types.ModuleType:
+    # executed from source so that no bytecode is written next to it
+    module = types.ModuleType("perfbench_probe")
+    module.__file__ = str(PROBE)
+    exec(compile(PROBE.read_text(encoding="utf-8"), str(PROBE), "exec"), module.__dict__)
+    return module
+
+
+def test_probe_installs_traces_a_repair_run_and_restores(registry, repair_workspace,
+                                                         tmp_path):
+    probe = load_probe()
+    tables = (bindings.EXECUTORS, bindings.HOOK_PROGRAMS, bindings.COMPLETION_GATES)
+    before = ([dict(t) for t in tables], Runtime.__dict__["run_wakeup"],
+              Runtime.__dict__["submit_task"], os.fsync)
+    patches = probe.Patches()
+    log, tracer = probe.WakeupLog(), probe.Tracer()
+    try:
+        log.install(patches)
+        tracer.install(patches, ScriptedBackend)
+        tracer.measuring = True
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store",
+                               repair_script())
+        session = submit_repair_task(runtime, repair_workspace)
+        runtime.run_until_quiescent(20)
+    finally:
+        patches.restore()
+
+    assert runtime.store.session(session.session_id).status is SessionStatus.COMPLETED
+    assert list(log.completed) == [session.session_id]
+    traced = {span[3] for span in tracer.spans}
+    # every per-layer span but the skill loading, which ran before install
+    wanted = {span for span, _ in probe.PER_CALL.values()} - {"registry.load_all"}
+    assert wanted <= traced, sorted(wanted - traced)
+    metrics = probe.layer_metrics(tracer, tasks=1)
+    assert metrics["repair.gate_calls_per_wakeup"] > 0
+    assert ([dict(t) for t in tables], Runtime.__dict__["run_wakeup"],
+            Runtime.__dict__["submit_task"], os.fsync) == before

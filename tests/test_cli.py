@@ -106,6 +106,21 @@ class TestTrace:
         assert "[tokens in=" in out
         assert "completion" in out
 
+    def test_torn_usage_log_tail_is_skipped_and_left_alone(
+            self, repair_workspace, tmp_path, script_file, config_file, capsys):
+        main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        capsys.readouterr()
+        requests = tmp_path / "store" / "requests.jsonl"
+        whole = requests.read_bytes().count(b"\n")
+        # a runtime may be appending to the log while an operator traces it
+        requests.write_bytes(requests.read_bytes()[:-9])
+        torn = requests.read_bytes()
+        code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("[tokens in=") == whole - 1
+        assert requests.read_bytes() == torn
+
     def test_unknown_session(self, repair_workspace, tmp_path, script_file,
                              config_file, capsys):
         main(run_args(repair_workspace, tmp_path, script_file, config_file))

@@ -201,14 +201,12 @@ class TestAfterTool:
         session = store.create_session("t", "misc", ws, "")
         outcome = HookPipeline(registry, store).run_after_tool(session, dict(self.RECORD))
         assert not outcome.followup_needed
-        assert outcome.gate_reasons == []
 
-    def test_block_completion_implies_followup(self, rig):
+    def test_schedule_followup_sets_followup_needed(self, rig):
         pipeline, _, session = rig
-        BEHAVIOR["t.beta_after_tool"] = HookDecision(block_completion=["gate open"])
+        BEHAVIOR["t.beta_after_tool"] = HookDecision(schedule_followup=True)
         outcome = pipeline.run_after_tool(session, dict(self.RECORD))
         assert outcome.followup_needed
-        assert outcome.gate_reasons == ["gate open"]
 
     def test_state_updates_applied_in_order(self, rig):
         pipeline, store, session = rig

@@ -155,7 +155,7 @@ class TestContinuationPaths:
 
     def test_blocked_plain_text_finish_injects_guidance(self, registry, repair_workspace,
                                                         tmp_path):
-        # patch phase, no tool call, gates open -> schedule_followup path
+        # patch phase, no tool call, gates open -> the planner consults the gate
         script = [
             evidence_step(log_path="in/fail.log"),
             {"when": {"phase_contains": "phase: patch"}, "respond": {"text": "done i think"}},
@@ -166,6 +166,15 @@ class TestContinuationPaths:
         session = runtime.store.session("s0001")
         assert not session.has_completion()
         assert session.status is not SessionStatus.COMPLETED
+        history = session.history
+        reply = next(i for i, e in enumerate(history)
+                     if e.kind is EventKind.ASSISTANT_MESSAGE
+                     and e.payload["text"] == "done i think")
+        following = history[reply + 1]
+        assert following.kind is EventKind.GUIDANCE_INJECTION
+        assert following.payload["skill_id"] == "repair"
+        assert following.payload["text"].startswith("Completion is blocked:")
+        assert "verification not passed" in following.payload["text"]
 
 
 class TestBackendFailures:
@@ -405,8 +414,8 @@ class TestSpawnSubsession:
         parent = runtime.submit_task(
             DelegatedTask("parent", "coordination", repair_workspace, ""))
         task = DelegatedTask("child", "unrelated_type", repair_workspace, "")
-        child = runtime.spawn_subsession(
-            parent, task, routed=RoutedSkillSet(entries=[("repair", 1.0)]))
+        child = runtime.submit_task(task, parent_id=parent.session_id,
+                                    routed=RoutedSkillSet(entries=[("repair", 1.0)]))
         assert child.parent_id == parent.session_id
         assert child.routed_skills == ["repair"]
         assert runtime.queue.pending_sessions().count(child.session_id) == 1

@@ -19,11 +19,11 @@ from skillet.workspace import (
 
 def make_ctx(ws, allowlist=("echo",), timeout=5.0, truncate=32768):
     return ExecutionContext(
-        session=None, store=None, registry=None,
         workspace_root=ws,
         command_allowlist=list(allowlist),
         command_timeout_s=timeout,
         output_truncate_bytes=truncate,
+        protected_globs=[],
         services=RuntimeServices(delegate=lambda *a: {}, finish=lambda *a: {}),
     )
 
