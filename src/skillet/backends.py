@@ -3,7 +3,7 @@
 Two backends share one interface: a deterministic scripted backend that
 drives every test without a live model, and a generic HTTP chat backend for
 real endpoints. Each completed request is appended to requests.jsonl and the
-owning session's usage totals are updated under the same lock, so the
+owning session's usage totals are updated once its line is durable, so the
 session totals always equal the column sums of its log lines.
 
 Script files are a JSON list of steps:
@@ -15,9 +15,10 @@ Script files are a JSON list of steps:
 (guidance is injected last before each model call, so this keys on the
 current phase); `when.tool_visible` requires a tool name in the visible
 set. A step with no predicate always matches. The first matching step is
-consumed per request. Synthetic usage is character-count based and includes
-the serialized tool surface, so narrower tool exposure measurably shrinks
-requests.
+consumed per request, picked and removed under one lock, so concurrent
+requests never share a step. Synthetic usage is character-count based and
+includes the serialized tool surface, so narrower tool exposure measurably
+shrinks requests.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class ScriptedBackend:
 
     def __init__(self, steps: list[dict]):
         self._steps = [dict(s) for s in steps]
+        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
@@ -94,20 +96,20 @@ class ScriptedBackend:
         return len(self._steps)
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        index = self._first_match(request)
-        if index is None:
-            raise ScriptExhausted()
-        step = self._steps[index]
-        respond = step.get("respond", {})
-        text = respond.get("text", "")
-        tool_call = None
-        if "tool_call" in respond:
-            raw = respond["tool_call"]
-            visible = [t.name for t in request.tools]
-            if raw["name"] not in visible:
-                raise ScriptToolNotVisible(raw["name"], visible)
-            tool_call = ToolCallRequest(name=raw["name"], args=raw.get("args", {}))
-        self._steps.pop(index)
+        with self._lock:
+            index = self._first_match(request)
+            if index is None:
+                raise ScriptExhausted()
+            respond = self._steps[index].get("respond", {})
+            text = respond.get("text", "")
+            tool_call = None
+            if "tool_call" in respond:
+                raw = respond["tool_call"]
+                visible = [t.name for t in request.tools]
+                if raw["name"] not in visible:
+                    raise ScriptToolNotVisible(raw["name"], visible)
+                tool_call = ToolCallRequest(name=raw["name"], args=raw.get("args", {}))
+            self._steps.pop(index)
 
         input_chars = sum(len(t) for _, t in request.messages) + _tool_surface_chars(request.tools)
         output_chars = len(text) + (len(json.dumps(respond["tool_call"], sort_keys=True))
@@ -224,17 +226,36 @@ class HttpBackend:
         )
 
 
+class _Batch:
+    """Lines queued for one write and fsync of requests.jsonl."""
+
+    def __init__(self, lock: threading.Lock):
+        self.lines: list[str] = []
+        self.usages: list[tuple[Session, UsageRecord]] = []
+        self.written = threading.Condition(lock)  # its callers wait here
+        self.done = False
+        self.error: Exception | None = None
+
+
 class UsageLog:
     """requests.jsonl writer. One self-delimiting line per model request;
-    the owning session's totals are updated under the same lock as the
-    append, so totals and log always agree. This file is where a reopened
+    the owning session's totals are updated only after its line is durable,
+    so totals and log always agree. This file is where a reopened
     SessionStore rebuilds the totals from. Readers skip a torn last line (a
-    crash mid-append); only the writer cuts it, before its first append."""
+    crash mid-append); only the writer cuts it, before its first append.
+
+    Appends are group-committed: callers that arrive while a batch is being
+    written queue their lines, and the first of them then writes and fsyncs
+    the whole queue at once. Each caller returns once its own line is
+    durable, or raises LogWriteError if its batch failed."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
         self.fsync = fsync
         self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)  # the next batch's first caller waits here
+        self._batch = _Batch(self._lock)  # the batch new lines join
+        self._writing = False
         self._tail_checked = False
 
     def record(self, session: Session, request: ModelRequest, response: ModelResponse) -> UsageRecord:
@@ -255,21 +276,46 @@ class UsageLog:
             ),
         }, sort_keys=True)
         with self._lock:
+            batch = self._batch
+            batch.lines.append(line + "\n")
+            batch.usages.append((session, usage))
+            lead = len(batch.lines) == 1  # a batch's first caller writes it
+            if lead:
+                while self._writing:
+                    self._idle.wait()
+                self._writing = True
+                self._batch = _Batch(self._lock)
+            else:
+                while not batch.done:
+                    batch.written.wait()
+        if lead:
             try:
-                if not self._tail_checked and self.path.exists():
-                    cut_torn_tail(self.path)
-                self._tail_checked = True
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-                    fh.flush()
-                    if self.fsync:
-                        os.fsync(fh.fileno())
-            except OSError as exc:
-                raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
-            session.usage.add(
-                usage.input_tokens, usage.output_tokens, usage.cache_tokens, usage.total_tokens
-            )
+                self._append("".join(batch.lines).encode("utf-8"))
+            except Exception as exc:  # every caller in the batch raises it
+                batch.error = exc
+                self._tail_checked = False  # the next batch cuts a line this one tore
+            with self._lock:
+                if batch.error is None:
+                    for owner, counted in batch.usages:
+                        owner.usage.add(counted.input_tokens, counted.output_tokens,
+                                        counted.cache_tokens, counted.total_tokens)
+                batch.done = True
+                batch.written.notify_all()
+                self._writing = False
+                self._idle.notify()
+        if batch.error is not None:
+            raise LogWriteError(f"cannot append to {self.path}: {batch.error}") from batch.error
         return usage
+
+    def _append(self, data: bytes) -> None:
+        if not self._tail_checked and self.path.exists():
+            cut_torn_tail(self.path)
+        self._tail_checked = True
+        with open(self.path, "ab") as fh:
+            fh.write(data)
+            fh.flush()
+            if self.fsync:
+                os.fsync(fh.fileno())
 
     def lines(self) -> list[dict]:
         """Every whole record; a torn last line is skipped, not cut."""

@@ -91,6 +91,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except StepBudgetExhausted as exc:
         summary = exc.summary
         exhausted = True
+    finally:
+        store.close()
     print_summary(summary)
     if exhausted:
         return 2

@@ -4,6 +4,13 @@ One wakeup = at most one model decision plus its tool effects, all persisted
 before the wakeup returns, with a follow-up enqueued while anything remains
 open. The queue is FIFO by enqueue order and never hands out two wakeups for
 the same session at once; single-worker mode drains it deterministically.
+
+The threaded drain runs one worker per runnable session, with no polling: the
+draining thread blocks on the queue's condition until a runnable wakeup has
+no worker, then starts one for it. A worker keeps taking wakeups while one is
+runnable and unclaimed, and exits when none is, so no runnable session waits
+for a worker and no worker waits for work. The worker count has no setting;
+it follows the number of sessions that can run at once.
 """
 
 from __future__ import annotations
@@ -54,45 +61,73 @@ class WakeupEvent:
 
 
 class WakeupQueue:
-    """FIFO queue with per-session mutual exclusion enforced at pop time."""
+    """FIFO queue with per-session mutual exclusion enforced at pop time.
+
+    A wakeup is runnable while no wakeup of its session is in flight. `pop`
+    never blocks. A drain with several workers blocks in `wait` instead, then
+    `claim`s a runnable wakeup for its next `pop`, so that pop is never empty.
+    """
 
     def __init__(self):
         self._items: deque[WakeupEvent] = deque()
         self._in_flight: set[str] = set()
+        self._claimed = 0
         self._seq = 0
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
 
     def enqueue(self, session_id: str, cause: str, attempt: int = 0) -> WakeupEvent:
-        with self._lock:
+        with self._cond:
             self._seq += 1
             event = WakeupEvent(session_id=session_id, cause=cause,
                                 enqueue_seq=self._seq, attempt=attempt)
             self._items.append(event)
+            self._cond.notify_all()
             return event
 
     def pop(self) -> WakeupEvent | None:
-        with self._lock:
+        with self._cond:
             for i, event in enumerate(self._items):
                 if event.session_id not in self._in_flight:
                     del self._items[i]
                     self._in_flight.add(event.session_id)
+                    self._claimed = max(self._claimed - 1, 0)
                     return event
             return None
 
     def done(self, event: WakeupEvent) -> None:
-        with self._lock:
+        with self._cond:
             self._in_flight.discard(event.session_id)
+            self._cond.notify_all()
+
+    def wait(self) -> bool:
+        """Block until a runnable wakeup is unclaimed (True), or until the
+        queue is empty with nothing in flight, so none can come (False)."""
+        with self._cond:
+            while self._unclaimed() <= 0:
+                if not self._items and not self._in_flight:
+                    return False
+                self._cond.wait()
+            return True
+
+    def claim(self) -> bool:
+        """Reserve a runnable, unclaimed wakeup for the caller's next `pop`;
+        False when there is none."""
+        with self._cond:
+            if self._unclaimed() <= 0:
+                return False
+            self._claimed += 1
+            return True
+
+    def _unclaimed(self) -> int:
+        runnable = {e.session_id for e in self._items} - self._in_flight
+        return len(runnable) - self._claimed
 
     def __len__(self) -> int:
-        with self._lock:
+        with self._cond:
             return len(self._items)
 
-    def in_flight_count(self) -> int:
-        with self._lock:
-            return len(self._in_flight)
-
     def pending_sessions(self) -> list[str]:
-        with self._lock:
+        with self._cond:
             return [e.session_id for e in self._items]
 
 
@@ -441,41 +476,51 @@ class Runtime:
             steps += 1
         return steps
 
-    def _drain_threads(self, limit: int, workers: int = 4) -> int:
+    def _drain_threads(self, limit: int) -> int:
         lock = threading.Lock()
-        state = {"steps": 0, "exhausted": False}
+        steps = 0
+        errors: list[BaseException] = []
 
-        def worker() -> None:
+        def claim() -> bool:
+            """Count a step and claim a wakeup for it, within the budget."""
+            nonlocal steps
+            with lock:
+                if errors or steps >= limit or not self.queue.claim():
+                    return False
+                steps += 1
+                return True
+
+        def work() -> None:
             while True:
-                with lock:
-                    if state["exhausted"]:
-                        return
-                    if state["steps"] >= limit:
-                        if len(self.queue):
-                            state["exhausted"] = True
-                        return
-                    event = self.queue.pop()
-                    if event is not None:
-                        state["steps"] += 1
-                if event is None:
-                    if not len(self.queue) and not self.queue.in_flight_count():
-                        return
-                    threading.Event().wait(0.005)
-                    continue
+                event = self.queue.pop()
+                assert event is not None
                 try:
                     self.run_wakeup(event)
+                except BaseException as exc:  # re-raised by the draining thread
+                    errors.append(exc)
+                    return
                 finally:
                     self.queue.done(event)
+                if not claim():
+                    return
 
-        threads = [threading.Thread(target=worker, daemon=True) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if state["exhausted"] or (state["steps"] >= limit and len(self.queue)):
+        workers = []
+        while self.queue.wait():
+            if claim():
+                worker = threading.Thread(target=work, daemon=True)
+                worker.start()
+                workers.append(worker)
+            elif errors or steps >= limit:
+                break
+            # else a finishing worker claimed the wakeup first
+        for worker in workers:
+            worker.join()
+        if errors:
+            raise errors[0]
+        if len(self.queue):
             self._park_pending()
-            raise StepBudgetExhausted(self.summary(state["steps"]))
-        return state["steps"]
+            raise StepBudgetExhausted(self.summary(steps))
+        return steps
 
     def _park_pending(self) -> None:
         for session_id in self.queue.pending_sessions():

@@ -19,8 +19,9 @@ Phase transitions (the only legal edges):
     verify    -> patch          any check failed
 
 The skill state lives in the session's skill-local store. The before_llm
-hook is the one place that infers the required artifacts from done_when; it
-stores them in the state, where the completion gate reads them. The
+hook is the one place that infers the required artifacts from done_when, at
+the session's first wakeup in this process (done_when and the root never
+change); it stores them in the state, where the completion gate reads them. The
 after_llm hook forces the phase action in reproduce and verify, the
 after_tool hook only advances the state, and whether the session may
 complete is decided by the gate alone.
@@ -88,6 +89,9 @@ CHECK_TYPES = ("command_exit_zero", "file_exists", "file_contains", "output_matc
 VERIFICATION_NOT_PASSED = "verification not passed"
 
 WORKFLOW_ORDER = "reproduce -> patch -> verify -> report"
+
+# Session.derived key of the artifacts inferred from done_when
+_INFERRED = "repair.inferred_artifacts"
 
 
 @dataclass
@@ -217,8 +221,10 @@ def repair_gate(session, state_doc: dict) -> list[str]:
 def before_llm(ctx: HookContext) -> HookDecision:
     state = RepairState.from_doc(ctx.state)
     required = list(state.required_artifacts)
-    inferred = infer_required_artifacts(ctx.done_when, ctx.workspace_root,
-                                        artifact_extensions(ctx.config))
+    inferred = ctx.session.derived.get(_INFERRED)
+    if inferred is None:
+        inferred = ctx.session.derived[_INFERRED] = infer_required_artifacts(
+            ctx.done_when, ctx.workspace_root, artifact_extensions(ctx.config))
     required += [path for path in inferred if path not in required]
     visible = set(PHASE_ACTIONS[state.phase]) | {"fs_read", "finish"}
     decision = HookDecision(

@@ -7,10 +7,18 @@ records that are not history events are interleaved at the seq of the last
 event written: `skill_state_snapshot` and `session_status`. So reloading
 any prefix of the log reconstructs the history up to that point, the last
 snapshot at or before it, and the status of that moment. Every record is
-fsynced before the call that writes it returns; a torn tail line is
-truncated on load with a warning, anything corrupt earlier raises
-CorruptStore. A log without a `session_meta` line is moved to
-`<store>/quarantine/`, and new ids are allocated past every log file seen.
+written and fsynced before the call that writes it returns. A torn tail
+line is skipped on load, which writes nothing, so a store opened only to
+read (`skillet trace`) leaves the logs as they are; anything corrupt
+earlier raises CorruptStore. A log without a `session_meta` line is moved
+to `<store>/quarantine/`, and new ids are allocated past every log file
+seen.
+
+The store keeps one `O_APPEND` descriptor per session log it writes to. It
+opens it at the first write to that log, cutting a torn tail line (with a
+warning) first, so the next record starts a line of its own. It closes it
+when the session becomes COMPLETED or FAILED, and `close()` closes every
+descriptor still open; a later write to a closed log opens it again.
 
 Status starts ACTIVE at the meta line. `set_status` writes a status record
 only when the status changes, and none for COMPLETED when the session's
@@ -23,6 +31,7 @@ cut only by `UsageLog` before it appends.
 from __future__ import annotations
 
 import copy
+import io
 import json
 import logging
 import os
@@ -118,6 +127,9 @@ class Session:
     usage: UsageTotals = field(default_factory=UsageTotals)
     # (after_seq, skill_id, state) in write order; used by trace rendering
     state_snapshots: list[tuple[int, str, dict]] = field(default_factory=list)
+    # values a hook program derives once per session from fields that never
+    # change (done_when, the root); in memory only, never logged
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def next_seq(self) -> int:
@@ -184,7 +196,8 @@ def cut_torn_tail(path: Path) -> list[dict]:
 
 
 class SessionStore:
-    """Durable home of sessions. Per-session writes are serialized by a lock."""
+    """Durable home of sessions. Per-session writes, and the opening and
+    closing of that session's log descriptor, are serialized by a lock."""
 
     def __init__(self, store_dir: str | Path, fsync: bool = True):
         self.store_dir = Path(store_dir)
@@ -194,6 +207,8 @@ class SessionStore:
         self.fsync = fsync
         self._sessions: dict[str, Session] = {}
         self._locks: dict[str, threading.Lock] = {}
+        self._logs: dict[str, io.FileIO] = {}  # open append descriptors by session id
+        self._torn: set[str] = set()  # ids of logs loaded with a torn last line
         self._store_lock = threading.Lock()
         self._last_id = 0
         self._load()
@@ -306,6 +321,14 @@ class SessionStore:
                     "status": status.value,
                 })
             session.status = status
+            if status not in OPEN_STATUSES:
+                self._close_log(session_id)
+
+    def close(self) -> None:
+        """Close every session log descriptor still open."""
+        for session_id in list(self._logs):
+            with self._locks[session_id]:
+                self._close_log(session_id)
 
     # -- persistence internals ----------------------------------------------
 
@@ -313,20 +336,37 @@ class SessionStore:
         return self.sessions_dir / f"{session_id}.log"
 
     def _write_record(self, session: Session, record: dict) -> None:
-        line = _canonical(record) + "\n"
-        with open(self._log_path(session.session_id), "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+        """Append one record; the caller holds the session's lock (or owns a
+        session no other thread can see yet)."""
+        fh = self._logs.get(session.session_id) or self._open_log(session.session_id)
+        data = (_canonical(record) + "\n").encode("utf-8")
+        while data:
+            data = data[fh.write(data):]
+        if self.fsync:
+            os.fsync(fh.fileno())
+
+    def _open_log(self, session_id: str) -> io.FileIO:
+        path = self._log_path(session_id)
+        if session_id in self._torn:
+            cut_torn_tail(path)
+            self._torn.discard(session_id)
+        fh = self._logs[session_id] = open(path, "ab", buffering=0)
+        return fh
+
+    def _close_log(self, session_id: str) -> None:
+        fh = self._logs.pop(session_id, None)
+        if fh is not None:
+            fh.close()
 
     def _load(self) -> None:
         for log_path in sorted(self.sessions_dir.glob("*.log")):
             self._note_id(log_path)
-            session = self._load_log(log_path)
+            session, torn = self._load_log(log_path)
             if session is None:
                 self._quarantine(log_path)
                 continue
+            if torn:
+                self._torn.add(session.session_id)
             self._sessions[session.session_id] = session
             self._locks[session.session_id] = threading.Lock()
         for log_path in self.quarantine_dir.glob("*.log"):
@@ -358,10 +398,12 @@ class SessionStore:
                 session.usage.add(line["input_tokens"], line["output_tokens"],
                                   line["cache_tokens"], line["total_tokens"])
 
-    def _load_log(self, log_path: Path) -> Session | None:
-        records = cut_torn_tail(log_path)
+    def _load_log(self, log_path: Path) -> tuple[Session | None, bool]:
+        """The session a log holds (None without a meta line), and whether
+        its last line is torn; nothing is written here."""
+        records, intact = parse_jsonl(log_path.read_bytes(), log_path.name)
         if not records or records[0].get("kind") != _META_KIND:
-            return None
+            return None, False
         meta = records[0]
         session = Session(
             session_id=meta["session_id"],
@@ -387,4 +429,4 @@ class SessionStore:
                 ))
                 if kind == EventKind.COMPLETION.value:
                     session.status = SessionStatus.COMPLETED
-        return session
+        return session, intact is not None

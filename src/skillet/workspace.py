@@ -31,8 +31,14 @@ class ScopedPath:
 
 
 def resolve(workspace_root: str | Path, raw: str) -> ScopedPath:
-    """Prove `raw` stays inside workspace_root, following symlinks."""
-    root = Path(workspace_root).resolve()
+    """Prove `raw` stays inside workspace_root, following symlinks.
+
+    The root must already be resolved, as every `Session.workspace_root` is
+    (`create_session` resolves it). It is not resolved again, which fails
+    closed: if the root is later swapped for a symlink, every path through
+    it resolves elsewhere and raises PathEscape.
+    """
+    root = Path(workspace_root)
     candidate = Path(raw) if Path(raw).is_absolute() else root / raw
     resolved = candidate.resolve()
     try:

@@ -1,13 +1,16 @@
 """Scripted and HTTP backends plus the usage log."""
 
 import json
+import os
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from skillet import ScriptedBackend, SessionStore, UsageLog
-from skillet.backends import HttpBackend, ModelRequest
+from skillet.backends import HttpBackend, ModelRequest, ModelResponse, UsageRecord
 from skillet.errors import (
     LogWriteError,
     ModelBackendError,
@@ -18,6 +21,15 @@ from skillet.schema import ActionSchema, ParamSpec, object_spec
 
 TOOL_A = ActionSchema("t_alpha", "does a", object_spec({}, []), "e")
 TOOL_B = ActionSchema("t_beta", "does b", object_spec({"x": ParamSpec("int")}, []), "e")
+
+
+def run_threads(target, args_list, timeout=60):
+    threads = [threading.Thread(target=target, args=args) for args in args_list]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads)
 
 
 def request(messages=None, tools=(TOOL_A, TOOL_B), session_id="s0001"):
@@ -93,6 +105,28 @@ class TestScripted:
         u = response.usage
         assert u.total_tokens == u.input_tokens + u.output_tokens + u.cache_tokens
         assert u.provider == "scripted"
+
+    def test_threads_sharing_a_script_get_each_step_once(self):
+        backend = ScriptedBackend([{"respond": {"text": f"step {i}"}} for i in range(400)])
+        start = threading.Barrier(8)
+        handed_out = [[] for _ in range(8)]
+
+        def drain(mine):
+            start.wait()
+            while True:
+                try:
+                    mine.append(backend.complete(request()).text)
+                except ScriptExhausted:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            run_threads(drain, [(mine,) for mine in handed_out])
+        finally:
+            sys.setswitchinterval(interval)
+        texts = [text for mine in handed_out for text in mine]
+        assert sorted(texts) == sorted(f"step {i}" for i in range(400))
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -349,6 +383,79 @@ class TestUsageLog:
         torn = log.path.read_bytes()
         assert [l["assistant_text"] for l in log.lines()] == ["one"]
         assert log.path.read_bytes() == torn
+
+    @staticmethod
+    def usage_response(n):
+        return ModelResponse(text=f"r{n}", usage=UsageRecord("p", "m", n, 2 * n, 1, 3 * n + 1))
+
+    def test_concurrent_records_are_group_committed(self, tmp_path, monkeypatch):
+        sessions = [self.make_session(tmp_path)]
+        store = SessionStore(tmp_path / "store")
+        sessions += [store.create_session("t", "misc", tmp_path / "ws", "") for _ in range(3)]
+        log = UsageLog(tmp_path / "requests.jsonl")
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def slow_fsync(fd):
+            fsyncs.append(fd)
+            time.sleep(0.002)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        start = threading.Barrier(16)
+
+        def writer(t):
+            start.wait()
+            for i in range(25):
+                session = sessions[(t + i) % len(sessions)]
+                log.record(session, request(session_id=session.session_id),
+                           self.usage_response(t * 25 + i))
+
+        run_threads(writer, [(t,) for t in range(16)])
+        lines = log.lines()
+        assert len(lines) == 400
+        assert len(log.path.read_bytes().splitlines()) == 400
+        assert sorted(l["input_tokens"] for l in lines) == list(range(400))
+        assert len(fsyncs) < 400
+        for session in sessions:
+            mine = [l for l in lines if l["session_id"] == session.session_id]
+            assert session.usage.request_count == len(mine)
+            for column in ("input_tokens", "output_tokens", "cache_tokens", "total_tokens"):
+                assert getattr(session.usage, column) == sum(l[column] for l in mine)
+
+    def test_every_caller_in_a_failed_batch_raises(self, tmp_path, monkeypatch):
+        session = self.make_session(tmp_path)
+        log = UsageLog(tmp_path / "requests.jsonl")
+        fsyncs = []
+
+        def failing_fsync(fd):
+            fsyncs.append(fd)
+            time.sleep(0.1)  # the other callers queue into the next batch meanwhile
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        start = threading.Barrier(8)
+        outcomes = []
+
+        def writer(n):
+            start.wait()
+            try:
+                log.record(session, request(session_id=session.session_id),
+                           self.usage_response(n))
+            except LogWriteError:
+                outcomes.append("raised")
+            else:
+                outcomes.append("returned")
+
+        run_threads(writer, [(n,) for n in range(8)])
+        assert outcomes == ["raised"] * 8
+        assert len(fsyncs) < 8  # some batch held more than one caller
+        assert session.usage.request_count == 0
+        # the next batch cuts whatever the failed one left and appends whole
+        monkeypatch.undo()
+        log.record(session, request(session_id=session.session_id), self.usage_response(9))
+        assert len(log.lines()) == 9
+        assert session.usage.request_count == 1
 
     def test_write_failure_is_fatal(self, tmp_path):
         session = self.make_session(tmp_path)

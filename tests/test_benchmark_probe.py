@@ -7,10 +7,11 @@ suite instead of only a traced benchmark run.
 """
 
 import os
+import shutil
 import types
 from pathlib import Path
 
-from skillet import ScriptedBackend, SessionStatus, bindings
+from skillet import RunConfig, ScriptedBackend, SessionStatus, bindings
 from skillet.planner import Runtime
 
 from conftest import make_runtime, repair_script, submit_repair_task
@@ -55,3 +56,50 @@ def test_probe_installs_traces_a_repair_run_and_restores(registry, repair_worksp
     assert metrics["repair.gate_calls_per_wakeup"] > 0
     assert ([dict(t) for t in tables], Runtime.__dict__["run_wakeup"],
             Runtime.__dict__["submit_task"], os.fsync) == before
+
+
+class SessionScripts:
+    """One scripted model per session: script predicates see only the last
+    message, so sessions running at once must not share a script."""
+
+    def __init__(self):
+        self.scripts = {}
+
+    def complete(self, request):
+        return self.scripts[request.session_id].complete(request)
+
+
+def test_probe_sees_every_pop_of_a_threaded_drain(registry, repair_workspace, tmp_path):
+    """The threaded drain takes its wakeups through the zero-argument
+    `WakeupQueue.pop` the probe wraps, so queue waits and the pop hit ratio
+    are measured rather than silently reading 0."""
+    probe = load_probe()
+    sessions = 3
+    config = RunConfig.from_dict({"planner": {"single_worker": False}})
+    runtime = make_runtime(registry, repair_workspace, tmp_path / "store", [],
+                           config=config)
+    runtime.backend = SessionScripts()
+    patches = probe.Patches()
+    tracer = probe.Tracer()
+    try:
+        tracer.install(patches, SessionScripts)
+        tracer.measuring = True
+        submitted = []
+        for i in range(sessions):
+            ws = tmp_path / f"ws{i}"
+            shutil.copytree(repair_workspace, ws)
+            session = submit_repair_task(runtime, ws)
+            runtime.backend.scripts[session.session_id] = ScriptedBackend(repair_script())
+            submitted.append(session)
+        runtime.run_until_quiescent(60)
+    finally:
+        patches.restore()
+
+    assert {runtime.store.session(s.session_id).status for s in submitted} == \
+        {SessionStatus.COMPLETED}
+    wakeups = tracer.counts["calls." + probe.WAKEUP]
+    assert tracer.counts["pops"] == wakeups > 0
+    assert tracer.counts["queue_wait_us"] > 0
+    metrics = probe.layer_metrics(tracer, tasks=sessions)
+    assert metrics["planner.pop_hit_ratio"] > 0
+    assert metrics["planner.queue_wait_ms"] > 0

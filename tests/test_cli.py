@@ -121,6 +121,18 @@ class TestTrace:
         assert out.count("[tokens in=") == whole - 1
         assert requests.read_bytes() == torn
 
+    def test_torn_session_log_tail_is_left_alone(
+            self, repair_workspace, tmp_path, script_file, config_file, capsys):
+        main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        capsys.readouterr()
+        log = tmp_path / "store" / "sessions" / "s0001.log"
+        log.write_bytes(log.read_bytes()[:-9])
+        torn = log.read_bytes()
+        code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
+        assert code == 0
+        assert "user_message" in capsys.readouterr().out
+        assert log.read_bytes() == torn
+
     def test_unknown_session(self, repair_workspace, tmp_path, script_file,
                              config_file, capsys):
         main(run_args(repair_workspace, tmp_path, script_file, config_file))

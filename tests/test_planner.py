@@ -1,6 +1,7 @@
 """Planner loop: wakeups, continuation decisions, budgets, delegation, replay."""
 
 import shutil
+import threading
 
 import pytest
 
@@ -56,6 +57,38 @@ class TestWakeupQueue:
         a = q.enqueue("s1", "initial")
         b = q.enqueue("s2", "followup")
         assert b.enqueue_seq > a.enqueue_seq
+
+    def test_claims_cover_runnable_sessions_only(self):
+        q = WakeupQueue()
+        q.enqueue("s1", "initial")
+        q.enqueue("s1", "followup")
+        q.enqueue("s2", "initial")
+        # two sessions can run, so two claims; s1's follow-up waits for s1
+        assert q.claim() and q.claim()
+        assert not q.claim()
+        first, second = q.pop(), q.pop()
+        assert (first.session_id, second.session_id) == ("s1", "s2")
+        assert not q.claim()
+        q.done(first)
+        assert q.wait() and q.claim()
+        assert q.pop().session_id == "s1"
+
+    def test_wait_blocks_until_a_wakeup_is_runnable_then_ends_when_drained(self):
+        q = WakeupQueue()
+        q.enqueue("s1", "initial")
+        event = q.pop()
+        q.enqueue("s1", "followup")  # not runnable while s1 is in flight
+        outcomes = []
+        waiter = threading.Thread(target=lambda: outcomes.append(q.wait()))
+        waiter.start()
+        waiter.join(0.2)
+        assert waiter.is_alive()
+        q.done(event)  # done notifies: the follow-up is runnable now
+        waiter.join(5)
+        assert outcomes == [True]
+        assert q.claim()
+        q.done(q.pop())
+        assert q.wait() is False  # empty, nothing in flight: nothing can come
 
 
 class TestHappyPath:
@@ -435,3 +468,62 @@ class TestMultiWorker:
         runtime.run_until_quiescent(10)
         statuses = {s.session_id: s.status for s in runtime.store.sessions()}
         assert set(statuses.values()) == {SessionStatus.COMPLETED}
+
+    @staticmethod
+    def threaded_runtime(registry, tmp_path, script, sessions, max_steps=100):
+        config = RunConfig.from_dict({"planner": {"single_worker": False}})
+        runtime = make_runtime(registry, tmp_path, tmp_path / "store", script,
+                               config=config, max_steps=max_steps)
+        for i in range(sessions):
+            ws = tmp_path / f"ws{i}"
+            ws.mkdir()
+            (ws / "f.txt").write_text(f"file {i}\n")
+            runtime.submit_task(DelegatedTask(f"task {i}", "chat", ws, ""))
+        return runtime
+
+    def test_every_runnable_session_has_a_model_call_in_flight(self, registry, tmp_path):
+        sessions = 8
+        barrier = threading.Barrier(sessions, timeout=10)
+
+        class AllAtOnce:
+            """Answers only once every session's model call is in flight."""
+
+            def complete(self, request):
+                barrier.wait()
+                return ModelResponse(text="done")
+
+        runtime = self.threaded_runtime(registry, tmp_path, [], sessions)
+        runtime.backend = AllAtOnce()
+        summary = runtime.run_until_quiescent()
+        assert summary.steps_used == sessions
+        assert {s.status for s in summary.sessions} == {"completed"}
+
+    def test_step_budget_parks_pending_sessions(self, registry, tmp_path):
+        # each session: an fs_read turn, then a text reply on its result
+        script = ([{"when": {"phase_contains": "[tool_result fs_read]"},
+                    "respond": {"text": "done"}}] * 3
+                  + [{"respond": {"tool_call": {"name": "fs_read",
+                                                "args": {"path": "f.txt"}}}}] * 3)
+        runtime = self.threaded_runtime(registry, tmp_path, script, 3, max_steps=4)
+        with pytest.raises(StepBudgetExhausted) as exc:
+            runtime.run_until_quiescent()
+        summary = exc.value.summary
+        assert summary.steps_used == 4
+        assert summary.pending == 2
+        pending = set(runtime.queue.pending_sessions())
+        assert pending
+        for session in runtime.store.sessions():
+            if session.session_id in pending:
+                assert session.status is SessionStatus.AWAITING_FOLLOWUP
+            else:
+                assert session.status is SessionStatus.COMPLETED
+
+    def test_a_worker_error_is_raised_by_the_drain(self, registry, tmp_path):
+        class Broken:
+            def complete(self, request):
+                raise RuntimeError("backend bug")
+
+        runtime = self.threaded_runtime(registry, tmp_path, [], 3)
+        runtime.backend = Broken()
+        with pytest.raises(RuntimeError, match="backend bug"):
+            runtime.run_until_quiescent()

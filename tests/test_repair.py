@@ -166,6 +166,30 @@ class TestVisibility:
         assert '{"name", "type", "args"}' in text
         assert "AssertionError: want N" in text
 
+    def test_required_artifacts_inferred_once_per_session(self, rig, monkeypatch):
+        import skillet.repair as repair_module
+        pipeline, store, session = rig
+        resolved = []
+        real_resolve = repair_module.resolve
+
+        def counting_resolve(root, raw):
+            resolved.append(raw)
+            return real_resolve(root, raw)
+
+        monkeypatch.setattr(repair_module, "resolve", counting_resolve)
+        tools = candidate_tools(pipeline.registry)
+        first = pipeline.run_before_llm(session, tools)
+        assert "out/report.md" in resolved
+        snapshots = list(session.state_snapshots)
+        resolved.clear()
+        for _ in range(3):
+            again = pipeline.run_before_llm(session, tools)
+            assert again.injections == first.injections
+        assert resolved == []
+        assert session.state_snapshots == snapshots
+        assert store.get_skill_state(session.session_id, "repair")["required_artifacts"] == \
+            ["out/report.md"]
+
     def test_required_artifacts_written_back_to_state(self, rig):
         pipeline, store, session = rig
         pipeline.run_before_llm(session, candidate_tools(pipeline.registry))

@@ -1,6 +1,7 @@
 """Session store: typed history, skill state, and crash-safe persistence."""
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -195,6 +196,58 @@ class TestPersistence:
         reloaded = SessionStore(tmp_path / "store").session(s.session_id)
         assert len(reloaded.history) == 9  # initial user_message + 8 notes
         assert reloaded.history[-1].payload == {"i": 7}
+
+    def test_load_leaves_a_torn_tail_on_disk(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = store.create_session("t", "misc", ws, "")
+        store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 0})
+        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
+        log.write_bytes(log.read_bytes()[:-7])
+        torn = log.read_bytes()
+        # a store opened only to read (a trace) must not cut a record being written
+        assert len(SessionStore(tmp_path / "store").session(s.session_id).history) == 1
+        assert log.read_bytes() == torn
+
+    def test_first_append_after_reload_starts_on_a_line_of_its_own(self, tmp_path, ws):
+        store = SessionStore(tmp_path / "store")
+        s = store.create_session("t", "misc", ws, "")
+        for i in range(3):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
+        store.close()
+        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
+        log.write_bytes(log.read_bytes()[:-7])  # cut into the last note
+        reloaded = SessionStore(tmp_path / "store")
+        seq = reloaded.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": "after"})
+        assert seq == 4
+        again = SessionStore(tmp_path / "store").session(s.session_id)
+        assert [e.payload for e in again.history[1:]] == [{"i": 0}, {"i": 1}, {"i": "after"}]
+        assert [e.seq for e in again.history] == [1, 2, 3, 4]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_log_descriptors_close_with_their_session_and_the_store(self, tmp_path, ws):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        baseline = open_fds()
+        store = SessionStore(tmp_path / "store")
+        done, failed, waiting = (make_session(store, ws) for _ in range(3))
+        assert open_fds() == baseline + 3  # one append descriptor per written log
+        record_usage(tmp_path / "store", done, (1, 1, 0, 2))
+        assert open_fds() == baseline + 3  # the usage log keeps none
+        store.append_event(done.session_id, EventKind.COMPLETION, {"report_text": "r"})
+        store.set_status(done.session_id, SessionStatus.COMPLETED)
+        store.set_status(failed.session_id, SessionStatus.FAILED)
+        store.set_status(waiting.session_id, SessionStatus.AWAITING_FOLLOWUP)
+        assert open_fds() == baseline + 1
+        store.close()
+        assert open_fds() == baseline
+        # a later write to a closed log opens it again
+        store.set_status(failed.session_id, SessionStatus.ACTIVE)
+        store.close()
+        assert open_fds() == baseline
+        reloaded = SessionStore(tmp_path / "store")
+        assert [s.status for s in reloaded.sessions()] == [
+            SessionStatus.COMPLETED, SessionStatus.ACTIVE, SessionStatus.AWAITING_FOLLOWUP]
 
     def test_mid_file_corruption_raises(self, tmp_path, ws):
         store = SessionStore(tmp_path / "store")

@@ -17,6 +17,23 @@ from skillet.workspace import (
 )
 
 
+def test_root_swapped_for_a_symlink_makes_every_path_escape(tmp_path):
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "a.txt").write_text("mine\n")
+    assert resolve(root, "a.txt").relative == "a.txt"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "a.txt").write_text("not mine\n")
+    # the root was resolved once, when its session was created; swapping it
+    # for a symlink afterwards must not move the workspace
+    root.rename(tmp_path / "moved")
+    root.symlink_to(elsewhere)
+    for raw in ("a.txt", ".", str(root / "a.txt")):
+        with pytest.raises(PathEscape):
+            resolve(root, raw)
+
+
 def make_ctx(ws, allowlist=("echo",), timeout=5.0, truncate=32768):
     return ExecutionContext(
         workspace_root=ws,
