@@ -91,10 +91,6 @@ class ScriptedBackend:
             raise ModelBackendError(f"script {path} must be a JSON list of steps")
         return cls(steps)
 
-    @property
-    def remaining_steps(self) -> int:
-        return len(self._steps)
-
     def complete(self, request: ModelRequest) -> ModelResponse:
         with self._lock:
             index = self._first_match(request)
@@ -176,6 +172,7 @@ class HttpBackend:
             with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
                 payload = resp.read()
         except urllib.error.HTTPError as exc:
+            exc.close()  # it holds the response and its socket
             retryable = exc.code in (408, 409, 429) or exc.code >= 500
             raise ModelBackendError(
                 f"model endpoint returned {exc.code}", retryable=retryable, status=exc.code

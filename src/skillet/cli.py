@@ -18,7 +18,7 @@ from .errors import SkilletError, StepBudgetExhausted
 from .planner import RunSummary, Runtime
 from .registry import SkillRegistry
 from .router import DelegatedTask
-from .sessions import EventKind, SessionStore
+from .sessions import EventKind, SessionStore, read_log, snapshot_records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,24 +75,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     registry = SkillRegistry()
     registry.load_all(skills_dir)
-    store = SessionStore(args.store)
     usage_log = UsageLog(Path(args.store) / "requests.jsonl")
-    runtime = Runtime(registry, store, backend, usage_log, config)
-    root = runtime.submit_task(DelegatedTask(
-        task_text=args.task,
-        task_type=args.task_type,
-        workspace_root=workspace.resolve(),
-        done_when=args.done_when,
-    ))
-
     exhausted = False
-    try:
-        summary = runtime.run_until_quiescent()
-    except StepBudgetExhausted as exc:
-        summary = exc.summary
-        exhausted = True
-    finally:
-        store.close()
+    with SessionStore(args.store) as store:
+        runtime = Runtime(registry, store, backend, usage_log, config)
+        root = runtime.submit_task(DelegatedTask(
+            task_text=args.task,
+            task_type=args.task_type,
+            workspace_root=workspace.resolve(),
+            done_when=args.done_when,
+        ))
+        try:
+            summary = runtime.run_until_quiescent()
+        except StepBudgetExhausted as exc:
+            summary = exc.summary
+            exhausted = True
     print_summary(summary)
     if exhausted:
         return 2
@@ -124,11 +121,14 @@ def cmd_skills(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    store = SessionStore(args.store)
-    session = store.session(args.session)
+    """Print one session's history, read from `<store>/sessions/<id>.log`
+    alone and folded as the store folds it, with the phase notes of its
+    snapshot records and each turn's tokens from `requests.jsonl`. Trace
+    creates, moves and truncates nothing, so it can read a running store."""
+    session, records = read_log(args.store, args.session)
     usage_lines = [line for line in UsageLog(Path(args.store) / "requests.jsonl").lines()
                    if line.get("session_id") == args.session]
-    snapshots = iter(session.state_snapshots)
+    snapshots = iter(snapshot_records(records))
     pending = next(snapshots, None)
     turn = 0
     print(f"session {session.session_id} status={session.status.value} "
@@ -143,11 +143,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 line += f" [tokens in={usage['input_tokens']} out={usage['output_tokens']}]"
         line += " " + _brief(event.payload)
         print(line)
-        while pending is not None and pending[0] <= event.seq:
-            after_seq, skill_id, state = pending
-            phase = state.get("phase")
-            note = f"phase={phase}" if phase else f"{len(state)} keys"
-            print(f"     state[{skill_id}] {note}")
+        while pending is not None and pending["seq"] <= event.seq:
+            phase = pending["state"].get("phase")
+            note = f"phase={phase}" if phase else f"{len(pending['state'])} keys"
+            print(f"     state[{pending['skill_id']}] {note}")
             pending = next(snapshots, None)
     return 0
 

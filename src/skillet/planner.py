@@ -132,18 +132,6 @@ class WakeupQueue:
 
 
 @dataclass
-class TurnRecord:
-    session_id: str
-    cause: str
-    skipped: bool = False
-    model_called: bool = False
-    decision: str | None = None
-    tool_name: str | None = None
-    tool_ok: bool | None = None
-    followup: bool = False
-
-
-@dataclass
 class SessionSummary:
     session_id: str
     parent_id: str | None
@@ -157,9 +145,6 @@ class RunSummary:
     sessions: list[SessionSummary] = field(default_factory=list)
     steps_used: int = 0
     pending: int = 0
-
-    def by_id(self, session_id: str) -> SessionSummary:
-        return next(s for s in self.sessions if s.session_id == session_id)
 
 
 class Runtime:
@@ -234,7 +219,6 @@ class Runtime:
     def _complete(self, session: Session, report_text: str) -> None:
         self.store.append_event(session.session_id, EventKind.COMPLETION,
                                 {"report_text": report_text})
-        self.store.set_status(session.session_id, SessionStatus.COMPLETED)
         if session.parent_id is not None:
             try:
                 self.store.append_event(session.parent_id, EventKind.USER_MESSAGE, {
@@ -257,18 +241,18 @@ class Runtime:
                 tools.extend(self.registry.lookup(skill_id).tools)
         return tools
 
-    def run_wakeup(self, event: WakeupEvent) -> TurnRecord:
+    def run_wakeup(self, event: WakeupEvent) -> None:
         session = self.store.session(event.session_id)
-        record = TurnRecord(session_id=event.session_id, cause=event.cause)
         if session.status not in OPEN_STATUSES:
-            record.skipped = True
-            return record
+            return
         self.store.set_status(session.session_id, SessionStatus.ACTIVE)
         self._turns[session.session_id] += 1
+        followup = False
 
         def enqueue_followup(cause: str = "followup", attempt: int = 0) -> None:
+            nonlocal followup
             self.queue.enqueue(session.session_id, cause, attempt=attempt)
-            record.followup = True
+            followup = True
 
         try:
             outcome = self.pipeline.run_before_llm(session, self._candidate_tools(session))
@@ -278,7 +262,8 @@ class Runtime:
         except HookFault as fault:
             self._note_hook_fault(session, fault)
             enqueue_followup()
-            return self._finalize(session, record)
+            self._finalize(session, followup)
+            return
 
         request = ModelRequest(
             messages=render_messages(session),
@@ -298,9 +283,9 @@ class Runtime:
                 enqueue_followup(cause=event.cause, attempt=event.attempt + 1)
             else:
                 self.store.set_status(session.session_id, SessionStatus.FAILED)
-            return self._finalize(session, record)
+            self._finalize(session, followup)
+            return
 
-        record.model_called = True
         self.usage_log.record(session, request, response)
         self.store.append_event(session.session_id, EventKind.ASSISTANT_MESSAGE, {
             "text": response.text,
@@ -312,10 +297,8 @@ class Runtime:
 
         try:
             decision = self.pipeline.run_after_llm(session, response)
-            record.decision = decision.kind.value
             if decision.kind is ContinuationKind.PROCEED_TO_TOOL:
-                self._run_tool(session, response, outcome.visible_tools, record,
-                               enqueue_followup)
+                self._run_tool(session, response, outcome.visible_tools, enqueue_followup)
             elif decision.kind is ContinuationKind.FORCE_ACTION:
                 self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION, {
                     "skill_id": decision.skill_id or "runtime",
@@ -338,14 +321,12 @@ class Runtime:
         except HookFault as fault:
             self._note_hook_fault(session, fault)
             enqueue_followup()
-        return self._finalize(session, record)
+        self._finalize(session, followup)
 
     def _run_tool(self, session: Session, response: ModelResponse,
-                  visible: list[ActionSchema], record: TurnRecord,
-                  enqueue_followup) -> None:
+                  visible: list[ActionSchema], enqueue_followup) -> None:
         call = response.tool_call
         assert call is not None
-        record.tool_name = call.name
         call_id = f"call-{session.count(EventKind.TOOL_CALL) + 1}"
         schema = next((t for t in visible if t.name == call.name), None)
 
@@ -357,7 +338,6 @@ class Runtime:
             self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
                 "call_id": call_id, "name": call.name, "ok": False, "output": output,
             })
-            record.tool_ok = False
             enqueue_followup()
 
         if schema is None:
@@ -383,7 +363,6 @@ class Runtime:
             "name": call.name, "args": pre.args, "call_id": call_id, "accepted": True,
         })
         ok, output = self._execute(schema, pre.args, session)
-        record.tool_ok = ok
         seq = self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
             "call_id": call_id, "name": call.name, "ok": ok, "output": output,
         })
@@ -443,13 +422,12 @@ class Runtime:
             "detail": str(fault),
         })
 
-    def _finalize(self, session: Session, record: TurnRecord) -> TurnRecord:
+    def _finalize(self, session: Session, followup: bool) -> None:
         if session.status in OPEN_STATUSES:
             self.store.set_status(
                 session.session_id,
-                SessionStatus.ACTIVE if record.followup else SessionStatus.AWAITING_FOLLOWUP,
+                SessionStatus.ACTIVE if followup else SessionStatus.AWAITING_FOLLOWUP,
             )
-        return record
 
     # -- draining --------------------------------------------------------------
 

@@ -4,28 +4,30 @@ Every session owns an append-only JSONL log at `<store>/sessions/<id>.log`,
 and that log is the only durable session state. Line 0 is a `session_meta`
 record; history events follow with gapless seqs starting at 1. Two store
 records that are not history events are interleaved at the seq of the last
-event written: `skill_state_snapshot` and `session_status`. So reloading
-any prefix of the log reconstructs the history up to that point, the last
-snapshot at or before it, and the status of that moment. Every record is
-written and fsynced before the call that writes it returns. A torn tail
-line is skipped on load, which writes nothing, so a store opened only to
-read (`skillet trace`) leaves the logs as they are; anything corrupt
-earlier raises CorruptStore. A log without a `session_meta` line is moved
-to `<store>/quarantine/`, and new ids are allocated past every log file
-seen.
+event written: `skill_state_snapshot` and `session_status`.
+
+One fold, `apply_record`, is the only code that turns a record into session
+state: the meta record builds the `Session`, a history event is appended (a
+completion event also sets COMPLETED), a snapshot replaces that skill's
+state, and a status record sets the status. Each writer builds its record,
+writes and fsyncs it, then applies it through the fold; loading a log is the
+same fold run over its parsed records (`replay`). So the live session and a
+reload of its log agree after every write, and reloading any prefix of the
+log gives the session as it was at that point. A torn tail line is skipped
+on load, which writes nothing; anything corrupt earlier raises CorruptStore.
+A log without a `session_meta` line is moved to `<store>/quarantine/`, and
+new ids are allocated past every log file seen.
 
 The store keeps one `O_APPEND` descriptor per session log it writes to. It
 opens it at the first write to that log, cutting a torn tail line (with a
 warning) first, so the next record starts a line of its own. It closes it
-when the session becomes COMPLETED or FAILED, and `close()` closes every
-descriptor still open; a later write to a closed log opens it again.
-
-Status starts ACTIVE at the meta line. `set_status` writes a status record
-only when the status changes, and none for COMPLETED when the session's
-completion event (which implies it) is already in the log. Usage totals are
-rebuilt on load from one scan of `<store>/requests.jsonl`, the per-request
-log that `UsageLog` appends to; its torn last line is skipped there, and
-cut only by `UsageLog` before it appends.
+when the session becomes COMPLETED or FAILED, and `close()` (or leaving a
+`with` block) closes every descriptor still open; a later write to a closed
+log opens it again. `set_status` writes a status record only when the status
+changes. Usage totals are rebuilt on load from one scan of
+`<store>/requests.jsonl`, the per-request log that `UsageLog` appends to; its
+torn last line is skipped there, and cut only by `UsageLog` before it
+appends.
 """
 
 from __future__ import annotations
@@ -95,15 +97,6 @@ class UsageTotals:
         self.total_tokens += total_tokens
         self.request_count += 1
 
-    def as_dict(self) -> dict:
-        return {
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "cache_tokens": self.cache_tokens,
-            "total_tokens": self.total_tokens,
-            "request_count": self.request_count,
-        }
-
 
 @dataclass
 class HistoryEvent:
@@ -125,8 +118,6 @@ class Session:
     history: list[HistoryEvent] = field(default_factory=list)
     skill_state: dict[str, dict] = field(default_factory=dict)
     usage: UsageTotals = field(default_factory=UsageTotals)
-    # (after_seq, skill_id, state) in write order; used by trace rendering
-    state_snapshots: list[tuple[int, str, dict]] = field(default_factory=list)
     # values a hook program derives once per session from fields that never
     # change (done_when, the root); in memory only, never logged
     derived: dict = field(default_factory=dict, repr=False, compare=False)
@@ -161,6 +152,64 @@ def _contains(root: Path, candidate: Path) -> bool:
     return True
 
 
+def apply_record(session: Session | None, record: dict) -> Session | None:
+    """Fold one log record into session state; no other code does. Returns
+    the session, or None for a first record that is not a `session_meta`."""
+    kind = record.get("kind")
+    if session is None:
+        if kind != _META_KIND:
+            return None
+        return Session(
+            session_id=record["session_id"],
+            workspace_root=Path(record["workspace_root"]),
+            task_text=record["task_text"],
+            task_type=record["task_type"],
+            done_when=record["done_when"],
+            parent_id=record.get("parent_id"),
+            routed_skills=list(record.get("routed_skills", [])),
+        )
+    if kind == _SNAPSHOT_KIND:
+        session.skill_state[record["skill_id"]] = record["state"]
+    elif kind == _STATUS_KIND:
+        session.status = SessionStatus(record["status"])
+    else:
+        event = HistoryEvent(seq=record["seq"], kind=EventKind(kind), payload=record["payload"])
+        session.history.append(event)
+        if event.kind is EventKind.COMPLETION:
+            session.status = SessionStatus.COMPLETED
+    return session
+
+
+def replay(records: list[dict]) -> Session | None:
+    """The session a log's parsed records hold: the fold run over them. None
+    for a log that does not open with its `session_meta` record."""
+    session = None
+    for record in records:
+        session = apply_record(session, record)
+        if session is None:
+            return None
+    return session
+
+
+def read_log(store_dir: str | Path, session_id: str) -> tuple[Session, list[dict]]:
+    """Read and fold one session's log, writing nothing: the session and the
+    log's parsed records. NotFound for an id that is not `s<digits>`, and for
+    a log that is missing or has no `session_meta` record yet."""
+    path = Path(store_dir) / "sessions" / f"{session_id}.log"
+    if not _SESSION_ID.fullmatch(session_id) or not path.is_file():
+        raise NotFound(f"unknown session {session_id!r}")
+    records, _ = parse_jsonl(path.read_bytes(), path.name)
+    session = replay(records)
+    if session is None:
+        raise NotFound(f"session {session_id!r} has no session_meta record")
+    return session, records
+
+
+def snapshot_records(records: list[dict]) -> list[dict]:
+    """The `skill_state_snapshot` records of a parsed log, in write order."""
+    return [r for r in records if r.get("kind") == _SNAPSHOT_KIND]
+
+
 def parse_jsonl(data: bytes, name: str) -> tuple[list[dict], int | None]:
     """Parse one record per line of a JSONL log's bytes. A torn or
     unparseable last line is skipped, and the length of the bytes before it
@@ -184,15 +233,13 @@ def parse_jsonl(data: bytes, name: str) -> tuple[list[dict], int | None]:
     return records, sum(len(line) + 1 for line in body) if torn_tail else None
 
 
-def cut_torn_tail(path: Path) -> list[dict]:
-    """Parse a log this process is about to append to, first cutting a torn
-    last line from the file (with a warning) so the next record starts a
-    line of its own."""
-    records, intact = parse_jsonl(path.read_bytes(), path.name)
+def cut_torn_tail(path: Path) -> None:
+    """Cut a torn last line from a log this process is about to append to
+    (with a warning), so the next record starts a line of its own."""
+    _, intact = parse_jsonl(path.read_bytes(), path.name)
     if intact is not None:
         os.truncate(path, intact)
         log.warning("%s: truncated torn tail record", path.name)
-    return records
 
 
 class SessionStore:
@@ -212,6 +259,12 @@ class SessionStore:
         self._store_lock = threading.Lock()
         self._last_id = 0
         self._load()
+
+    def __enter__(self) -> SessionStore:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- public API --------------------------------------------------------
 
@@ -238,18 +291,8 @@ class SessionStore:
         with self._store_lock:
             self._last_id += 1
             session_id = f"s{self._last_id:04d}"
-            session = Session(
-                session_id=session_id,
-                workspace_root=root,
-                task_text=task_text,
-                task_type=task_type,
-                done_when=done_when,
-                parent_id=parent_id,
-                routed_skills=list(routed_skills or []),
-            )
-            self._sessions[session_id] = session
             self._locks[session_id] = threading.Lock()
-        self._write_record(session, {
+        meta = {
             "seq": 0,
             "kind": _META_KIND,
             "session_id": session_id,
@@ -258,8 +301,14 @@ class SessionStore:
             "task_text": task_text,
             "task_type": task_type,
             "done_when": done_when,
-            "routed_skills": session.routed_skills,
-        })
+            "routed_skills": list(routed_skills or []),
+        }
+        # no other thread writes to the new id: it is not registered until
+        # its meta line is written
+        self._write_record(session_id, meta)
+        session = apply_record(None, meta)
+        with self._store_lock:
+            self._sessions[session_id] = session
         self.append_event(session_id, EventKind.USER_MESSAGE, {"text": task_text})
         return session
 
@@ -285,8 +334,7 @@ class SessionStore:
             if kind is EventKind.COMPLETION and session.has_completion():
                 raise SessionClosed(f"session {session_id} already has a completion event")
             seq = session.next_seq
-            self._write_record(session, {"seq": seq, "kind": kind.value, "payload": payload})
-            session.history.append(HistoryEvent(seq=seq, kind=kind, payload=payload))
+            self._commit(session, {"seq": seq, "kind": kind.value, "payload": payload})
             return seq
 
     def get_skill_state(self, session_id: str, skill_id: str) -> dict:
@@ -298,15 +346,12 @@ class SessionStore:
         with self._locks[session_id]:
             if session.status not in OPEN_STATUSES:
                 raise SessionClosed(f"session {session_id} is {session.status.value}")
-            after_seq = session.history[-1].seq if session.history else 0
-            self._write_record(session, {
-                "seq": after_seq,
+            self._commit(session, {
+                "seq": session.history[-1].seq if session.history else 0,
                 "kind": _SNAPSHOT_KIND,
                 "skill_id": skill_id,
-                "state": state,
+                "state": copy.deepcopy(state),  # the live state, not the caller's dict
             })
-            session.skill_state[skill_id] = copy.deepcopy(state)
-            session.state_snapshots.append((after_seq, skill_id, copy.deepcopy(state)))
 
     def set_status(self, session_id: str, status: SessionStatus | str) -> None:
         session = self.session(session_id)
@@ -314,15 +359,11 @@ class SessionStore:
         with self._locks[session_id]:
             if status is session.status:
                 return
-            if status is not SessionStatus.COMPLETED or not session.has_completion():
-                self._write_record(session, {
-                    "seq": session.history[-1].seq if session.history else 0,
-                    "kind": _STATUS_KIND,
-                    "status": status.value,
-                })
-            session.status = status
-            if status not in OPEN_STATUSES:
-                self._close_log(session_id)
+            self._commit(session, {
+                "seq": session.history[-1].seq if session.history else 0,
+                "kind": _STATUS_KIND,
+                "status": status.value,
+            })
 
     def close(self) -> None:
         """Close every session log descriptor still open."""
@@ -335,10 +376,19 @@ class SessionStore:
     def _log_path(self, session_id: str) -> Path:
         return self.sessions_dir / f"{session_id}.log"
 
-    def _write_record(self, session: Session, record: dict) -> None:
-        """Append one record; the caller holds the session's lock (or owns a
-        session no other thread can see yet)."""
-        fh = self._logs.get(session.session_id) or self._open_log(session.session_id)
+    def _commit(self, session: Session, record: dict) -> None:
+        """Write one record and fold it into the live session, closing the
+        log once the session is COMPLETED or FAILED; the caller holds the
+        session's lock."""
+        self._write_record(session.session_id, record)
+        apply_record(session, record)
+        if session.status not in OPEN_STATUSES:
+            self._close_log(session.session_id)
+
+    def _write_record(self, session_id: str, record: dict) -> None:
+        """Append one record and fsync it; the caller holds the session's
+        lock (or owns a session no other thread can see yet)."""
+        fh = self._logs.get(session_id) or self._open_log(session_id)
         data = (_canonical(record) + "\n").encode("utf-8")
         while data:
             data = data[fh.write(data):]
@@ -361,11 +411,12 @@ class SessionStore:
     def _load(self) -> None:
         for log_path in sorted(self.sessions_dir.glob("*.log")):
             self._note_id(log_path)
-            session, torn = self._load_log(log_path)
+            records, intact = parse_jsonl(log_path.read_bytes(), log_path.name)
+            session = replay(records)
             if session is None:
                 self._quarantine(log_path)
                 continue
-            if torn:
+            if intact is not None:
                 self._torn.add(session.session_id)
             self._sessions[session.session_id] = session
             self._locks[session.session_id] = threading.Lock()
@@ -389,44 +440,10 @@ class SessionStore:
         requests = self.store_dir / "requests.jsonl"
         if not requests.exists():
             return
-        # UsageLog owns this log and cuts a torn tail before it appends; a
-        # store opened only to read it (skillet trace) must not write to it
+        # UsageLog owns this log and cuts a torn tail before it appends
         records, _ = parse_jsonl(requests.read_bytes(), requests.name)
         for line in records:
             session = self._sessions.get(line.get("session_id"))
             if session is not None:
                 session.usage.add(line["input_tokens"], line["output_tokens"],
                                   line["cache_tokens"], line["total_tokens"])
-
-    def _load_log(self, log_path: Path) -> tuple[Session | None, bool]:
-        """The session a log holds (None without a meta line), and whether
-        its last line is torn; nothing is written here."""
-        records, intact = parse_jsonl(log_path.read_bytes(), log_path.name)
-        if not records or records[0].get("kind") != _META_KIND:
-            return None, False
-        meta = records[0]
-        session = Session(
-            session_id=meta["session_id"],
-            workspace_root=Path(meta["workspace_root"]),
-            task_text=meta["task_text"],
-            task_type=meta["task_type"],
-            done_when=meta["done_when"],
-            parent_id=meta.get("parent_id"),
-            routed_skills=list(meta.get("routed_skills", [])),
-        )
-        for record in records[1:]:
-            kind = record.get("kind")
-            if kind == _STATUS_KIND:
-                session.status = SessionStatus(record["status"])
-            elif kind == _SNAPSHOT_KIND:
-                session.skill_state[record["skill_id"]] = record["state"]
-                session.state_snapshots.append(
-                    (record["seq"], record["skill_id"], record["state"])
-                )
-            else:
-                session.history.append(HistoryEvent(
-                    seq=record["seq"], kind=EventKind(kind), payload=record["payload"],
-                ))
-                if kind == EventKind.COMPLETION.value:
-                    session.status = SessionStatus.COMPLETED
-        return session, intact is not None

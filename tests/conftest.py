@@ -18,6 +18,7 @@ from skillet import (
     UsageLog,
     builtin_skills_dir,
 )
+from skillet.sessions import read_log, snapshot_records
 
 BUGGY_CALC = "def add(a, b):\n    return a - b\n"
 FIXED_CALC = "def add(a, b):\n    return a + b\n"
@@ -73,6 +74,31 @@ def repair_workspace(guarded_workspace):
         "AssertionError: add(2,3) returned -1\n"
     )
     return ws
+
+
+# stores opened through open_store, closed after every test
+_open_stores: list[SessionStore] = []
+
+
+def open_store(*args, **kwargs) -> SessionStore:
+    """A SessionStore that is closed after the current test."""
+    store = SessionStore(*args, **kwargs)
+    _open_stores.append(store)
+    return store
+
+
+@pytest.fixture(autouse=True)
+def close_open_stores(request, monkeypatch):
+    """Close the stores `open_store` (and so `make_runtime`) opened once the
+    test is over. The acceptance suite is the fixed behavioural contract and
+    is not edited, so the stores it builds itself go through `open_store`
+    too. Any other store a test drops with a log still open fails that test:
+    pyproject.toml turns the ResourceWarning into an error."""
+    if request.module.__name__ == "test_acceptance":
+        monkeypatch.setattr(request.module, "SessionStore", open_store)
+    yield
+    while _open_stores:
+        _open_stores.pop().close()
 
 
 @pytest.fixture(scope="session")
@@ -158,7 +184,7 @@ def make_runtime(registry, workspace, store_dir, script, *, config=None,
     if max_steps is not None:
         overrides["planner"]["max_steps"] = max_steps
     cfg = (config or RunConfig()).merged(overrides)
-    store = SessionStore(store_dir)
+    store = open_store(store_dir)
     backend = ScriptedBackend(script)
     usage_log = UsageLog(Path(store_dir) / "requests.jsonl")
     return Runtime(registry, store, backend, usage_log, cfg)
@@ -174,12 +200,20 @@ def submit_repair_task(runtime, workspace, task_text=REPAIR_TASK_TEXT,
     ))
 
 
+def session_snapshots(store: SessionStore, session_id: str) -> list[dict]:
+    """The skill_state_snapshot records of a session's log, in write order."""
+    return snapshot_records(read_log(store.store_dir, session_id)[1])
+
+
 def phase_sequence(session) -> list[str]:
+    """The repair phases a session went through, read from the snapshot
+    records in its log; the session must live in a store `open_store` made."""
+    store = next(s for s in reversed(_open_stores) if session in s.sessions())
     phases = []
-    for _, skill_id, state in session.state_snapshots:
-        if skill_id != "repair":
+    for snapshot in session_snapshots(store, session.session_id):
+        if snapshot["skill_id"] != "repair":
             continue
-        phase = state.get("phase")
+        phase = snapshot["state"].get("phase")
         if phase and (not phases or phases[-1] != phase):
             phases.append(phase)
     return phases

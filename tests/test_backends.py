@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from skillet import ScriptedBackend, SessionStore, UsageLog
+from skillet import ScriptedBackend, UsageLog
 from skillet.backends import HttpBackend, ModelRequest, ModelResponse, UsageRecord
 from skillet.errors import (
     LogWriteError,
@@ -18,6 +18,8 @@ from skillet.errors import (
     ScriptToolNotVisible,
 )
 from skillet.schema import ActionSchema, ParamSpec, object_spec
+
+from conftest import open_store
 
 TOOL_A = ActionSchema("t_alpha", "does a", object_spec({}, []), "e")
 TOOL_B = ActionSchema("t_beta", "does b", object_spec({"x": ParamSpec("int")}, []), "e")
@@ -46,7 +48,8 @@ class TestScripted:
         response = backend.complete(request())
         assert response.text == "hi"
         assert response.tool_call is None
-        assert backend.remaining_steps == 0
+        with pytest.raises(ScriptExhausted):  # the step was consumed
+            backend.complete(request())
 
     def test_exhausted(self):
         with pytest.raises(ScriptExhausted):
@@ -153,6 +156,7 @@ def stub_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 
@@ -294,7 +298,7 @@ class TestHttpPlannerIntegration:
         try:
             registry = SkillRegistry()
             registry.load_all(builtin_skills_dir())
-            store = SessionStore(tmp_path / "store")
+            store = open_store(tmp_path / "store")
             usage_log = UsageLog(tmp_path / "store" / "requests.jsonl")
             backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", model="m1")
             config = RunConfig.from_dict(
@@ -306,6 +310,7 @@ class TestHttpPlannerIntegration:
             runtime.run_until_quiescent(10)
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=2)
 
         session = store.session("s0001")
@@ -332,8 +337,7 @@ class TestUsageLog:
     def make_session(self, tmp_path):
         ws = tmp_path / "ws"
         ws.mkdir()
-        store = SessionStore(tmp_path / "store")
-        return store.create_session("t", "misc", ws, "")
+        return open_store(tmp_path / "store").create_session("t", "misc", ws, "")
 
     def test_line_schema_and_totals(self, tmp_path):
         session = self.make_session(tmp_path)
@@ -390,7 +394,7 @@ class TestUsageLog:
 
     def test_concurrent_records_are_group_committed(self, tmp_path, monkeypatch):
         sessions = [self.make_session(tmp_path)]
-        store = SessionStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         sessions += [store.create_session("t", "misc", tmp_path / "ws", "") for _ in range(3)]
         log = UsageLog(tmp_path / "requests.jsonl")
         fsyncs = []

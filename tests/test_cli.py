@@ -146,6 +146,42 @@ class TestTrace:
                      "--session", "s0001"])
         assert code == 1
 
+    def test_missing_store_is_not_created(self, tmp_path, capsys):
+        code = main(["trace", "--store", str(tmp_path / "nostore"), "--session", "s0001"])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_log_still_being_created_is_left_in_place(self, tmp_path, capsys):
+        # create_session leaves an empty log between creating it and writing its meta line
+        log = tmp_path / "store" / "sessions" / "s0001.log"
+        log.parent.mkdir(parents=True)
+        log.touch()
+        code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
+        assert code == 1
+        assert "s0001" in capsys.readouterr().err
+        assert log.read_bytes() == b""
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["sessions"]
+
+    def test_corrupt_log_of_another_session_is_not_read(
+            self, repair_workspace, tmp_path, script_file, config_file, capsys):
+        main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        capsys.readouterr()
+        other = tmp_path / "store" / "sessions" / "s0002.log"
+        other.write_bytes(b'{"seq": 0, "kind": "sess\n{"seq": 1}\n')
+        code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
+        assert code == 0
+        assert "completion" in capsys.readouterr().out
+
+    def test_session_id_outside_the_id_pattern_is_unknown(
+            self, repair_workspace, tmp_path, script_file, config_file, capsys):
+        main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        capsys.readouterr()
+        # names the real s0001.log through a path, not by its id
+        code = main(["trace", "--store", str(tmp_path / "store"),
+                     "--session", "../sessions/s0001"])
+        assert code == 1
+        assert "unknown session" in capsys.readouterr().err
+
 
 class TestHttpFlag:
     def test_http_backend_configured_from_environment(self, guarded_workspace, tmp_path,
@@ -171,6 +207,7 @@ class TestHttpFlag:
             ])
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=2)
         assert code == 0
         assert "status=completed" in capsys.readouterr().out

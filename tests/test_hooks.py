@@ -75,10 +75,9 @@ def rig(tmp_path):
     registry.load_skill_package(synth_manifest(tmp_path, "beta"))
     ws = tmp_path / "ws"
     ws.mkdir()
-    store = SessionStore(tmp_path / "store")
-    session = store.create_session("t", "misc", ws, "", routed_skills=["alpha", "beta"])
-    pipeline = HookPipeline(registry, store)
-    return pipeline, store, session
+    with SessionStore(tmp_path / "store") as store:
+        session = store.create_session("t", "misc", ws, "", routed_skills=["alpha", "beta"])
+        yield HookPipeline(registry, store), store, session
 
 
 class TestBeforeLlm:
@@ -86,9 +85,9 @@ class TestBeforeLlm:
         registry = SkillRegistry()
         ws = tmp_path / "ws"
         ws.mkdir()
-        store = SessionStore(tmp_path / "store")
-        session = store.create_session("t", "misc", ws, "")
-        outcome = HookPipeline(registry, store).run_before_llm(session, CANDIDATES)
+        with SessionStore(tmp_path / "store") as store:
+            session = store.create_session("t", "misc", ws, "")
+            outcome = HookPipeline(registry, store).run_before_llm(session, CANDIDATES)
         assert outcome.visible_tools == CANDIDATES
         assert outcome.injections == []
 
@@ -197,9 +196,9 @@ class TestAfterTool:
         registry = SkillRegistry()
         ws = tmp_path / "ws"
         ws.mkdir()
-        store = SessionStore(tmp_path / "store")
-        session = store.create_session("t", "misc", ws, "")
-        outcome = HookPipeline(registry, store).run_after_tool(session, dict(self.RECORD))
+        with SessionStore(tmp_path / "store") as store:
+            session = store.create_session("t", "misc", ws, "")
+            outcome = HookPipeline(registry, store).run_after_tool(session, dict(self.RECORD))
         assert not outcome.followup_needed
 
     def test_schedule_followup_sets_followup_needed(self, rig):

@@ -114,7 +114,7 @@ class TestHappyPath:
         session = runtime.store.session("s0001")
         assert session.status is SessionStatus.COMPLETED
         assert (repair_workspace / "out" / "report.md").is_file()
-        assert summary.by_id("s0001").turns == 5
+        assert [s.turns for s in summary.sessions if s.session_id == "s0001"] == [5]
 
     def test_single_decision_property(self, registry, repair_workspace, tmp_path):
         runtime = make_runtime(registry, repair_workspace, tmp_path / "store",
@@ -268,7 +268,7 @@ class TestBudget:
             runtime.run_until_quiescent(0)
         summary = exc.value.summary
         assert summary.steps_used == 0
-        assert summary.by_id("s0001").turns == 0
+        assert [s.turns for s in summary.sessions if s.session_id == "s0001"] == [0]
         assert runtime.store.session("s0001").status is SessionStatus.AWAITING_FOLLOWUP
 
     def test_never_verifying_script_exhausts_budget(self, registry, repair_workspace,

@@ -34,7 +34,7 @@ from skillet.repair import (
     write_artifact,
 )
 
-from conftest import CALC_PATCH
+from conftest import CALC_PATCH, session_snapshots
 
 
 def make_ctx(ws, allowlist=("python3", "echo"), skill=None):
@@ -55,12 +55,12 @@ def rig(repair_workspace, tmp_path):
     from skillet import SkillRegistry, builtin_skills_dir
     registry = SkillRegistry()
     registry.load_all(builtin_skills_dir())
-    store = SessionStore(tmp_path / "store")
-    session = store.create_session(
-        "fix the bug", "code_repair", repair_workspace,
-        "write the summary to `out/report.md`", routed_skills=["repair"],
-    )
-    return HookPipeline(registry, store), store, session
+    with SessionStore(tmp_path / "store") as store:
+        session = store.create_session(
+            "fix the bug", "code_repair", repair_workspace,
+            "write the summary to `out/report.md`", routed_skills=["repair"],
+        )
+        yield HookPipeline(registry, store), store, session
 
 
 def set_phase(store, session, phase, **extra):
@@ -180,13 +180,13 @@ class TestVisibility:
         tools = candidate_tools(pipeline.registry)
         first = pipeline.run_before_llm(session, tools)
         assert "out/report.md" in resolved
-        snapshots = list(session.state_snapshots)
+        snapshots = session_snapshots(store, session.session_id)
         resolved.clear()
         for _ in range(3):
             again = pipeline.run_before_llm(session, tools)
             assert again.injections == first.injections
         assert resolved == []
-        assert session.state_snapshots == snapshots
+        assert session_snapshots(store, session.session_id) == snapshots
         assert store.get_skill_state(session.session_id, "repair")["required_artifacts"] == \
             ["out/report.md"]
 

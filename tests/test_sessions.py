@@ -1,8 +1,10 @@
 """Session store: typed history, skill state, and crash-safe persistence."""
 
+import gc
 import json
 import os
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,11 +20,13 @@ from skillet.errors import (
     UnknownParent,
     WorkspaceEscape,
 )
+from skillet.sessions import read_log, snapshot_records
 
 
 @pytest.fixture
 def store(tmp_path):
-    return SessionStore(tmp_path / "store")
+    with SessionStore(tmp_path / "store") as store:
+        yield store
 
 
 @pytest.fixture
@@ -115,6 +119,42 @@ class TestAppend:
             store.append_event("s0404", EventKind.SYSTEM_NOTE, {})
 
 
+class TestLiveEqualsReload:
+    """Every write folds its record into the live session exactly as a
+    reload of the log does."""
+
+    def write(self, store, s, kind):
+        if kind == "append":
+            store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE, {"text": "hi"})
+        elif kind == "completion":
+            store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
+        elif kind == "put_skill_state":
+            doc = {"phase": "patch"}
+            store.put_skill_state(s.session_id, "repair", doc)
+            doc["phase"] = "changed after the put"  # the caller's dict is not the state
+        elif kind == "set_status":
+            store.set_status(s.session_id, SessionStatus.AWAITING_FOLLOWUP)
+
+    @pytest.mark.parametrize("kind", ["create", "append", "completion",
+                                      "put_skill_state", "set_status"])
+    def test_live_session_equals_its_reload(self, tmp_path, ws, store, kind):
+        s = make_session(store, ws)
+        self.write(store, s, kind)
+        again = SessionStore(tmp_path / "store").session(s.session_id)
+        assert [(e.seq, e.kind, e.payload) for e in s.history] == \
+            [(e.seq, e.kind, e.payload) for e in again.history]
+        assert s.skill_state == again.skill_state
+        assert s.status is again.status
+
+    def test_dropping_a_store_with_an_open_log_warns(self, tmp_path, ws):
+        # what pyproject.toml turns into a failure of the test that drops it
+        store = SessionStore(tmp_path / "store")
+        make_session(store, ws)
+        with pytest.warns(ResourceWarning):
+            del store
+            gc.collect()
+
+
 class TestSkillState:
     def test_get_before_put_is_empty_doc(self, store, ws):
         s = make_session(store, ws)
@@ -142,17 +182,17 @@ class TestSkillState:
         with tempfile.TemporaryDirectory() as tmp:
             ws = Path(tmp) / "ws"
             ws.mkdir()
-            store = SessionStore(Path(tmp) / "store", fsync=False)
-            s = store.create_session("t", "misc", ws, "")
-            last = {}
-            for skill_id, value in writes:
-                store.put_skill_state(s.session_id, skill_id, {"value": value})
-                last[skill_id] = value
-            for skill_id, value in last.items():
-                assert store.get_skill_state(s.session_id, skill_id) == {"value": value}
-            untouched = {"alpha", "beta"} - set(last)
-            for skill_id in untouched:
-                assert store.get_skill_state(s.session_id, skill_id) == {}
+            with SessionStore(Path(tmp) / "store", fsync=False) as store:
+                s = store.create_session("t", "misc", ws, "")
+                last = {}
+                for skill_id, value in writes:
+                    store.put_skill_state(s.session_id, skill_id, {"value": value})
+                    last[skill_id] = value
+                for skill_id, value in last.items():
+                    assert store.get_skill_state(s.session_id, skill_id) == {"value": value}
+                untouched = {"alpha", "beta"} - set(last)
+                for skill_id in untouched:
+                    assert store.get_skill_state(s.session_id, skill_id) == {}
 
 
 def event_payloads() -> st.SearchStrategy:
@@ -169,10 +209,10 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as tmp:
             ws = Path(tmp) / "ws"
             ws.mkdir()
-            store = SessionStore(Path(tmp) / "store", fsync=False)
-            s = store.create_session("t", "misc", ws, "d")
-            for p in payloads:
-                store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE, p)
+            with SessionStore(Path(tmp) / "store", fsync=False) as store:
+                s = store.create_session("t", "misc", ws, "d")
+                for p in payloads:
+                    store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE, p)
             reloaded = SessionStore(Path(tmp) / "store").session(s.session_id)
             assert [(e.seq, e.kind, e.payload) for e in reloaded.history] == \
                    [(e.seq, e.kind, e.payload) for e in s.history]
@@ -185,8 +225,7 @@ class TestPersistence:
         SessionStore(tmp_path / "store")
         assert SessionStore(tmp_path / "store").sessions() == []
 
-    def test_torn_tail_truncated_with_earlier_records_kept(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_torn_tail_truncated_with_earlier_records_kept(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         for i in range(9):
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
@@ -197,8 +236,7 @@ class TestPersistence:
         assert len(reloaded.history) == 9  # initial user_message + 8 notes
         assert reloaded.history[-1].payload == {"i": 7}
 
-    def test_load_leaves_a_torn_tail_on_disk(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_load_leaves_a_torn_tail_on_disk(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 0})
         log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
@@ -208,16 +246,15 @@ class TestPersistence:
         assert len(SessionStore(tmp_path / "store").session(s.session_id).history) == 1
         assert log.read_bytes() == torn
 
-    def test_first_append_after_reload_starts_on_a_line_of_its_own(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_first_append_after_reload_starts_on_a_line_of_its_own(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         for i in range(3):
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
         store.close()
         log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
         log.write_bytes(log.read_bytes()[:-7])  # cut into the last note
-        reloaded = SessionStore(tmp_path / "store")
-        seq = reloaded.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": "after"})
+        with SessionStore(tmp_path / "store") as reloaded:
+            seq = reloaded.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": "after"})
         assert seq == 4
         again = SessionStore(tmp_path / "store").session(s.session_id)
         assert [e.payload for e in again.history[1:]] == [{"i": 0}, {"i": 1}, {"i": "after"}]
@@ -249,8 +286,7 @@ class TestPersistence:
         assert [s.status for s in reloaded.sessions()] == [
             SessionStatus.COMPLETED, SessionStatus.ACTIVE, SessionStatus.AWAITING_FOLLOWUP]
 
-    def test_mid_file_corruption_raises(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_mid_file_corruption_raises(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 0})
         store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 1})
@@ -261,19 +297,17 @@ class TestPersistence:
         with pytest.raises(CorruptStore):
             SessionStore(tmp_path / "store")
 
-    def test_snapshot_reload_keeps_latest_at_or_before_tail(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_snapshot_reload_keeps_latest_at_or_before_tail(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         store.put_skill_state(s.session_id, "repair", {"phase": "reproduce"})
         store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 0})
         store.put_skill_state(s.session_id, "repair", {"phase": "patch"})
         reloaded = SessionStore(tmp_path / "store").session(s.session_id)
         assert reloaded.skill_state["repair"] == {"phase": "patch"}
-        assert [snap[2]["phase"] for snap in reloaded.state_snapshots] == \
-               ["reproduce", "patch"]
+        snapshots = snapshot_records(read_log(tmp_path / "store", s.session_id)[1])
+        assert [snap["state"]["phase"] for snap in snapshots] == ["reproduce", "patch"]
 
-    def test_snapshots_do_not_consume_history_seqs(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_snapshots_do_not_consume_history_seqs(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         store.put_skill_state(s.session_id, "repair", {"phase": "reproduce"})
         seq = store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {})
@@ -281,14 +315,13 @@ class TestPersistence:
         seqs = [e.seq for e in s.history]
         assert seqs == list(range(1, len(seqs) + 1))
 
-    def test_usage_totals_survive_reload_via_requests_log(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_usage_totals_survive_reload_via_requests_log(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         record_usage(tmp_path / "store", s, (10, 5, 0, 15), (7, 3, 1, 11))
         reloaded = SessionStore(tmp_path / "store").session(s.session_id)
         assert reloaded.usage.total_tokens == 26
         assert reloaded.usage.request_count == 2
-        assert reloaded.usage.as_dict() == s.usage.as_dict()
+        assert asdict(reloaded.usage) == asdict(s.usage)
 
     def test_usage_totals_survive_a_crash_right_after_record(self, tmp_path, ws):
         import subprocess
@@ -307,11 +340,10 @@ class TestPersistence:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 1, proc.stderr
         usage = SessionStore(tmp_path / "store").session("s0001").usage
-        assert usage.as_dict() == {"input_tokens": 10, "output_tokens": 5, "cache_tokens": 2,
+        assert asdict(usage) == {"input_tokens": 10, "output_tokens": 5, "cache_tokens": 2,
                                    "total_tokens": 17, "request_count": 1}
 
-    def test_torn_last_line_of_requests_log_is_tolerated(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_torn_last_line_of_requests_log_is_tolerated(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         record_usage(tmp_path / "store", s, (10, 5, 0, 15), (7, 3, 1, 11))
         requests = tmp_path / "store" / "requests.jsonl"
@@ -325,8 +357,7 @@ class TestPersistence:
         assert again.usage.total_tokens == 17
         assert again.usage.request_count == 2
 
-    def test_reload_reproduces_open_and_failed_statuses(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_reload_reproduces_open_and_failed_statuses(self, tmp_path, ws, store):
         failed, parked, fresh = (make_session(store, ws) for _ in range(3))
         store.set_status(failed.session_id, SessionStatus.FAILED)
         store.set_status(parked.session_id, SessionStatus.AWAITING_FOLLOWUP)
@@ -334,8 +365,7 @@ class TestPersistence:
         assert [reloaded.session(s.session_id).status for s in (failed, parked, fresh)] == \
             [SessionStatus.FAILED, SessionStatus.AWAITING_FOLLOWUP, SessionStatus.ACTIVE]
 
-    def test_status_follows_log_order(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_status_follows_log_order(self, tmp_path, ws, store):
         s = make_session(store, ws)
         store.set_status(s.session_id, SessionStatus.AWAITING_FOLLOWUP)
         store.set_status(s.session_id, SessionStatus.ACTIVE)
@@ -345,15 +375,13 @@ class TestPersistence:
         assert reloaded.status is SessionStatus.COMPLETED
         assert [e.seq for e in reloaded.history] == [1, 2]  # status records take no seq
 
-    def test_completed_without_a_completion_event_is_recorded(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_completed_without_a_completion_event_is_recorded(self, tmp_path, ws, store):
         s = make_session(store, ws)
         store.set_status(s.session_id, SessionStatus.COMPLETED)
         reloaded = SessionStore(tmp_path / "store").session(s.session_id)
         assert reloaded.status is SessionStatus.COMPLETED
 
-    def test_unchanged_status_writes_nothing(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_unchanged_status_writes_nothing(self, tmp_path, ws, store):
         s = make_session(store, ws)
         store.set_status(s.session_id, SessionStatus.AWAITING_FOLLOWUP)
         store_files = sorted((tmp_path / "store").rglob("*"))
@@ -364,8 +392,7 @@ class TestPersistence:
         assert log.read_bytes() == before
         assert sorted((tmp_path / "store").rglob("*")) == store_files
 
-    def test_completed_status_after_completion_event_writes_nothing(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_completed_status_after_completion_event_writes_nothing(self, tmp_path, ws, store):
         s = make_session(store, ws)
         store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
         log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
@@ -373,30 +400,28 @@ class TestPersistence:
         store.set_status(s.session_id, SessionStatus.COMPLETED)
         assert log.read_bytes() == before
 
-    def test_store_keeps_no_index_file(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_store_keeps_no_index_file(self, tmp_path, ws, store):
         s = make_session(store, ws)
         store.set_status(s.session_id, SessionStatus.FAILED)
         assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["sessions"]
 
-    def test_log_without_meta_is_quarantined_and_its_id_never_reused(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_log_without_meta_is_quarantined_and_its_id_never_reused(self, tmp_path, ws, store):
         first, second = make_session(store, ws), make_session(store, ws, task_text="keep")
         sessions_dir = tmp_path / "store" / "sessions"
         meta_less = b"".join(
             (sessions_dir / f"{first.session_id}.log").read_bytes().splitlines(keepends=True)[1:])
         (sessions_dir / f"{first.session_id}.log").write_bytes(meta_less)
 
-        reopened = SessionStore(tmp_path / "store")
-        assert [s.session_id for s in reopened.sessions()] == [second.session_id]
-        assert make_session(reopened, ws, task_text="new").session_id == "s0003"
+        with SessionStore(tmp_path / "store") as reopened:
+            assert [s.session_id for s in reopened.sessions()] == [second.session_id]
+            assert make_session(reopened, ws, task_text="new").session_id == "s0003"
 
-        reloaded = SessionStore(tmp_path / "store")
-        assert [(s.session_id, s.task_text) for s in reloaded.sessions()] == \
-            [(second.session_id, "keep"), ("s0003", "new")]
-        assert (tmp_path / "store" / "quarantine" / f"{first.session_id}.log").read_bytes() \
-            == meta_less
-        assert make_session(reloaded, ws).session_id == "s0004"
+        with SessionStore(tmp_path / "store") as reloaded:
+            assert [(s.session_id, s.task_text) for s in reloaded.sessions()] == \
+                [(second.session_id, "keep"), ("s0003", "new")]
+            assert (tmp_path / "store" / "quarantine" / f"{first.session_id}.log") \
+                .read_bytes() == meta_less
+            assert make_session(reloaded, ws).session_id == "s0004"
 
     def test_concurrent_creates_and_status_changes_reload_exactly(self, tmp_path, ws):
         import sys
@@ -427,6 +452,7 @@ class TestPersistence:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
+        store.close()
         reloaded = SessionStore(tmp_path / "store")
         assert sorted(s.task_text for s in reloaded.sessions()) == \
             sorted(["task"] + [f"w{n}" for n in range(8)])
@@ -436,8 +462,7 @@ class TestPersistence:
             assert [(e.seq, e.payload) for e in again.history] == \
                 [(e.seq, e.payload) for e in live.history]
 
-    def test_completion_event_forces_completed_status_on_load(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_completion_event_forces_completed_status_on_load(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
         # no set_status: simulate a crash right after the completion event
@@ -463,8 +488,7 @@ class TestPersistence:
         session = SessionStore(tmp_path / "store").session("s0001")
         assert session.history[-1].payload == {"text": "survives"}
 
-    def test_log_lines_are_self_delimiting_json(self, tmp_path, ws):
-        store = SessionStore(tmp_path / "store")
+    def test_log_lines_are_self_delimiting_json(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
         store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE, {"text": "x\ny"})
         log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
