@@ -14,11 +14,12 @@ Script files are a JSON list of steps:
 `when.phase_contains` matches a substring of the LAST rendered message
 (guidance is injected last before each model call, so this keys on the
 current phase); `when.tool_visible` requires a tool name in the visible
-set. A step with no predicate always matches. The first matching step is
-consumed per request, picked and removed under one lock, so concurrent
-requests never share a step. Synthetic usage is character-count based and
-includes the serialized tool surface, so narrower tool exposure measurably
-shrinks requests.
+set; `when.session` requires the request's session id, so one script can
+serve sessions that run at once. A step with no predicate always matches.
+The first matching step is consumed per request, picked and removed under
+one lock, so concurrent requests never share a step. Synthetic usage is
+character-count based and includes the serialized tool surface, so narrower
+tool exposure measurably shrinks requests.
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ class ScriptedBackend:
             if "phase_contains" in when and when["phase_contains"] not in last_text:
                 continue
             if "tool_visible" in when and when["tool_visible"] not in visible:
+                continue
+            if "session" in when and when["session"] != request.session_id:
                 continue
             return i
         return None

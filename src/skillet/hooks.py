@@ -50,7 +50,6 @@ class HookContext:
     session: Session
     skill_id: str
     state: dict                 # the hook's own skill state (a copy)
-    stage: str
     payload: object             # stage payload: draft request / response / call / result
     policy: object              # the owning skill's PolicyConfig
     config: dict                # the owning skill's config.json map
@@ -141,7 +140,6 @@ class HookPipeline:
             session=session,
             skill_id=manifest.skill_id,
             state=self.store.get_skill_state(session.session_id, manifest.skill_id),
-            stage=stage,
             payload=payload,
             policy=manifest.policy,
             config=manifest.config,

@@ -3,14 +3,16 @@
 One wakeup = at most one model decision plus its tool effects, all persisted
 before the wakeup returns, with a follow-up enqueued while anything remains
 open. The queue is FIFO by enqueue order and never hands out two wakeups for
-the same session at once; single-worker mode drains it deterministically.
+the same session at once.
 
-The threaded drain runs one worker per runnable session, with no polling: the
-draining thread blocks on the queue's condition until a runnable wakeup has
-no worker, then starts one for it. A worker keeps taking wakeups while one is
-runnable and unclaimed, and exits when none is, so no runnable session waits
-for a worker and no worker waits for work. The worker count has no setting;
-it follows the number of sessions that can run at once.
+One drain loop serves both drain modes, with no polling. A runner runs the
+wakeup it was given, then keeps taking wakeups until none is runnable. The
+draining thread blocks on the queue's condition until a wakeup is runnable,
+takes it and starts a runner for it: inline in single-worker mode, where the
+one runner drains the whole queue in pop order and so deterministically,
+otherwise on a new thread. No runnable session waits for a runner and no
+runner waits for work; the thread count has no setting and follows the
+number of sessions that can run at once.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ log = logging.getLogger(__name__)
 class WakeupEvent:
     session_id: str
     cause: str  # initial | followup | forced_action | child_report
-    enqueue_seq: int
     attempt: int = 0
 
 
@@ -64,25 +65,19 @@ class WakeupQueue:
     """FIFO queue with per-session mutual exclusion enforced at pop time.
 
     A wakeup is runnable while no wakeup of its session is in flight. `pop`
-    never blocks. A drain with several workers blocks in `wait` instead, then
-    `claim`s a runnable wakeup for its next `pop`, so that pop is never empty.
+    never blocks; a drain blocks in `wait` instead.
     """
 
     def __init__(self):
         self._items: deque[WakeupEvent] = deque()
         self._in_flight: set[str] = set()
-        self._claimed = 0
-        self._seq = 0
         self._cond = threading.Condition()
 
-    def enqueue(self, session_id: str, cause: str, attempt: int = 0) -> WakeupEvent:
+    def enqueue(self, session_id: str, cause: str, attempt: int = 0) -> None:
         with self._cond:
-            self._seq += 1
-            event = WakeupEvent(session_id=session_id, cause=cause,
-                                enqueue_seq=self._seq, attempt=attempt)
-            self._items.append(event)
+            self._items.append(WakeupEvent(session_id=session_id, cause=cause,
+                                           attempt=attempt))
             self._cond.notify_all()
-            return event
 
     def pop(self) -> WakeupEvent | None:
         with self._cond:
@@ -90,7 +85,6 @@ class WakeupQueue:
                 if event.session_id not in self._in_flight:
                     del self._items[i]
                     self._in_flight.add(event.session_id)
-                    self._claimed = max(self._claimed - 1, 0)
                     return event
             return None
 
@@ -100,27 +94,14 @@ class WakeupQueue:
             self._cond.notify_all()
 
     def wait(self) -> bool:
-        """Block until a runnable wakeup is unclaimed (True), or until the
-        queue is empty with nothing in flight, so none can come (False)."""
+        """Block until a wakeup is runnable (True), or until the queue is
+        empty with nothing in flight, so none can come (False)."""
         with self._cond:
-            while self._unclaimed() <= 0:
+            while all(e.session_id in self._in_flight for e in self._items):
                 if not self._items and not self._in_flight:
                     return False
                 self._cond.wait()
             return True
-
-    def claim(self) -> bool:
-        """Reserve a runnable, unclaimed wakeup for the caller's next `pop`;
-        False when there is none."""
-        with self._cond:
-            if self._unclaimed() <= 0:
-                return False
-            self._claimed += 1
-            return True
-
-    def _unclaimed(self) -> int:
-        runnable = {e.session_id for e in self._items} - self._in_flight
-        return len(runnable) - self._claimed
 
     def __len__(self) -> int:
         with self._cond:
@@ -433,45 +414,24 @@ class Runtime:
 
     def run_until_quiescent(self, max_steps: int | None = None) -> RunSummary:
         limit = self.config.planner.max_steps if max_steps is None else max_steps
-        if self.config.planner.single_worker:
-            steps = self._drain_single(limit)
-        else:
-            steps = self._drain_threads(limit)
-        return self.summary(steps)
-
-    def _drain_single(self, limit: int) -> int:
-        steps = 0
-        while len(self.queue):
-            if steps >= limit:
-                self._park_pending()
-                raise StepBudgetExhausted(self.summary(steps))
-            event = self.queue.pop()
-            assert event is not None
-            try:
-                self.run_wakeup(event)
-            finally:
-                self.queue.done(event)
-            steps += 1
-        return steps
-
-    def _drain_threads(self, limit: int) -> int:
         lock = threading.Lock()
         steps = 0
         errors: list[BaseException] = []
 
-        def claim() -> bool:
-            """Count a step and claim a wakeup for it, within the budget."""
+        def take() -> WakeupEvent | None:
+            """Pop a runnable wakeup and count its step; None once the budget
+            is spent, a runner has failed or nothing is runnable."""
             nonlocal steps
             with lock:
-                if errors or steps >= limit or not self.queue.claim():
-                    return False
-                steps += 1
-                return True
-
-        def work() -> None:
-            while True:
+                if errors or steps >= limit:
+                    return None
                 event = self.queue.pop()
-                assert event is not None
+                if event is not None:
+                    steps += 1
+                return event
+
+        def run(event: WakeupEvent | None) -> None:
+            while event is not None:
                 try:
                     self.run_wakeup(event)
                 except BaseException as exc:  # re-raised by the draining thread
@@ -479,26 +439,29 @@ class Runtime:
                     return
                 finally:
                     self.queue.done(event)
-                if not claim():
-                    return
+                event = take()
 
-        workers = []
+        runners = []
         while self.queue.wait():
-            if claim():
-                worker = threading.Thread(target=work, daemon=True)
-                worker.start()
-                workers.append(worker)
-            elif errors or steps >= limit:
-                break
-            # else a finishing worker claimed the wakeup first
-        for worker in workers:
-            worker.join()
+            event = take()
+            if event is None:
+                if errors or steps >= limit:
+                    break
+                continue  # a runner took the wakeup first
+            if self.config.planner.single_worker:
+                run(event)
+            else:
+                runner = threading.Thread(target=run, args=(event,), daemon=True)
+                runner.start()
+                runners.append(runner)
+        for runner in runners:
+            runner.join()
         if errors:
             raise errors[0]
         if len(self.queue):
             self._park_pending()
             raise StepBudgetExhausted(self.summary(steps))
-        return steps
+        return self.summary(steps)
 
     def _park_pending(self) -> None:
         for session_id in self.queue.pending_sessions():

@@ -83,7 +83,6 @@ class SkillManifest:
     hooks: list[HookDeclaration]
     policy: PolicyConfig
     config: dict
-    namespace: str | None = None
     fingerprint: str = ""
 
     def hooks_for(self, stage: str) -> list[HookDeclaration]:
@@ -335,7 +334,6 @@ class SkillRegistry:
             hooks=hooks,
             policy=policy,
             config=config,
-            namespace=namespace,
             fingerprint=fingerprint,
         )
 

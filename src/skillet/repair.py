@@ -30,7 +30,7 @@ complete is decided by the gate alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bindings import completion_gate, executor, hook_program
@@ -52,7 +52,7 @@ from .patching import (
     parse_unified_diff,
 )
 from .registry import PolicyConfig
-from .workspace import glob_match, resolve, run_allowlisted, write_file
+from .workspace import _truncate, glob_match, resolve, run_allowlisted, write_file
 
 SKILL_ID = "repair"
 
@@ -90,16 +90,13 @@ VERIFICATION_NOT_PASSED = "verification not passed"
 
 WORKFLOW_ORDER = "reproduce -> patch -> verify -> report"
 
-# Session.derived key of the artifacts inferred from done_when
-_INFERRED = "repair.inferred_artifacts"
-
 
 @dataclass
 class RepairState:
     phase: str = REPRODUCE
     verification_passed: bool = False
     failure_signature: str | None = None
-    required_artifacts: list[str] = field(default_factory=list)
+    required_artifacts: list[str] | None = None  # None: not inferred yet
     last_tool: dict | None = None  # {"name", "ok", "seq"}
 
     @classmethod
@@ -115,7 +112,8 @@ class RepairState:
             "phase": self.phase,
             "verification_passed": self.verification_passed,
             "failure_signature": self.failure_signature,
-            "required_artifacts": list(self.required_artifacts),
+            "required_artifacts": (None if self.required_artifacts is None
+                                   else list(self.required_artifacts)),
             "last_tool": self.last_tool,
         }
 
@@ -197,7 +195,7 @@ def completion_gate_reasons(state: RepairState, workspace_root: Path) -> list[st
     reasons: list[str] = []
     if not state.verification_passed:
         reasons.append(VERIFICATION_NOT_PASSED)
-    for path in state.required_artifacts:
+    for path in state.required_artifacts or []:
         try:
             scoped = resolve(workspace_root, path)
         except PathEscape:
@@ -220,21 +218,17 @@ def repair_gate(session, state_doc: dict) -> list[str]:
 @hook_program("repair.before_llm")
 def before_llm(ctx: HookContext) -> HookDecision:
     state = RepairState.from_doc(ctx.state)
-    required = list(state.required_artifacts)
-    inferred = ctx.session.derived.get(_INFERRED)
-    if inferred is None:
-        inferred = ctx.session.derived[_INFERRED] = infer_required_artifacts(
+    inferring = state.required_artifacts is None
+    if inferring:  # once per session: the result is kept in the skill state
+        state.required_artifacts = infer_required_artifacts(
             ctx.done_when, ctx.workspace_root, artifact_extensions(ctx.config))
-    required += [path for path in inferred if path not in required]
     visible = set(PHASE_ACTIONS[state.phase]) | {"fs_read", "finish"}
-    decision = HookDecision(
+    return HookDecision(
         tool_filter=visible,
-        injected_messages=[workflow_message(state, sorted(visible), required)],
+        injected_messages=[workflow_message(state, sorted(visible),
+                                            state.required_artifacts)],
+        state_update=state.to_doc() if inferring else None,
     )
-    if required != state.required_artifacts:
-        state.required_artifacts = required
-        decision.state_update = state.to_doc()
-    return decision
 
 
 @hook_program("repair.after_llm")
@@ -373,9 +367,8 @@ def collect_evidence(args: dict, ctx: ExecutionContext) -> dict:
         source = output
     else:
         raise ToolError("provide either command or log_path")
-    limit = ctx.output_truncate_bytes
     return {
-        "output": output[:limit],
+        "output": _truncate(output, ctx.output_truncate_bytes)[0],
         "exit_code": exit_code,
         "signature": normalize_failure_signature(source),
     }

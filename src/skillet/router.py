@@ -39,7 +39,6 @@ class RouterConfig:
 @dataclass
 class RoutedSkillSet:
     entries: list[tuple[str, float]] = field(default_factory=list)  # (skill_id, score)
-    threshold_used: float = 0.5
 
     def skill_ids(self) -> list[str]:
         return [skill_id for skill_id, _ in self.entries]
@@ -84,4 +83,4 @@ def route(
         ((sid, s) for sid, s in scored if s >= config.threshold),
         key=lambda e: (-e[1], e[0]),
     )
-    return RoutedSkillSet(entries=entries, threshold_used=config.threshold)
+    return RoutedSkillSet(entries=entries)

@@ -118,9 +118,6 @@ class Session:
     history: list[HistoryEvent] = field(default_factory=list)
     skill_state: dict[str, dict] = field(default_factory=dict)
     usage: UsageTotals = field(default_factory=UsageTotals)
-    # values a hook program derives once per session from fields that never
-    # change (done_when, the root); in memory only, never logged
-    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def next_seq(self) -> int:

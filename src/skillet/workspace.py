@@ -25,7 +25,6 @@ from .schema import ActionSchema, ParamSpec, object_spec
 
 @dataclass(frozen=True)
 class ScopedPath:
-    raw: str
     resolved: Path
     relative: str
 
@@ -45,7 +44,7 @@ def resolve(workspace_root: str | Path, raw: str) -> ScopedPath:
         relative = resolved.relative_to(root)
     except ValueError:
         raise PathEscape(f"path {raw!r} resolves outside the workspace") from None
-    return ScopedPath(raw=raw, resolved=resolved, relative=relative.as_posix())
+    return ScopedPath(resolved=resolved, relative=relative.as_posix())
 
 
 def glob_match(relative: str, globs: list[str]) -> bool:
@@ -110,10 +109,12 @@ def run_allowlisted(
 
 
 def _truncate(text: str, limit: int) -> tuple[str, bool]:
+    """Cut `text` to at most `limit` UTF-8 bytes; a character the cut splits
+    is dropped whole."""
     data = text.encode("utf-8", errors="replace")
     if len(data) <= limit:
         return text, False
-    return data[:limit].decode("utf-8", errors="replace"), True
+    return data[:limit].decode("utf-8", errors="ignore"), True
 
 
 # -- orchestration tool surface ------------------------------------------------

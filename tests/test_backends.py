@@ -77,6 +77,16 @@ class TestScripted:
         ])
         assert backend.complete(request()).text == "plain"
 
+    def test_session_predicate(self):
+        backend = ScriptedBackend([
+            {"when": {"session": "s0002"}, "respond": {"text": "for s0002"}},
+            {"when": {"session": "s0001"}, "respond": {"text": "for s0001"}},
+        ])
+        assert backend.complete(request(session_id="s0001")).text == "for s0001"
+        with pytest.raises(ScriptExhausted):
+            backend.complete(request(session_id="s0003"))
+        assert backend.complete(request(session_id="s0002")).text == "for s0002"
+
     def test_unmatched_steps_are_kept(self):
         backend = ScriptedBackend([
             {"when": {"phase_contains": "later"}, "respond": {"text": "second"}},

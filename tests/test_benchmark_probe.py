@@ -58,17 +58,6 @@ def test_probe_installs_traces_a_repair_run_and_restores(registry, repair_worksp
             Runtime.__dict__["submit_task"], os.fsync) == before
 
 
-class SessionScripts:
-    """One scripted model per session: script predicates see only the last
-    message, so sessions running at once must not share a script."""
-
-    def __init__(self):
-        self.scripts = {}
-
-    def complete(self, request):
-        return self.scripts[request.session_id].complete(request)
-
-
 def test_probe_sees_every_pop_of_a_threaded_drain(registry, repair_workspace, tmp_path):
     """The threaded drain takes its wakeups through the zero-argument
     `WakeupQueue.pop` the probe wraps, so queue waits and the pop hit ratio
@@ -78,19 +67,20 @@ def test_probe_sees_every_pop_of_a_threaded_drain(registry, repair_workspace, tm
     config = RunConfig.from_dict({"planner": {"single_worker": False}})
     runtime = make_runtime(registry, repair_workspace, tmp_path / "store", [],
                            config=config)
-    runtime.backend = SessionScripts()
     patches = probe.Patches()
     tracer = probe.Tracer()
     try:
-        tracer.install(patches, SessionScripts)
+        tracer.install(patches, ScriptedBackend)
         tracer.measuring = True
-        submitted = []
+        submitted, script = [], []
         for i in range(sessions):
             ws = tmp_path / f"ws{i}"
             shutil.copytree(repair_workspace, ws)
             session = submit_repair_task(runtime, ws)
-            runtime.backend.scripts[session.session_id] = ScriptedBackend(repair_script())
+            script += [{**step, "when": {**step.get("when", {}), "session": session.session_id}}
+                       for step in repair_script()]
             submitted.append(session)
+        runtime.backend = ScriptedBackend(script)
         runtime.run_until_quiescent(60)
     finally:
         patches.restore()

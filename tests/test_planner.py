@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from skillet import DelegatedTask, EventKind, RunConfig, SessionStatus, SessionStore
-from skillet.backends import ModelResponse, UsageRecord
+from skillet.backends import ModelResponse, ToolCallRequest, UsageRecord
 from skillet.errors import ModelBackendError, StepBudgetExhausted
 from skillet.planner import Runtime, WakeupQueue
 
@@ -52,25 +52,29 @@ class TestWakeupQueue:
         q.done(first)
         assert q.pop().session_id == "s1"
 
-    def test_enqueue_seq_is_monotone(self):
-        q = WakeupQueue()
-        a = q.enqueue("s1", "initial")
-        b = q.enqueue("s2", "followup")
-        assert b.enqueue_seq > a.enqueue_seq
+    @staticmethod
+    def start_waiter(q, outcomes):
+        waiter = threading.Thread(target=lambda: outcomes.append(q.wait()))
+        waiter.start()
+        return waiter
 
-    def test_claims_cover_runnable_sessions_only(self):
+    def test_only_sessions_not_in_flight_are_runnable(self):
         q = WakeupQueue()
         q.enqueue("s1", "initial")
         q.enqueue("s1", "followup")
         q.enqueue("s2", "initial")
-        # two sessions can run, so two claims; s1's follow-up waits for s1
-        assert q.claim() and q.claim()
-        assert not q.claim()
+        # two sessions can run, so two pops; s1's follow-up waits for s1
+        assert q.wait()
         first, second = q.pop(), q.pop()
         assert (first.session_id, second.session_id) == ("s1", "s2")
-        assert not q.claim()
+        assert q.pop() is None
+        outcomes = []
+        waiter = self.start_waiter(q, outcomes)
+        waiter.join(0.2)
+        assert waiter.is_alive()  # a wakeup is queued, but none is runnable
         q.done(first)
-        assert q.wait() and q.claim()
+        waiter.join(5)
+        assert not waiter.is_alive() and outcomes == [True]
         assert q.pop().session_id == "s1"
 
     def test_wait_blocks_until_a_wakeup_is_runnable_then_ends_when_drained(self):
@@ -79,14 +83,12 @@ class TestWakeupQueue:
         event = q.pop()
         q.enqueue("s1", "followup")  # not runnable while s1 is in flight
         outcomes = []
-        waiter = threading.Thread(target=lambda: outcomes.append(q.wait()))
-        waiter.start()
+        waiter = self.start_waiter(q, outcomes)
         waiter.join(0.2)
         assert waiter.is_alive()
         q.done(event)  # done notifies: the follow-up is runnable now
         waiter.join(5)
-        assert outcomes == [True]
-        assert q.claim()
+        assert not waiter.is_alive() and outcomes == [True]
         q.done(q.pop())
         assert q.wait() is False  # empty, nothing in flight: nothing can come
 
@@ -332,6 +334,29 @@ class TestDelegation:
         assert placeholder.payload["ok"] is True
         assert placeholder.payload["output"]["session_id"] == "s0002"
 
+    def test_session_logs_are_byte_identical_in_both_drain_modes(self, registry,
+                                                                 repair_workspace, tmp_path):
+        pristine = tmp_path / "pristine"
+        shutil.copytree(repair_workspace, pristine)
+        logs = {}
+        for single_worker in (True, False):
+            # the same workspace path each time: it is written into the logs
+            shutil.rmtree(repair_workspace)
+            shutil.copytree(pristine, repair_workspace)
+            store_dir = tmp_path / f"store-{single_worker}"
+            config = RunConfig.from_dict({"planner": {"single_worker": single_worker}})
+            runtime = make_runtime(registry, repair_workspace, store_dir,
+                                   self.delegation_script(), config=config)
+            runtime.submit_task(DelegatedTask(
+                "coordinate the work", "coordination", repair_workspace,
+                "child reports back"))
+            runtime.run_until_quiescent(25)
+            assert {s.status for s in runtime.store.sessions()} == {SessionStatus.COMPLETED}
+            logs[single_worker] = {path.name: path.read_bytes()
+                                   for path in (store_dir / "sessions").glob("*.log")}
+        assert sorted(logs[True]) == ["s0001.log", "s0002.log"]
+        assert logs[False] == logs[True]
+
     def test_child_tool_surface_is_orchestration_plus_routed(self, registry,
                                                              repair_workspace, tmp_path):
         runtime = make_runtime(registry, repair_workspace, tmp_path / "store",
@@ -497,6 +522,39 @@ class TestMultiWorker:
         summary = runtime.run_until_quiescent()
         assert summary.steps_used == sessions
         assert {s.status for s in summary.sessions} == {"completed"}
+
+    def test_no_wakeup_starts_after_a_runner_raises(self, registry, tmp_path):
+        barrier = threading.Barrier(2, timeout=10)
+        failed = threading.Event()
+        calls = []
+
+        class FailOne:
+            """s0001's call raises once both calls are in flight; s0002's
+            returns a tool call, so s0002 has a follow-up, once s0001's failed
+            wakeup is done."""
+
+            def complete(self, request):
+                calls.append(request.session_id)
+                barrier.wait()
+                if request.session_id == "s0001":
+                    raise RuntimeError("backend bug")
+                assert failed.wait(10)
+                return ModelResponse(tool_call=ToolCallRequest("fs_read", {"path": "f.txt"}))
+
+        runtime = self.threaded_runtime(registry, tmp_path, [], 2)
+        runtime.backend = FailOne()
+        queue_done = runtime.queue.done
+
+        def done(event):
+            queue_done(event)
+            if event.session_id == "s0001":
+                failed.set()
+
+        runtime.queue.done = done
+        with pytest.raises(RuntimeError, match="backend bug"):
+            runtime.run_until_quiescent()
+        assert sorted(calls) == ["s0001", "s0002"]
+        assert runtime.queue.pending_sessions() == ["s0002"]
 
     def test_step_budget_parks_pending_sessions(self, registry, tmp_path):
         # each session: an fs_read turn, then a text reply on its result

@@ -11,6 +11,7 @@ from skillet.errors import (
     CommandNotAllowed,
     EmptyEvidence,
     HunkMismatch,
+    StepBudgetExhausted,
     TargetMissing,
     ToolError,
 )
@@ -34,7 +35,14 @@ from skillet.repair import (
     write_artifact,
 )
 
-from conftest import CALC_PATCH, session_snapshots
+from conftest import (
+    CALC_PATCH,
+    evidence_step,
+    make_runtime,
+    patch_step,
+    session_snapshots,
+    submit_repair_task,
+)
 
 
 def make_ctx(ws, allowlist=("python3", "echo"), skill=None):
@@ -190,6 +198,35 @@ class TestVisibility:
         assert store.get_skill_state(session.session_id, "repair")["required_artifacts"] == \
             ["out/report.md"]
 
+    def test_reopened_session_does_not_infer_again(self, registry, repair_workspace,
+                                                   tmp_path, monkeypatch):
+        import skillet.repair as repair_module
+        store_dir = tmp_path / "store"
+        runtime = make_runtime(registry, repair_workspace, store_dir,
+                               [evidence_step(argv=["python3", "in/test_calc.py"])])
+        session = submit_repair_task(runtime, repair_workspace)
+        with pytest.raises(StepBudgetExhausted):
+            runtime.run_until_quiescent(1)
+        runtime.store.close()
+
+        resolved = []
+        real_resolve = repair_module.resolve
+
+        def counting_resolve(root, raw):
+            resolved.append(raw)
+            return real_resolve(root, raw)
+
+        monkeypatch.setattr(repair_module, "resolve", counting_resolve)
+        reopened = make_runtime(registry, repair_workspace, store_dir, [patch_step()])
+        reopened.queue.enqueue(session.session_id, "followup")
+        with pytest.raises(StepBudgetExhausted):
+            reopened.run_until_quiescent(1)
+        # only the patch target, by the guard and the executor: done_when is
+        # not parsed again
+        assert set(resolved) == {"in/calc.py"}
+        assert reopened.store.get_skill_state(session.session_id, "repair")[
+            "required_artifacts"] == ["out/report.md"]
+
     def test_required_artifacts_written_back_to_state(self, rig):
         pipeline, store, session = rig
         pipeline.run_before_llm(session, candidate_tools(pipeline.registry))
@@ -334,6 +371,13 @@ class TestEvidenceExecutor:
         with pytest.raises(EmptyEvidence):
             collect_evidence({"command": ["python3", "-c", "pass"]},
                              make_ctx(repair_workspace))
+
+    def test_output_is_cut_to_the_byte_cap(self, repair_workspace):
+        (repair_workspace / "in" / "wide.log").write_text("é" * 20, encoding="utf-8")
+        ctx = make_ctx(repair_workspace)
+        ctx.output_truncate_bytes = 21
+        out = collect_evidence({"log_path": "in/wide.log"}, ctx)
+        assert out["output"] == "é" * 10
 
     def test_command_allowlist_enforced(self, repair_workspace):
         with pytest.raises(CommandNotAllowed):

@@ -7,6 +7,7 @@ import pytest
 from skillet.errors import CommandNotAllowed, CommandTimeout, PathEscape, ToolError
 from skillet.execution import ExecutionContext, RuntimeServices
 from skillet.workspace import (
+    _truncate,
     fs_read,
     fs_write,
     glob_match,
@@ -114,6 +115,13 @@ class TestRunAllowlisted:
         )
         assert result["truncated"] is True
         assert len(result["stdout"].encode()) <= 100
+
+    def test_cut_counts_bytes_and_drops_a_split_character(self):
+        assert _truncate("éé", 3) == ("é", True)
+        assert _truncate("éé", 4) == ("éé", False)
+        text, cut = _truncate("aé" * 50, 50)
+        assert cut and text == "aé" * 16 + "a"
+        assert len(text.encode()) <= 50
 
     def test_cwd_is_workspace_root(self, guarded_workspace):
         result = run_allowlisted(["pwd"], guarded_workspace, ["pwd"], 5.0, 1024)
