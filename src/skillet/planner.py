@@ -1,9 +1,14 @@
 """The event-driven single-step planner loop.
 
-One wakeup = at most one model decision plus its tool effects, all persisted
-before the wakeup returns, with a follow-up enqueued while anything remains
-open. The queue is FIFO by enqueue order and never hands out two wakeups for
-the same session at once.
+One wakeup = at most one model decision plus its tool effects, with a
+follow-up enqueued while anything remains open. Each record a wakeup writes
+reaches its session's log as it happens, but the wakeup runs in a store batch
+that fsyncs the log only at its durability points: right after an accepted
+tool_call record, before the tool's effect, so an effect never comes before
+a durable call record; when a COMPLETED or FAILED log is closed; and at the
+end of the batch, before `run_wakeup` returns and so before a follow-up of
+the session can run. The queue is FIFO by enqueue order and never hands out
+two wakeups for the same session at once.
 
 One drain loop serves both drain modes, with no polling. A runner runs the
 wakeup it was given, then keeps taking wakeups until none is runnable. The
@@ -226,6 +231,10 @@ class Runtime:
         session = self.store.session(event.session_id)
         if session.status not in OPEN_STATUSES:
             return
+        with self.store.batch(session.session_id):  # leaving it syncs the log
+            self._wakeup(session, event)
+
+    def _wakeup(self, session: Session, event: WakeupEvent) -> None:
         self.store.set_status(session.session_id, SessionStatus.ACTIVE)
         self._turns[session.session_id] += 1
         followup = False
@@ -308,7 +317,7 @@ class Runtime:
                   visible: list[ActionSchema], enqueue_followup) -> None:
         call = response.tool_call
         assert call is not None
-        call_id = f"call-{session.count(EventKind.TOOL_CALL) + 1}"
+        call_id = f"call-{session.tool_calls + 1}"
         schema = next((t for t in visible if t.name == call.name), None)
 
         def refuse(output: dict) -> None:
@@ -343,6 +352,7 @@ class Runtime:
         self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
             "name": call.name, "args": pre.args, "call_id": call_id, "accepted": True,
         })
+        self.store.sync(session.session_id)  # the call is durable before its effect
         ok, output = self._execute(schema, pre.args, session)
         seq = self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
             "call_id": call_id, "name": call.name, "ok": ok, "output": output,

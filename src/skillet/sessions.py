@@ -8,23 +8,34 @@ event written: `skill_state_snapshot` and `session_status`.
 
 One fold, `apply_record`, is the only code that turns a record into session
 state: the meta record builds the `Session`, a history event is appended (a
-completion event also sets COMPLETED), a snapshot replaces that skill's
-state, and a status record sets the status. Each writer builds its record,
-writes and fsyncs it, then applies it through the fold; loading a log is the
-same fold run over its parsed records (`replay`). So the live session and a
-reload of its log agree after every write, and reloading any prefix of the
-log gives the session as it was at that point. A torn tail line is skipped
-on load, which writes nothing; anything corrupt earlier raises CorruptStore.
-A log without a `session_meta` line is moved to `<store>/quarantine/`, and
-new ids are allocated past every log file seen.
+completion event also sets COMPLETED and the session's tool-call fields are
+kept up to date), a snapshot replaces that skill's state, and a status record
+sets the status. Each writer builds its record, writes it to the log with one
+`write`, then applies it through the fold; loading a log is the same fold run
+over its parsed records (`replay`). So the live session and a reload of its
+log agree after every write, and a process that dies at any record boundary
+leaves a log whose reload gives the session as it was at that point. A torn
+tail line is skipped on load, which writes nothing; anything corrupt earlier
+raises CorruptStore. A log without a `session_meta` line is moved to
+`<store>/quarantine/`, and new ids are allocated past every log file seen.
+`create_session` writes the meta record and the task's `user_message` with
+one `write` and one fsync, then fsyncs `sessions/` so the new name is durable.
+
+Durability (with `fsync`, the default): a write fsyncs the log before it
+returns, except inside `batch(session_id)` on the thread that opened the
+batch. There the fsync is deferred to the session's next durability point:
+`sync(session_id)`, the closing of the log, or leaving the batch. The planner
+runs each wakeup in a batch and syncs before a tool's effect, so a wakeup
+costs two session-log fsyncs however many records it writes. Writes from
+other threads, such as a child's report into its parent, are not deferred.
 
 The store keeps one `O_APPEND` descriptor per session log it writes to. It
 opens it at the first write to that log, cutting a torn tail line (with a
-warning) first, so the next record starts a line of its own. It closes it
-when the session becomes COMPLETED or FAILED, and `close()` (or leaving a
-`with` block) closes every descriptor still open; a later write to a closed
-log opens it again. `set_status` writes a status record only when the status
-changes. Usage totals are rebuilt on load from one scan of
+warning) first, so the next record starts a line of its own. It syncs and
+closes it when the session becomes COMPLETED or FAILED, and `close()` (or
+leaving a `with` block) does so for every descriptor still open; a later
+write to a closed log opens it again. `set_status` writes a status record
+only when the status changes. Usage totals are rebuilt on load from one scan of
 `<store>/requests.jsonl`, the per-request log that `UsageLog` appends to; its
 torn last line is skipped there, and cut only by `UsageLog` before it
 appends.
@@ -39,6 +50,7 @@ import logging
 import os
 import re
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -118,23 +130,14 @@ class Session:
     history: list[HistoryEvent] = field(default_factory=list)
     skill_state: dict[str, dict] = field(default_factory=dict)
     usage: UsageTotals = field(default_factory=UsageTotals)
+    # kept by apply_record as events are folded in
+    tool_calls: int = 0
+    tool_call_ids: set[str] = field(default_factory=set)
+    has_completion: bool = False
 
     @property
     def next_seq(self) -> int:
         return self.history[-1].seq + 1 if self.history else 1
-
-    def tool_call_ids(self) -> set[str]:
-        return {
-            e.payload.get("call_id")
-            for e in self.history
-            if e.kind is EventKind.TOOL_CALL
-        }
-
-    def has_completion(self) -> bool:
-        return any(e.kind is EventKind.COMPLETION for e in self.history)
-
-    def count(self, kind: EventKind) -> int:
-        return sum(1 for e in self.history if e.kind is kind)
 
 
 def _canonical(record: dict) -> str:
@@ -172,7 +175,11 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
     else:
         event = HistoryEvent(seq=record["seq"], kind=EventKind(kind), payload=record["payload"])
         session.history.append(event)
-        if event.kind is EventKind.COMPLETION:
+        if event.kind is EventKind.TOOL_CALL:
+            session.tool_calls += 1
+            session.tool_call_ids.add(event.payload.get("call_id"))
+        elif event.kind is EventKind.COMPLETION:
+            session.has_completion = True
             session.status = SessionStatus.COMPLETED
     return session
 
@@ -240,8 +247,9 @@ def cut_torn_tail(path: Path) -> None:
 
 
 class SessionStore:
-    """Durable home of sessions. Per-session writes, and the opening and
-    closing of that session's log descriptor, are serialized by a lock."""
+    """Durable home of sessions. Per-session writes, syncs and batches, and
+    the opening and closing of that session's log descriptor, are
+    serialized by a lock."""
 
     def __init__(self, store_dir: str | Path, fsync: bool = True):
         self.store_dir = Path(store_dir)
@@ -252,6 +260,8 @@ class SessionStore:
         self._sessions: dict[str, Session] = {}
         self._locks: dict[str, threading.Lock] = {}
         self._logs: dict[str, io.FileIO] = {}  # open append descriptors by session id
+        self._batched: dict[str, int] = {}  # session id -> thread that holds its batch
+        self._dirty: set[str] = set()  # ids of open logs with writes not yet fsynced
         self._torn: set[str] = set()  # ids of logs loaded with a torn last line
         self._store_lock = threading.Lock()
         self._last_id = 0
@@ -300,13 +310,20 @@ class SessionStore:
             "done_when": done_when,
             "routed_skills": list(routed_skills or []),
         }
+        first = {"seq": 1, "kind": EventKind.USER_MESSAGE.value,
+                 "payload": {"text": task_text}}
         # no other thread writes to the new id: it is not registered until
-        # its meta line is written
-        self._write_record(session_id, meta)
-        session = apply_record(None, meta)
+        # its first records are written
+        self._write_records(session_id, meta, first)
+        if self.fsync:
+            fd = os.open(self.sessions_dir, os.O_RDONLY)
+            try:
+                os.fsync(fd)  # the new log's directory entry
+            finally:
+                os.close(fd)
+        session = replay([meta, first])
         with self._store_lock:
             self._sessions[session_id] = session
-        self.append_event(session_id, EventKind.USER_MESSAGE, {"text": task_text})
         return session
 
     def session(self, session_id: str) -> Session:
@@ -326,9 +343,9 @@ class SessionStore:
                 raise SessionClosed(f"session {session_id} is {session.status.value}")
             if kind is EventKind.TOOL_RESULT:
                 call_id = payload.get("call_id")
-                if call_id not in session.tool_call_ids():
+                if call_id not in session.tool_call_ids:
                     raise OrphanToolResult(f"no tool_call with call_id {call_id!r}")
-            if kind is EventKind.COMPLETION and session.has_completion():
+            if kind is EventKind.COMPLETION and session.has_completion:
                 raise SessionClosed(f"session {session_id} already has a completion event")
             seq = session.next_seq
             self._commit(session, {"seq": seq, "kind": kind.value, "payload": payload})
@@ -362,8 +379,31 @@ class SessionStore:
                 "status": status.value,
             })
 
+    def sync(self, session_id: str) -> None:
+        """Fsync every record written so far to the session's log; a failed
+        fsync raises and is not retried."""
+        with self._locks[session_id]:
+            self._sync(session_id)
+
+    @contextmanager
+    def batch(self, session_id: str):
+        """Defer the fsync of this thread's writes to the session's log until
+        `sync`, the closing of the log, or the end of the block, which syncs.
+        Every record is still written as it is made, so a crash of the
+        process loses none of them; only a power loss can lose the unsynced
+        ones. Writes from other threads fsync as they would outside a batch."""
+        lock = self._locks[session_id]
+        with lock:
+            self._batched[session_id] = threading.get_ident()
+        try:
+            yield
+        finally:
+            with lock:
+                del self._batched[session_id]
+                self._sync(session_id)
+
     def close(self) -> None:
-        """Close every session log descriptor still open."""
+        """Sync and close every session log descriptor still open."""
         for session_id in list(self._logs):
             with self._locks[session_id]:
                 self._close_log(session_id)
@@ -377,20 +417,32 @@ class SessionStore:
         """Write one record and fold it into the live session, closing the
         log once the session is COMPLETED or FAILED; the caller holds the
         session's lock."""
-        self._write_record(session.session_id, record)
+        self._write_records(session.session_id, record)
         apply_record(session, record)
         if session.status not in OPEN_STATUSES:
             self._close_log(session.session_id)
 
-    def _write_record(self, session_id: str, record: dict) -> None:
-        """Append one record and fsync it; the caller holds the session's
-        lock (or owns a session no other thread can see yet)."""
+    def _write_records(self, session_id: str, *records: dict) -> None:
+        """Append records with one `write` and fsync them, unless this thread
+        holds the session's batch: then they are left for its next
+        durability point. The caller holds the session's lock (or owns a
+        session no other thread can see yet)."""
         fh = self._logs.get(session_id) or self._open_log(session_id)
-        data = (_canonical(record) + "\n").encode("utf-8")
+        data = "".join(_canonical(record) + "\n" for record in records).encode("utf-8")
         while data:
             data = data[fh.write(data):]
-        if self.fsync:
+        if not self.fsync:
+            return
+        if self._batched.get(session_id) == threading.get_ident():
+            self._dirty.add(session_id)
+        else:
             os.fsync(fh.fileno())
+            self._dirty.discard(session_id)  # the fsync covered earlier writes too
+
+    def _sync(self, session_id: str) -> None:
+        if session_id in self._dirty:
+            self._dirty.discard(session_id)
+            os.fsync(self._logs[session_id].fileno())
 
     def _open_log(self, session_id: str) -> io.FileIO:
         path = self._log_path(session_id)
@@ -401,8 +453,13 @@ class SessionStore:
         return fh
 
     def _close_log(self, session_id: str) -> None:
-        fh = self._logs.pop(session_id, None)
-        if fh is not None:
+        fh = self._logs.get(session_id)
+        if fh is None:
+            return
+        try:
+            self._sync(session_id)
+        finally:
+            del self._logs[session_id]
             fh.close()
 
     def _load(self) -> None:

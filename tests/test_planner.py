@@ -1,16 +1,25 @@
 """Planner loop: wakeups, continuation decisions, budgets, delegation, replay."""
 
+import errno
+import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import skillet
 from skillet import DelegatedTask, EventKind, RunConfig, SessionStatus, SessionStore
 from skillet.backends import ModelResponse, ToolCallRequest, UsageRecord
 from skillet.errors import ModelBackendError, StepBudgetExhausted
 from skillet.planner import Runtime, WakeupQueue
+from skillet.sessions import read_log
 
 from conftest import (
+    BUGGY_CALC,
     REPAIR_DONE_WHEN,
     artifact_step,
     evidence_step,
@@ -199,7 +208,7 @@ class TestContinuationPaths:
         submit_repair_task(runtime, repair_workspace)
         runtime.run_until_quiescent(6)
         session = runtime.store.session("s0001")
-        assert not session.has_completion()
+        assert not session.has_completion
         assert session.status is not SessionStatus.COMPLETED
         history = session.history
         reply = next(i for i, e in enumerate(history)
@@ -285,7 +294,7 @@ class TestBudget:
             runtime.run_until_quiescent(6)
         session = runtime.store.session("s0001")
         assert session.status is SessionStatus.AWAITING_FOLLOWUP
-        assert not session.has_completion()
+        assert not session.has_completion
 
     def test_empty_queue_returns_normally(self, registry, guarded_workspace, tmp_path):
         runtime = make_runtime(registry, guarded_workspace, tmp_path / "store", [])
@@ -432,6 +441,168 @@ class TestReplayDeterminism:
             log_dir = tmp_path / f"store-{run}" / "sessions"
             logs.append({p.name: p.read_bytes() for p in sorted(log_dir.glob("*.log"))})
         assert logs[0] == logs[1]
+
+
+REPAIR_TOOLS = ["repair_collect_evidence", "repair_apply_unified_patch",
+                "repair_run_verification", "repair_write_artifact", "finish"]
+
+# runs the canonical repair task in a fresh interpreter; {crash} is the code
+# that ends it abruptly
+CRASHING_RUN = """
+import json, os, sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from conftest import make_runtime, repair_script, submit_repair_task
+from skillet import SkillRegistry, builtin_skills_dir
+registry = SkillRegistry()
+registry.load_all(builtin_skills_dir())
+runtime = make_runtime(registry, {ws!r}, {store!r}, repair_script())
+submit_repair_task(runtime, {ws!r})
+{crash}
+runtime.run_until_quiescent(20)
+"""
+
+
+def run_and_crash(tmp_path, ws, crash: str) -> str:
+    """Run the canonical repair task in a child process that must end by
+    `os._exit(3)` somewhere in `crash`; its stdout."""
+    code = CRASHING_RUN.format(src=str(Path(skillet.__file__).parents[1]),
+                               tests=str(Path(__file__).parent), ws=str(ws),
+                               store=str(tmp_path / "store"), crash=crash)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    return proc.stdout
+
+
+class TestDurabilityPoints:
+    """A wakeup fsyncs its session's log before a tool's effect and before it
+    returns (or when the log closes), not once per record."""
+
+    def test_canonical_run_makes_at_most_three_fsyncs_per_wakeup(
+            self, registry, repair_workspace, tmp_path, monkeypatch):
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store", repair_script())
+        submit_repair_task(runtime, repair_workspace)
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counted_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        per_wakeup = []
+        run_wakeup = runtime.run_wakeup
+
+        def counted_wakeup(event):
+            before = len(fsyncs)
+            run_wakeup(event)
+            per_wakeup.append(len(fsyncs) - before)
+
+        monkeypatch.setattr(os, "fsync", counted_fsync)
+        monkeypatch.setattr(runtime, "run_wakeup", counted_wakeup)
+        runtime.run_until_quiescent(20)
+        assert runtime.store.session("s0001").status is SessionStatus.COMPLETED
+        # the usage line, the sync before the tool's effect, and the sync at
+        # the end of the wakeup (the closing of the log, for the finish)
+        assert len(per_wakeup) == len(REPAIR_TOOLS)
+        assert max(per_wakeup) <= 3, per_wakeup
+
+    def test_accepted_call_is_durable_when_its_executor_starts(
+            self, registry, repair_workspace, tmp_path, monkeypatch):
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store", repair_script())
+        submit_repair_task(runtime, repair_workspace)
+        synced = {}  # (device, inode) -> file length at its last fsync
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            real_fsync(fd)
+            st = os.fstat(fd)
+            synced[st.st_dev, st.st_ino] = st.st_size
+
+        log_path = tmp_path / "store" / "sessions" / "s0001.log"
+        started = []
+        execute = runtime._execute
+
+        def checked_execute(schema, args, session):
+            data = log_path.read_bytes()
+            call = json.loads(data.splitlines()[-1])
+            assert call["kind"] == "tool_call" and call["payload"]["accepted"]
+            st = log_path.stat()
+            assert synced.get((st.st_dev, st.st_ino), 0) >= len(data)
+            started.append(schema.name)
+            return execute(schema, args, session)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(runtime, "_execute", checked_execute)
+        runtime.run_until_quiescent(20)
+        assert started == REPAIR_TOOLS
+
+    def test_crash_inside_an_executor_leaves_the_call_without_a_result(
+            self, repair_workspace, tmp_path):
+        run_and_crash(tmp_path, repair_workspace, (
+            "execute = runtime._execute\n"
+            "def crashing(schema, args, session):\n"
+            "    if schema.name == 'repair_apply_unified_patch':\n"
+            "        os._exit(3)\n"
+            "    return execute(schema, args, session)\n"
+            "runtime._execute = crashing"))
+        with SessionStore(tmp_path / "store") as store:
+            last = store.session("s0001").history[-1]
+        assert last.kind is EventKind.TOOL_CALL
+        assert last.payload["name"] == "repair_apply_unified_patch"
+        assert last.payload["accepted"] is True
+        assert (repair_workspace / "in" / "calc.py").read_text() == BUGGY_CALC
+
+    def test_crash_right_after_a_wakeup_keeps_all_its_records(self, repair_workspace,
+                                                               tmp_path):
+        out = run_and_crash(tmp_path, repair_workspace, (
+            "run_wakeup = runtime.run_wakeup\n"
+            "def crash_after_second(event):\n"
+            "    run_wakeup(event)\n"
+            "    if runtime._turns['s0001'] == 2:\n"
+            "        s = runtime.store.session('s0001')\n"
+            "        print(json.dumps([[e.seq, e.kind.value, e.payload] for e in s.history]"
+            " + [s.skill_state, s.status.value]))\n"
+            "        sys.stdout.flush()\n"
+            "        os._exit(3)\n"
+            "runtime.run_wakeup = crash_after_second"))
+        live = json.loads(out)
+        with SessionStore(tmp_path / "store") as store:
+            again = store.session("s0001")
+            assert [[e.seq, e.kind.value, e.payload] for e in again.history] \
+                + [again.skill_state, again.status.value] == live
+        assert live[-3][2]["name"] == "repair_apply_unified_patch"  # the patch's result
+
+    def test_failed_sync_before_an_effect_stops_the_run(
+            self, registry, repair_workspace, tmp_path, monkeypatch):
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store", repair_script())
+        submit_repair_task(runtime, repair_workspace)
+        log_path = tmp_path / "store" / "sessions" / "s0001.log"
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            last = json.loads(log_path.read_bytes().splitlines()[-1])
+            if (os.fstat(fd).st_ino == log_path.stat().st_ino
+                    and last["kind"] == "tool_call"
+                    and last["payload"]["name"] == "repair_apply_unified_patch"):
+                raise OSError(errno.EIO, "injected fsync failure")
+            real_fsync(fd)
+
+        started = []
+        run_wakeup = runtime.run_wakeup
+
+        def noted_wakeup(event):
+            started.append(event)
+            run_wakeup(event)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(runtime, "run_wakeup", noted_wakeup)
+        with pytest.raises(OSError, match="injected fsync failure"):
+            runtime.run_until_quiescent(20)
+        assert len(started) == 2  # evidence, then the patch whose sync failed
+        assert (repair_workspace / "in" / "calc.py").read_text() == BUGGY_CALC
+        last = read_log(tmp_path / "store", "s0001")[0].history[-1]
+        assert (last.kind, last.payload["name"]) == \
+            (EventKind.TOOL_CALL, "repair_apply_unified_patch")
 
 
 class TestHookFaultHandling:

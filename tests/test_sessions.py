@@ -3,7 +3,9 @@
 import gc
 import json
 import os
+import stat
 import tempfile
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -153,6 +155,61 @@ class TestLiveEqualsReload:
         with pytest.warns(ResourceWarning):
             del store
             gc.collect()
+
+
+class TestDurability:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        """The kind ("file" or "dir") of every fsync, in order."""
+        kinds = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            kinds.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return kinds
+
+    def test_new_log_is_synced_once_and_then_its_name(self, store, ws, fsyncs):
+        s = make_session(store, ws)
+        assert fsyncs == ["file", "dir"]
+        again = read_log(store.store_dir, s.session_id)[0]
+        assert [(e.seq, e.kind, e.payload) for e in again.history] == \
+            [(1, EventKind.USER_MESSAGE, {"text": "task"})]
+
+    def test_a_batch_defers_only_its_own_threads_fsyncs(self, store, ws, fsyncs):
+        s = make_session(store, ws)
+        del fsyncs[:]
+        note = {"note": "n"}
+        with store.batch(s.session_id):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, note)
+            store.set_status(s.session_id, SessionStatus.AWAITING_FOLLOWUP)
+            assert fsyncs == []
+            other = threading.Thread(target=store.append_event,
+                                     args=(s.session_id, EventKind.SYSTEM_NOTE, note))
+            other.start()
+            other.join(10)
+            assert not other.is_alive()
+            assert fsyncs == ["file"]  # another thread's write is durable when it returns
+            store.sync(s.session_id)
+            assert fsyncs == ["file"]  # that fsync covered this thread's writes too
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, note)
+            store.sync(s.session_id)
+            assert fsyncs == ["file"] * 2
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, note)
+        assert fsyncs == ["file"] * 3  # leaving the batch syncs
+        store.append_event(s.session_id, EventKind.SYSTEM_NOTE, note)
+        assert fsyncs == ["file"] * 4  # outside a batch every write syncs
+
+    def test_closing_a_log_in_a_batch_syncs_it(self, store, ws, fsyncs):
+        s = make_session(store, ws)
+        del fsyncs[:]
+        with store.batch(s.session_id):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"note": "n"})
+            store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
+            assert fsyncs == ["file"]
+        assert fsyncs == ["file"]
 
 
 class TestSkillState:
