@@ -18,8 +18,9 @@ set; `when.session` requires the request's session id, so one script can
 serve sessions that run at once. A step with no predicate always matches.
 The first matching step is consumed per request, picked and removed under
 one lock, so concurrent requests never share a step. Synthetic usage is
-character-count based and includes the serialized tool surface, so narrower
-tool exposure measurably shrinks requests.
+character-count based: the messages' total, which the planner carries from
+the session fold instead of counting again, plus the serialized tool
+surface, so narrower tool exposure measurably shrinks requests.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +53,9 @@ class ModelRequest:
     messages: list[tuple[str, str]]  # (role, text)
     tools: list[ActionSchema]
     session_id: str
+    # the messages' character total, when the caller keeps one (the planner
+    # carries `Session.rendered_chars`); None: count the messages
+    message_chars: int | None = None
 
 
 @dataclass
@@ -74,7 +76,10 @@ class ModelResponse:
 
 
 def _tool_surface_chars(tools: list[ActionSchema]) -> int:
-    return len(json.dumps([t.to_public_dict() for t in tools], sort_keys=True))
+    """The length of the tool surface serialized as one JSON list: each
+    schema's own length, computed once per schema, plus the brackets and a
+    ", " between items."""
+    return sum(t.public_json_chars for t in tools) + 2 * max(len(tools) - 1, 0) + 2
 
 
 class ScriptedBackend:
@@ -108,7 +113,10 @@ class ScriptedBackend:
                 tool_call = ToolCallRequest(name=raw["name"], args=raw.get("args", {}))
             self._steps.pop(index)
 
-        input_chars = sum(len(t) for _, t in request.messages) + _tool_surface_chars(request.tools)
+        message_chars = request.message_chars
+        if message_chars is None:
+            message_chars = sum(len(t) for _, t in request.messages)
+        input_chars = message_chars + _tool_surface_chars(request.tools)
         output_chars = len(text) + (len(json.dumps(respond["tool_call"], sort_keys=True))
                                     if "tool_call" in respond else 0)
         usage = UsageRecord(
@@ -154,6 +162,10 @@ class HttpBackend:
         return self.model
 
     def complete(self, request: ModelRequest) -> ModelResponse:
+        # imported here so a scripted run never loads http.client, email or ssl
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": role, "content": text} for role, text in request.messages],
@@ -261,7 +273,7 @@ class UsageLog:
     def record(self, session: Session, request: ModelRequest, response: ModelResponse) -> UsageRecord:
         usage = response.usage
         line = json.dumps({
-            "ts": time.time(),
+            "ts_us": int(time.time() * 1_000_000),  # an integer: lines keep one width
             "session_id": session.session_id,
             "provider": usage.provider,
             "response_model": usage.response_model,

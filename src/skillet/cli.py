@@ -18,7 +18,7 @@ from .errors import SkilletError, StepBudgetExhausted
 from .planner import RunSummary, Runtime
 from .registry import SkillRegistry
 from .router import DelegatedTask
-from .sessions import EventKind, SessionStore, read_log, snapshot_records
+from .sessions import EventKind, SessionStore, is_standing, read_log, snapshot_records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,9 +123,12 @@ def cmd_skills(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Print one session's history, read from `<store>/sessions/<id>.log`
     alone and folded as the store folds it, with the phase notes of its
-    snapshot records and each turn's tokens from `requests.jsonl`. Trace
-    creates, moves and truncates nothing, so it can read a running store."""
+    snapshot records and each turn's tokens from `requests.jsonl`. Standing
+    guidance that a later block of its skill superseded, and that later
+    requests no longer carried, is marked `[superseded]`. Trace creates,
+    moves and truncates nothing, so it can read a running store."""
     session, records = read_log(args.store, args.session)
+    current = {seq for block in session.standing.values() for seq in block.seqs}
     usage_lines = [line for line in UsageLog(Path(args.store) / "requests.jsonl").lines()
                    if line.get("session_id") == args.session]
     snapshots = iter(snapshot_records(records))
@@ -141,6 +144,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             turn += 1
             if usage:
                 line += f" [tokens in={usage['input_tokens']} out={usage['output_tokens']}]"
+        elif is_standing(event) and event.seq not in current:
+            line += " [superseded]"
         line += " " + _brief(event.payload)
         print(line)
         while pending is not None and pending["seq"] <= event.seq:

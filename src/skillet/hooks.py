@@ -15,8 +15,10 @@ job (`bindings.COMPLETION_GATES`), which the planner consults.
 
 A hook may write only its own skill's state, and only by returning
 `state_update`; the pipeline persists it through the store so snapshots land
-in the log in composition order. A raising hook program becomes HookFault:
-the wakeup aborts with a system_note, the session stays usable.
+in the log in composition order. An update equal to the state the hook was
+given is not written, so a step that changes no state adds no snapshot. A
+raising hook program becomes HookFault: the wakeup aborts with a
+system_note, the session stays usable.
 """
 
 from __future__ import annotations
@@ -159,7 +161,9 @@ class HookPipeline:
                 manifest.skill_id, program_id,
                 ValueError(f"decision fields {illegal} not valid at {stage}"),
             )
-        if decision.state_update is not None:
+        # a hook that hands back the state it was given writes no snapshot
+        if (decision.state_update is not None
+                and decision.state_update != session.skill_state.get(manifest.skill_id, {})):
             self.store.put_skill_state(session.session_id, manifest.skill_id, decision.state_update)
         return decision
 

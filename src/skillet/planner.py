@@ -22,7 +22,6 @@ number of sessions that can run at once.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from collections import defaultdict, deque
@@ -247,18 +246,22 @@ class Runtime:
         try:
             outcome = self.pipeline.run_before_llm(session, self._candidate_tools(session))
             for skill_id, text in outcome.injections:
+                # standing guidance: the skill's next block supersedes it
                 self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION,
-                                        {"skill_id": skill_id, "text": text})
+                                        {"skill_id": skill_id, "text": text, "standing": True})
         except HookFault as fault:
             self._note_hook_fault(session, fault)
             enqueue_followup()
             self._finalize(session, followup)
             return
 
+        with self.store.locked(session.session_id):  # the messages and their total agree
+            messages, message_chars = render_messages(session), session.rendered_chars
         request = ModelRequest(
-            messages=render_messages(session),
+            messages=messages,
             tools=outcome.visible_tools,
             session_id=session.session_id,
+            message_chars=message_chars,
         )
         try:
             response = self.backend.complete(request)
@@ -496,27 +499,7 @@ class Runtime:
 
 
 def render_messages(session: Session) -> list[tuple[str, str]]:
-    """Render the typed history to (role, text) chat messages.
-
-    Guidance injections become user messages at their seq positions; tool
-    results come back as user-role text so the rendering stays provider
-    generic; tool_call events are folded into the assistant line.
-    """
-    messages: list[tuple[str, str]] = []
-    for event in session.history:
-        payload = event.payload
-        if event.kind in (EventKind.USER_MESSAGE, EventKind.GUIDANCE_INJECTION):
-            messages.append(("user", payload["text"]))
-        elif event.kind is EventKind.ASSISTANT_MESSAGE:
-            text = payload.get("text") or ""
-            call = payload.get("tool_call")
-            if call:
-                text += f"\n[tool_call] {call['name']}({json.dumps(call['args'], sort_keys=True)})"
-            messages.append(("assistant", text.strip()))
-        elif event.kind is EventKind.TOOL_RESULT:
-            messages.append(("user", (
-                f"[tool_result {payload['name']}] ok={str(payload['ok']).lower()} "
-                f"{json.dumps(payload['output'], sort_keys=True)}"
-            )))
-        # tool_call, system_note, completion are runtime bookkeeping
-    return messages
+    """The (role, text) chat messages a request carries: a copy of the list
+    that `sessions.apply_record` renders each history event onto once, with
+    each skill's superseded standing guidance already dropped."""
+    return list(session.rendered)

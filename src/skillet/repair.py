@@ -20,11 +20,13 @@ Phase transitions (the only legal edges):
 
 The skill state lives in the session's skill-local store. The before_llm
 hook is the one place that infers the required artifacts from done_when, at
-the session's first wakeup in this process (done_when and the root never
-change); it stores them in the state, where the completion gate reads them. The
-after_llm hook forces the phase action in reproduce and verify, the
-after_tool hook only advances the state, and whether the session may
-complete is decided by the gate alone.
+the session's first wakeup (done_when and the root never change); it stores
+them in the state, where the completion gate reads them. Its workflow
+message is standing guidance: the planner marks it `"standing": true`, so
+each request carries only the latest one, as its last message. The after_llm
+hook forces the phase action in reproduce and verify, the after_tool hook
+only advances the state (a step that changes none writes no snapshot), and
+whether the session may complete is decided by the gate alone.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ class RepairState:
     verification_passed: bool = False
     failure_signature: str | None = None
     required_artifacts: list[str] | None = None  # None: not inferred yet
-    last_tool: dict | None = None  # {"name", "ok", "seq"}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RepairState":
@@ -114,7 +115,6 @@ class RepairState:
             "failure_signature": self.failure_signature,
             "required_artifacts": (None if self.required_artifacts is None
                                    else list(self.required_artifacts)),
-            "last_tool": self.last_tool,
         }
 
 
@@ -313,7 +313,6 @@ def after_tool(ctx: HookContext) -> HookDecision:
     record = ctx.payload
     name, ok, result = record["name"], record["ok"], record["result"]
     state = RepairState.from_doc(ctx.state)
-    state.last_tool = {"name": name, "ok": ok, "seq": record["seq"]}
 
     if ok and name == "repair_collect_evidence":
         signature = result.get("signature")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .errors import MalformedManifest
@@ -67,6 +68,12 @@ class ActionSchema:
             "description": self.description,
             "params": self.params.to_public_dict(),
         }
+
+    @cached_property
+    def public_json_chars(self) -> int:
+        """Length of the public dict as sorted-key JSON, computed once:
+        schemas are not changed after they are built."""
+        return len(json.dumps(self.to_public_dict(), sort_keys=True))
 
 
 @dataclass(frozen=True)

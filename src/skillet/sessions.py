@@ -21,6 +21,17 @@ raises CorruptStore. A log without a `session_meta` line is moved to
 `create_session` writes the meta record and the task's `user_message` with
 one `write` and one fsync, then fsyncs `sessions/` so the new name is durable.
 
+Rendering is part of the fold. Each history event is rendered to its chat
+message once, when it is folded in, onto `Session.rendered`, an in-memory
+list whose character total `Session.rendered_chars` is kept alongside; the
+planner sends that list as a request's messages. A guidance injection marked
+`"standing": true` is a skill's standing guidance: consecutive standing
+injections of one skill form a block (all the messages one before_llm stage
+injected for it), and the skill's next block replaces its previous one in
+the list, so a request carries only each skill's latest block. The log
+keeps every injection; unmarked injections, including every one in a log
+written before the marker existed, render like any other message and stay.
+
 Durability (with `fsync`, the default): a write fsyncs the log before it
 returns, except inside `batch(session_id)` on the thread that opened the
 batch. There the fsync is deferred to the session's next durability point:
@@ -118,6 +129,15 @@ class HistoryEvent:
 
 
 @dataclass
+class StandingBlock:
+    """Where a skill's current standing guidance sits in `Session.rendered`:
+    its first index there and the seqs of its injections."""
+
+    start: int
+    seqs: list[int]
+
+
+@dataclass
 class Session:
     session_id: str
     workspace_root: Path
@@ -134,6 +154,11 @@ class Session:
     tool_calls: int = 0
     tool_call_ids: set[str] = field(default_factory=set)
     has_completion: bool = False
+    # the chat messages the history renders to, their character total and
+    # each skill's current standing guidance block: in memory only
+    rendered: list[tuple[str, str]] = field(default_factory=list, repr=False)
+    rendered_chars: int = 0
+    standing: dict[str, StandingBlock] = field(default_factory=dict, repr=False)
 
     @property
     def next_seq(self) -> int:
@@ -152,9 +177,70 @@ def _contains(root: Path, candidate: Path) -> bool:
     return True
 
 
+def _render_event(event: HistoryEvent) -> tuple[str, str] | None:
+    """The (role, text) chat message one history event renders to, a pure
+    function of its kind and payload; None for runtime bookkeeping
+    (tool_call, system_note, completion).
+
+    User messages and guidance injections are user messages; tool results
+    come back as user-role text so the rendering stays provider generic; a
+    tool call is folded into its assistant line.
+    """
+    payload = event.payload
+    if event.kind in (EventKind.USER_MESSAGE, EventKind.GUIDANCE_INJECTION):
+        return ("user", payload["text"])
+    if event.kind is EventKind.ASSISTANT_MESSAGE:
+        text = payload.get("text") or ""
+        call = payload.get("tool_call")
+        if call:
+            text += f"\n[tool_call] {call['name']}({json.dumps(call['args'], sort_keys=True)})"
+        return ("assistant", text.strip())
+    if event.kind is EventKind.TOOL_RESULT:
+        return ("user", (
+            f"[tool_result {payload['name']}] ok={str(payload['ok']).lower()} "
+            f"{json.dumps(payload['output'], sort_keys=True)}"
+        ))
+    return None
+
+
+def is_standing(event: HistoryEvent) -> bool:
+    """Whether the event is standing guidance: a before_llm injection that
+    the skill's next block supersedes."""
+    return event.kind is EventKind.GUIDANCE_INJECTION and event.payload.get("standing") is True
+
+
+def _render(session: Session, event: HistoryEvent) -> None:
+    message = _render_event(event)
+    if message is None:
+        return
+    if is_standing(event):
+        skill_id = event.payload["skill_id"]
+        block = session.standing.get(skill_id)
+        # a block goes on while each injection directly follows the last one
+        if block is None or block.seqs[-1] != event.seq - 1:
+            if block is not None:
+                _drop(session, block)
+            block = session.standing[skill_id] = StandingBlock(len(session.rendered), [])
+        block.seqs.append(event.seq)
+    session.rendered.append(message)
+    session.rendered_chars += len(message[1])
+
+
+def _drop(session: Session, block: StandingBlock) -> None:
+    """Take a superseded block's messages out of the rendering."""
+    end = block.start + len(block.seqs)
+    session.rendered_chars -= sum(len(text) for _, text in session.rendered[block.start:end])
+    del session.rendered[block.start:end]
+    for other in session.standing.values():
+        if other.start > block.start:
+            other.start -= len(block.seqs)
+
+
 def apply_record(session: Session | None, record: dict) -> Session | None:
-    """Fold one log record into session state; no other code does. Returns
-    the session, or None for a first record that is not a `session_meta`."""
+    """Fold one log record into session state; no other code does. A history
+    event is also rendered here, once, onto `Session.rendered`, where a
+    skill's new standing block replaces its previous one. Returns the
+    session, or None for a first record that is not a `session_meta`."""
     kind = record.get("kind")
     if session is None:
         if kind != _META_KIND:
@@ -175,6 +261,7 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
     else:
         event = HistoryEvent(seq=record["seq"], kind=EventKind(kind), payload=record["payload"])
         session.history.append(event)
+        _render(session, event)
         if event.kind is EventKind.TOOL_CALL:
             session.tool_calls += 1
             session.tool_call_ids.add(event.payload.get("call_id"))
@@ -378,6 +465,15 @@ class SessionStore:
                 "kind": _STATUS_KIND,
                 "status": status.value,
             })
+
+    @contextmanager
+    def locked(self, session_id: str):
+        """Hold the session's lock, so no record is written to its log or
+        folded into it meanwhile: state read together inside the block is
+        consistent even while another thread writes, as a child does when it
+        reports to its parent."""
+        with self._locks[session_id]:
+            yield
 
     def sync(self, session_id: str) -> None:
         """Fsync every record written so far to the session's log; a failed

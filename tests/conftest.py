@@ -171,6 +171,24 @@ def repair_script():
     ]
 
 
+def delegation_script():
+    """A coordinator that delegates the canonical repair to a child session
+    and finishes once the child's report arrives."""
+    return [
+        {"when": {"tool_visible": "delegate_subtask"},
+         "respond": {"tool_call": {"name": "delegate_subtask", "args": {
+             "task_text": "fix the failing repair bug test",
+             "task_type": "code_repair",
+             "subdir": ".",
+             "done_when": REPAIR_DONE_WHEN,
+         }}}},
+        *repair_script(),
+        {"when": {"phase_contains": "child_report"},
+         "respond": {"tool_call": {"name": "finish",
+                                   "args": {"report_text": "child done, wrapping up"}}}},
+    ]
+
+
 REPAIR_TASK_TEXT = "Fix the failing calculator test; the repair bug is in in/calc.py"
 REPAIR_DONE_WHEN = "the test passes and the summary is written to `out/report.md`"
 

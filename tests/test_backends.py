@@ -1,16 +1,26 @@
 """Scripted and HTTP backends plus the usage log."""
 
+import itertools
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
-from skillet import ScriptedBackend, UsageLog
-from skillet.backends import HttpBackend, ModelRequest, ModelResponse, UsageRecord
+import skillet
+from skillet import ScriptedBackend, UsageLog, backends
+from skillet.backends import (
+    HttpBackend,
+    ModelRequest,
+    ModelResponse,
+    UsageRecord,
+    _tool_surface_chars,
+)
 from skillet.errors import (
     LogWriteError,
     ModelBackendError,
@@ -18,6 +28,7 @@ from skillet.errors import (
     ScriptToolNotVisible,
 )
 from skillet.schema import ActionSchema, ParamSpec, object_spec
+from skillet.workspace import orchestration_schemas
 
 from conftest import open_store
 
@@ -140,6 +151,47 @@ class TestScripted:
             sys.setswitchinterval(interval)
         texts = [text for mine in handed_out for text in mine]
         assert sorted(texts) == sorted(f"step {i}" for i in range(400))
+
+
+    def test_carried_message_chars_replace_the_count(self):
+        backend = ScriptedBackend([{"respond": {"text": "a"}}, {"respond": {"text": "b"}}])
+        counted = backend.complete(request(messages=[("user", "hello")]))
+        carried = request(messages=[("user", "hello")])
+        carried.message_chars = 105
+        assert (backend.complete(carried).usage.input_tokens
+                == counted.usage.input_tokens + 100)
+
+    def test_tool_surface_chars_equal_the_serialized_surface(self, shared_registry):
+        tools = orchestration_schemas() + shared_registry.lookup("repair").tools
+
+        def serialized(surface):
+            return len(json.dumps([t.to_public_dict() for t in surface], sort_keys=True))
+
+        # every prefix of every rotation of the builtin tools, both ways round,
+        # and every ordered choice of up to three of them
+        orders = [tools[i:] + tools[:i] for i in range(len(tools))]
+        orders += [order[::-1] for order in orders]
+        surfaces = [order[:n] for order in orders for n in range(len(tools) + 1)]
+        surfaces += [list(p) for r in range(4) for p in itertools.permutations(tools, r)]
+        for surface in surfaces:
+            assert _tool_surface_chars(surface) == serialized(surface)
+
+
+class TestImports:
+    def test_a_scripted_run_never_loads_the_http_stack(self):
+        code = (
+            "import sys\n"
+            "import skillet.cli\n"
+            "print(sorted(m for m in ('urllib.request', 'urllib.error', 'http.client',\n"
+            "                         'email', 'ssl') if m in sys.modules))\n"
+        )
+        src = str(Path(skillet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -359,12 +411,26 @@ class TestUsageLog:
             log.record(session, req, backend.complete(req))
         lines = log.lines()
         assert len(lines) == 2
-        expected_keys = {"ts", "session_id", "provider", "response_model",
+        expected_keys = {"ts_us", "session_id", "provider", "response_model",
                          "input_tokens", "output_tokens", "cache_tokens",
                          "total_tokens", "assistant_text", "tool_call"}
         assert set(lines[0]) == expected_keys
+        assert isinstance(lines[0]["ts_us"], int)
         assert session.usage.request_count == 2
         assert session.usage.total_tokens == sum(l["total_tokens"] for l in lines)
+
+    def test_lines_keep_one_width_whatever_the_clock(self, tmp_path, monkeypatch):
+        session = self.make_session(tmp_path)
+        log = UsageLog(tmp_path / "requests.jsonl")
+        clocks = iter([1760000000.5, 1760000000.123456])  # reprs of 12 and 17 chars
+        monkeypatch.setattr(backends.time, "time", lambda: next(clocks))
+        response = ModelResponse(text="same", usage=UsageRecord("p", "m", 1, 1, 0, 2))
+        for _ in range(2):
+            log.record(session, request(session_id=session.session_id), response)
+        first, second = (tmp_path / "requests.jsonl").read_bytes().splitlines()
+        assert first != second
+        assert len(first) == len(second)
+        assert [line["ts_us"] for line in log.lines()] == [1760000000500000, 1760000000123456]
 
     def test_zero_requests_zero_totals(self, tmp_path):
         session = self.make_session(tmp_path)

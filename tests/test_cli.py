@@ -106,6 +106,20 @@ class TestTrace:
         assert "[tokens in=" in out
         assert "completion" in out
 
+    def test_trace_marks_superseded_guidance(self, repair_workspace, tmp_path,
+                                             script_file, config_file, capsys):
+        main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        capsys.readouterr()
+        code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
+        out = capsys.readouterr().out
+        assert code == 0
+        guidance = [line for line in out.splitlines() if "guidance_injection" in line]
+        assert len(guidance) == 5  # one workflow block per wakeup
+        # every block but the last was superseded by the next wakeup's
+        assert ["[superseded]" in line for line in guidance] == [True] * 4 + [False]
+        assert "phase: report" in guidance[-1]
+        assert out.count("[superseded]") == 4
+
     def test_torn_usage_log_tail_is_skipped_and_left_alone(
             self, repair_workspace, tmp_path, script_file, config_file, capsys):
         main(run_args(repair_workspace, tmp_path, script_file, config_file))

@@ -14,6 +14,7 @@ from skillet.bindings import HOOK_PROGRAMS
 from skillet.errors import HookFault
 from skillet.hooks import ContinuationKind, HookDecision, HookPipeline, Reject
 from skillet.schema import ActionSchema, object_spec
+from skillet.sessions import read_log, snapshot_records
 
 # behavior the synthetic programs execute, set per test
 BEHAVIOR: dict[str, object] = {}
@@ -214,6 +215,22 @@ class TestAfterTool:
         pipeline.run_after_tool(session, dict(self.RECORD))
         assert store.get_skill_state(session.session_id, "alpha") == {"k": "a"}
         assert store.get_skill_state(session.session_id, "beta") == {"k": "b"}
+
+    def test_unchanged_state_writes_no_snapshot(self, rig):
+        pipeline, store, session = rig
+        store.put_skill_state(session.session_id, "alpha", {"k": 1})
+        store.put_skill_state(session.session_id, "beta", {"k": 1})
+
+        def changed_in_place(ctx):
+            ctx.state["k"] = 2  # the hook's copy, not the stored state
+            return HookDecision(state_update=ctx.state)
+
+        BEHAVIOR["t.alpha_after_tool"] = lambda ctx: HookDecision(state_update=dict(ctx.state))
+        BEHAVIOR["t.beta_after_tool"] = changed_in_place
+        pipeline.run_after_tool(session, dict(self.RECORD))
+        snapshots = snapshot_records(read_log(store.store_dir, session.session_id)[1])
+        assert [(r["skill_id"], r["state"]) for r in snapshots] == [
+            ("alpha", {"k": 1}), ("beta", {"k": 1}), ("beta", {"k": 2})]
 
 
 class TestFaultsAndOrdering:

@@ -20,8 +20,8 @@ from skillet.sessions import read_log
 
 from conftest import (
     BUGGY_CALC,
-    REPAIR_DONE_WHEN,
     artifact_step,
+    delegation_script,
     evidence_step,
     finish_step,
     make_runtime,
@@ -303,25 +303,10 @@ class TestBudget:
 
 
 class TestDelegation:
-    def delegation_script(self):
-        return [
-            {"when": {"tool_visible": "delegate_subtask"},
-             "respond": {"tool_call": {"name": "delegate_subtask", "args": {
-                 "task_text": "fix the failing repair bug test",
-                 "task_type": "code_repair",
-                 "subdir": ".",
-                 "done_when": REPAIR_DONE_WHEN,
-             }}}},
-            *repair_script(),
-            {"when": {"phase_contains": "child_report"},
-             "respond": {"tool_call": {"name": "finish",
-                                       "args": {"report_text": "child done, wrapping up"}}}},
-        ]
-
     def test_parent_waits_then_receives_child_report(self, registry, repair_workspace,
                                                      tmp_path):
         runtime = make_runtime(registry, repair_workspace, tmp_path / "store",
-                               self.delegation_script(), allowlist=("python3",))
+                               delegation_script(), allowlist=("python3",))
         runtime.submit_task(DelegatedTask(
             "coordinate the work", "coordination", repair_workspace, "child reports back"))
         runtime.run_until_quiescent(25)
@@ -355,7 +340,7 @@ class TestDelegation:
             store_dir = tmp_path / f"store-{single_worker}"
             config = RunConfig.from_dict({"planner": {"single_worker": single_worker}})
             runtime = make_runtime(registry, repair_workspace, store_dir,
-                                   self.delegation_script(), config=config)
+                                   delegation_script(), config=config)
             runtime.submit_task(DelegatedTask(
                 "coordinate the work", "coordination", repair_workspace,
                 "child reports back"))
@@ -369,7 +354,7 @@ class TestDelegation:
     def test_child_tool_surface_is_orchestration_plus_routed(self, registry,
                                                              repair_workspace, tmp_path):
         runtime = make_runtime(registry, repair_workspace, tmp_path / "store",
-                               self.delegation_script(), allowlist=("python3",))
+                               delegation_script(), allowlist=("python3",))
         runtime.submit_task(DelegatedTask(
             "coordinate", "coordination", repair_workspace, "child reports back"))
         runtime.run_until_quiescent(25)

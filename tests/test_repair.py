@@ -472,7 +472,6 @@ class TestTransitions:
                                       {"signature": "AssertionError: want N"})
         assert state.phase == PATCH
         assert state.failure_signature == "AssertionError: want N"
-        assert state.last_tool == {"name": "repair_collect_evidence", "ok": True, "seq": 7}
 
     def test_evidence_in_diagnose_keeps_phase(self, rig):
         state = self.drive_after_tool(rig, DIAGNOSE, "repair_collect_evidence", True,
