@@ -18,9 +18,8 @@ set; `when.session` requires the request's session id, so one script can
 serve sessions that run at once. A step with no predicate always matches.
 The first matching step is consumed per request, picked and removed under
 one lock, so concurrent requests never share a step. Synthetic usage is
-character-count based: the messages' total, which the planner carries from
-the session fold instead of counting again, plus the serialized tool
-surface, so narrower tool exposure measurably shrinks requests.
+character-count based and includes the serialized tool surface, so narrower
+tool exposure measurably shrinks requests.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class ModelRequest:
     messages: list[tuple[str, str]]  # (role, text)
     tools: list[ActionSchema]
     session_id: str
-    # the messages' character total, when the caller keeps one (the planner
-    # carries `Session.rendered_chars`); None: count the messages
-    message_chars: int | None = None
 
 
 @dataclass
@@ -113,10 +109,7 @@ class ScriptedBackend:
                 tool_call = ToolCallRequest(name=raw["name"], args=raw.get("args", {}))
             self._steps.pop(index)
 
-        message_chars = request.message_chars
-        if message_chars is None:
-            message_chars = sum(len(t) for _, t in request.messages)
-        input_chars = message_chars + _tool_surface_chars(request.tools)
+        input_chars = sum(len(t) for _, t in request.messages) + _tool_surface_chars(request.tools)
         output_chars = len(text) + (len(json.dumps(respond["tool_call"], sort_keys=True))
                                     if "tool_call" in respond else 0)
         usage = UsageRecord(

@@ -245,23 +245,24 @@ class Runtime:
 
         try:
             outcome = self.pipeline.run_before_llm(session, self._candidate_tools(session))
+            # standing guidance, under this stage's block id: the session's
+            # next seq, which no earlier block's id can equal, so the skill's
+            # next block, under a later id, supersedes all of this one
+            block_id = session.next_seq
             for skill_id, text in outcome.injections:
-                # standing guidance: the skill's next block supersedes it
                 self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION,
-                                        {"skill_id": skill_id, "text": text, "standing": True})
+                                        {"skill_id": skill_id, "text": text,
+                                         "standing": block_id})
         except HookFault as fault:
             self._note_hook_fault(session, fault)
             enqueue_followup()
             self._finalize(session, followup)
             return
 
-        with self.store.locked(session.session_id):  # the messages and their total agree
-            messages, message_chars = render_messages(session), session.rendered_chars
         request = ModelRequest(
-            messages=messages,
+            messages=render_messages(session),
             tools=outcome.visible_tools,
             session_id=session.session_id,
-            message_chars=message_chars,
         )
         try:
             response = self.backend.complete(request)
@@ -499,7 +500,7 @@ class Runtime:
 
 
 def render_messages(session: Session) -> list[tuple[str, str]]:
-    """The (role, text) chat messages a request carries: a copy of the list
-    that `sessions.apply_record` renders each history event onto once, with
-    each skill's superseded standing guidance already dropped."""
-    return list(session.rendered)
+    """The (role, text) chat messages a request carries: the list that
+    `sessions.apply_record` renders each history event onto once, without
+    the places of each skill's superseded standing guidance."""
+    return list(filter(None, session.rendered))

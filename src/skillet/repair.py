@@ -22,11 +22,12 @@ The skill state lives in the session's skill-local store. The before_llm
 hook is the one place that infers the required artifacts from done_when, at
 the session's first wakeup (done_when and the root never change); it stores
 them in the state, where the completion gate reads them. Its workflow
-message is standing guidance: the planner marks it `"standing": true`, so
-each request carries only the latest one, as its last message. The after_llm
-hook forces the phase action in reproduce and verify, the after_tool hook
-only advances the state (a step that changes none writes no snapshot), and
-whether the session may complete is decided by the gate alone.
+message is standing guidance: the planner marks it with its stage's
+`standing` block id, so each request carries only the latest one, as its
+last message. The after_llm hook forces the phase action in reproduce and
+verify, the after_tool hook only advances the state (a step that changes
+none writes no snapshot), and whether the session may complete is decided
+by the gate alone.
 """
 
 from __future__ import annotations

@@ -23,14 +23,14 @@ one `write` and one fsync, then fsyncs `sessions/` so the new name is durable.
 
 Rendering is part of the fold. Each history event is rendered to its chat
 message once, when it is folded in, onto `Session.rendered`, an in-memory
-list whose character total `Session.rendered_chars` is kept alongside; the
-planner sends that list as a request's messages. A guidance injection marked
-`"standing": true` is a skill's standing guidance: consecutive standing
-injections of one skill form a block (all the messages one before_llm stage
-injected for it), and the skill's next block replaces its previous one in
-the list, so a request carries only each skill's latest block. The log
-keeps every injection; unmarked injections, including every one in a log
-written before the marker existed, render like any other message and stay.
+list that the planner sends as a request's messages. A guidance injection
+whose payload has a `standing` block id is a skill's standing guidance: a
+block is every injection one before_llm stage wrote for the skill, all
+carrying that stage's id, and the skill's next block replaces its previous
+one in the list (the superseded messages become None there), so a request
+carries only each skill's latest block. The log keeps every injection;
+unmarked injections, including every one in a log written before the marker
+existed, render like any other message and stay.
 
 Durability (with `fsync`, the default): a write fsyncs the log before it
 returns, except inside `batch(session_id)` on the thread that opened the
@@ -130,11 +130,12 @@ class HistoryEvent:
 
 @dataclass
 class StandingBlock:
-    """Where a skill's current standing guidance sits in `Session.rendered`:
-    its first index there and the seqs of its injections."""
+    """A skill's current standing guidance: the block id its stage wrote,
+    and the seqs of its injections and their indices in `Session.rendered`."""
 
-    start: int
-    seqs: list[int]
+    block_id: int
+    seqs: list[int] = field(default_factory=list)
+    indices: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -154,10 +155,9 @@ class Session:
     tool_calls: int = 0
     tool_call_ids: set[str] = field(default_factory=set)
     has_completion: bool = False
-    # the chat messages the history renders to, their character total and
+    # the chat messages the history renders to (None where superseded) and
     # each skill's current standing guidance block: in memory only
-    rendered: list[tuple[str, str]] = field(default_factory=list, repr=False)
-    rendered_chars: int = 0
+    rendered: list[tuple[str, str] | None] = field(default_factory=list, repr=False)
     standing: dict[str, StandingBlock] = field(default_factory=dict, repr=False)
 
     @property
@@ -206,7 +206,8 @@ def _render_event(event: HistoryEvent) -> tuple[str, str] | None:
 def is_standing(event: HistoryEvent) -> bool:
     """Whether the event is standing guidance: a before_llm injection that
     the skill's next block supersedes."""
-    return event.kind is EventKind.GUIDANCE_INJECTION and event.payload.get("standing") is True
+    return (event.kind is EventKind.GUIDANCE_INJECTION
+            and event.payload.get("standing") is not None)
 
 
 def _render(session: Session, event: HistoryEvent) -> None:
@@ -214,26 +215,16 @@ def _render(session: Session, event: HistoryEvent) -> None:
     if message is None:
         return
     if is_standing(event):
-        skill_id = event.payload["skill_id"]
+        skill_id, block_id = event.payload["skill_id"], event.payload["standing"]
         block = session.standing.get(skill_id)
-        # a block goes on while each injection directly follows the last one
-        if block is None or block.seqs[-1] != event.seq - 1:
+        if block is None or block.block_id != block_id:
             if block is not None:
-                _drop(session, block)
-            block = session.standing[skill_id] = StandingBlock(len(session.rendered), [])
+                for index in block.indices:  # superseded
+                    session.rendered[index] = None
+            block = session.standing[skill_id] = StandingBlock(block_id)
         block.seqs.append(event.seq)
+        block.indices.append(len(session.rendered))
     session.rendered.append(message)
-    session.rendered_chars += len(message[1])
-
-
-def _drop(session: Session, block: StandingBlock) -> None:
-    """Take a superseded block's messages out of the rendering."""
-    end = block.start + len(block.seqs)
-    session.rendered_chars -= sum(len(text) for _, text in session.rendered[block.start:end])
-    del session.rendered[block.start:end]
-    for other in session.standing.values():
-        if other.start > block.start:
-            other.start -= len(block.seqs)
 
 
 def apply_record(session: Session | None, record: dict) -> Session | None:
@@ -465,15 +456,6 @@ class SessionStore:
                 "kind": _STATUS_KIND,
                 "status": status.value,
             })
-
-    @contextmanager
-    def locked(self, session_id: str):
-        """Hold the session's lock, so no record is written to its log or
-        folded into it meanwhile: state read together inside the block is
-        consistent even while another thread writes, as a child does when it
-        reports to its parent."""
-        with self._locks[session_id]:
-            yield
 
     def sync(self, session_id: str) -> None:
         """Fsync every record written so far to the session's log; a failed

@@ -152,15 +152,6 @@ class TestScripted:
         texts = [text for mine in handed_out for text in mine]
         assert sorted(texts) == sorted(f"step {i}" for i in range(400))
 
-
-    def test_carried_message_chars_replace_the_count(self):
-        backend = ScriptedBackend([{"respond": {"text": "a"}}, {"respond": {"text": "b"}}])
-        counted = backend.complete(request(messages=[("user", "hello")]))
-        carried = request(messages=[("user", "hello")])
-        carried.message_chars = 105
-        assert (backend.complete(carried).usage.input_tokens
-                == counted.usage.input_tokens + 100)
-
     def test_tool_surface_chars_equal_the_serialized_surface(self, shared_registry):
         tools = orchestration_schemas() + shared_registry.lookup("repair").tools
 

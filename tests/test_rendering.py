@@ -2,9 +2,6 @@
 request carries only each skill's latest standing guidance block."""
 
 import json
-import sys
-import threading
-import time
 
 import pytest
 
@@ -49,23 +46,21 @@ def legacy_render(history):
 
 def standing(event):
     return (event.kind is EventKind.GUIDANCE_INJECTION
-            and event.payload.get("standing") is True)
+            and event.payload.get("standing") is not None)
 
 
 def latest_blocks(history):
-    """skill id -> the seqs of its last run of consecutive standing
-    injections."""
-    latest, previous = {}, None
+    """skill id -> the seqs of the standing injections under its last block
+    id."""
+    latest = {}
     for event in history:
         if standing(event):
-            skill_id = event.payload["skill_id"]
-            if (previous is not None and standing(previous)
-                    and previous.payload["skill_id"] == skill_id):
-                latest[skill_id].append(event.seq)
+            skill_id, block_id = event.payload["skill_id"], event.payload["standing"]
+            if skill_id in latest and latest[skill_id][0] == block_id:
+                latest[skill_id][1].append(event.seq)
             else:
-                latest[skill_id] = [event.seq]
-        previous = event
-    return latest
+                latest[skill_id] = (block_id, [event.seq])
+    return {skill_id: seqs for skill_id, (_, seqs) in latest.items()}
 
 
 def full_render(history):
@@ -108,8 +103,7 @@ def run_canonical(registry, workspace, store_dir, delegated, single_worker, scri
 
 
 def assert_fold_matches_full_render(session):
-    assert session.rendered == full_render(session.history)
-    assert session.rendered_chars == sum(len(text) for _, text in session.rendered)
+    assert render_messages(session) == full_render(session.history)
 
 
 @pytest.mark.parametrize("single_worker", [True, False], ids=["single", "threaded"])
@@ -123,7 +117,6 @@ class TestCanonicalRuns:
         assert len(requests) >= 5
         for request, history in requests:
             assert request.messages == full_render(history)
-            assert request.message_chars == sum(len(text) for _, text in request.messages)
             routed = runtime.store.session(request.session_id).routed_skills
             blocks = latest_blocks(history)
             assert sorted(blocks) == sorted(routed)
@@ -148,7 +141,7 @@ class TestCanonicalRuns:
                 session = apply_record(session, record)
                 assert_fold_matches_full_render(session)
                 superseded = max(superseded, len(legacy_render(session.history))
-                                 - len(session.rendered))
+                                 - len(render_messages(session)))
             assert session.rendered == live.rendered
             if live.routed_skills:
                 assert superseded > 0  # the run did supersede guidance
@@ -156,7 +149,6 @@ class TestCanonicalRuns:
             for live in runtime.store.sessions():
                 again = reopened.session(live.session_id)
                 assert again.rendered == live.rendered
-                assert again.rendered_chars == live.rendered_chars
                 assert render_messages(again) == render_messages(live)
 
 
@@ -197,87 +189,121 @@ def test_a_log_without_the_marker_renders_as_before(registry, repair_workspace, 
             record.get("payload", {}).pop("standing", None)
             session = apply_record(session, record)
             assert session.rendered == legacy_render(session.history)
-            assert session.rendered_chars == sum(len(t) for _, t in session.rendered)
         if live.routed_skills:
-            assert len(session.rendered) > len(live.rendered)
+            assert len(session.rendered) > len(render_messages(live))
+
+
+def meta_record(tmp_path, routed):
+    return {"seq": 0, "kind": "session_meta", "session_id": "s0001", "parent_id": None,
+            "workspace_root": str(tmp_path), "task_text": "t", "task_type": "",
+            "done_when": "", "routed_skills": routed}
+
+
+def event_record(seq, kind, **payload):
+    return {"seq": seq, "kind": kind.value, "payload": payload}
+
+
+def guidance(seq, skill_id, text, block_id=None):
+    return event_record(seq, EventKind.GUIDANCE_INJECTION, skill_id=skill_id, text=text,
+                        **({"standing": block_id} if block_id is not None else {}))
+
+
+def reply(seq, text):
+    return event_record(seq, EventKind.ASSISTANT_MESSAGE, text=text, tool_call=None)
+
+
+def fold_texts(records):
+    """The texts a request carries after each record is folded, by seq of
+    the record; the fold is checked against a full render throughout."""
+    session, texts = None, {}
+    for record in records:
+        session = apply_record(session, record)
+        assert_fold_matches_full_render(session)
+        texts[record["seq"]] = [t for _, t in render_messages(session)]
+    return session, texts
 
 
 def test_blocks_of_several_skills_and_messages(tmp_path):
     """A block is every message one stage injected for a skill; the next
     block of that skill replaces it wherever it sits, and other skills'
     blocks keep their places."""
-    def event(seq, kind, **payload):
-        return {"seq": seq, "kind": kind.value, "payload": payload}
-
-    def guidance(seq, skill_id, text, marked=True):
-        return event(seq, EventKind.GUIDANCE_INJECTION, skill_id=skill_id, text=text,
-                     **({"standing": True} if marked else {}))
-
-    def reply(seq, text):
-        return event(seq, EventKind.ASSISTANT_MESSAGE, text=text, tool_call=None)
-
-    records = [
-        {"seq": 0, "kind": "session_meta", "session_id": "s0001", "parent_id": None,
-         "workspace_root": str(tmp_path), "task_text": "t", "task_type": "",
-         "done_when": "", "routed_skills": ["a", "b"]},
-        event(1, EventKind.USER_MESSAGE, text="task"),
-        guidance(2, "a", "a1"), guidance(3, "a", "a2"), guidance(4, "b", "b1"),
+    session, texts = fold_texts([
+        meta_record(tmp_path, ["a", "b"]),
+        event_record(1, EventKind.USER_MESSAGE, text="task"),
+        guidance(2, "a", "a1", 2), guidance(3, "a", "a2", 2), guidance(4, "b", "b1", 2),
         reply(5, "r1"),
-        guidance(6, "runtime", "forced", marked=False),
-        guidance(7, "a", "a3"),
+        guidance(6, "runtime", "forced"),
+        guidance(7, "a", "a3", 7),
         reply(8, "r2"),
-        guidance(9, "b", "b2"), guidance(10, "b", "b3"),
+        guidance(9, "b", "b2", 9), guidance(10, "b", "b3", 9),
         reply(11, "r3"),
-        guidance(12, "a", "a4"), guidance(13, "b", "b4"),
-    ]
-    expected_after = {
-        4: ["task", "a1", "a2", "b1"],
-        7: ["task", "b1", "r1", "forced", "a3"],
-        10: ["task", "r1", "forced", "a3", "r2", "b2", "b3"],
-        13: ["task", "r1", "forced", "r2", "r3", "a4", "b4"],
-    }
-    session = None
-    for record in records:
-        session = apply_record(session, record)
-        assert_fold_matches_full_render(session)
-        if record["seq"] in expected_after:
-            assert [t for _, t in session.rendered] == expected_after[record["seq"]]
-    assert {k: (b.start, b.seqs) for k, b in session.standing.items()} == {
-        "a": (5, [12]), "b": (6, [13])}
+        guidance(12, "a", "a4", 12), guidance(13, "b", "b4", 12),
+    ])
+    assert texts[4] == ["task", "a1", "a2", "b1"]
+    assert texts[7] == ["task", "b1", "r1", "forced", "a3"]
+    assert texts[10] == ["task", "r1", "forced", "a3", "r2", "b2", "b3"]
+    assert texts[13] == ["task", "r1", "forced", "r2", "r3", "a4", "b4"]
+    assert {k: (b.block_id, b.seqs) for k, b in session.standing.items()} == {
+        "a": (12, [12]), "b": (12, [13])}
 
 
-def test_messages_and_total_read_under_the_lock_agree(tmp_path):
-    """A child's report is folded into its parent from the child's thread; a
-    read of the rendering and its total inside `locked` never sees half of
-    that write."""
-    ws = tmp_path / "ws"
-    ws.mkdir()
-    with SessionStore(tmp_path / "store", fsync=False) as store:
-        session = store.create_session("task", "misc", ws, "")
-        stop = threading.Event()
+def test_a_block_is_its_stage_not_a_run_of_adjacent_seqs(tmp_path):
+    """Two stages whose injections sit at adjacent seqs, with only a status
+    record between, are two blocks; one stage's injections with another
+    thread's record between them are one block."""
+    _, texts = fold_texts([
+        meta_record(tmp_path, ["a"]),
+        event_record(1, EventKind.USER_MESSAGE, text="task"),
+        guidance(2, "a", "a1", 2),
+        {"seq": 2, "kind": "session_status", "status": "awaiting_followup"},
+        {"seq": 2, "kind": "session_status", "status": "active"},
+        guidance(3, "a", "a2", 3),
+        guidance(4, "a", "a3", 4),
+        event_record(5, EventKind.USER_MESSAGE, text="[child_report s0002] done"),
+        guidance(6, "a", "a4", 4),
+        reply(7, "r1"),
+        guidance(8, "a", "a5", 8),
+    ])
+    assert texts[2] == ["task", "a1"]
+    assert texts[3] == ["task", "a2"]
+    assert texts[6] == ["task", "a3", "[child_report s0002] done", "a4"]
+    assert texts[8] == ["task", "[child_report s0002] done", "r1", "a5"]
 
-        def report():
-            i = 0
-            while not stop.is_set():
-                i += 1
-                store.append_event(session.session_id, EventKind.USER_MESSAGE,
-                                   {"text": "r" * (i % 7 + 1)})
 
-        mismatches = 0
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        writer = threading.Thread(target=report)
-        writer.start()
-        try:
-            deadline = time.monotonic() + 1.0
-            while time.monotonic() < deadline:
-                with store.locked(session.session_id):
-                    messages, total = render_messages(session), session.rendered_chars
-                mismatches += total != sum(len(text) for _, text in messages)
-        finally:
-            stop.set()
-            writer.join(10)
-            sys.setswitchinterval(interval)
-        assert not writer.is_alive()
-        assert len(session.history) > 100
-        assert mismatches == 0
+def workflow_messages(request):
+    return sum(text.startswith("[repair workflow]") for _, text in request.messages)
+
+
+class CrashingBackend(ScriptedBackend):
+    """Ends the run at its first request, as if the process died right after
+    the wakeup's guidance was written."""
+
+    def complete(self, request):
+        raise SystemExit("died mid-wakeup")
+
+
+def test_a_resumed_wakeup_supersedes_the_guidance_written_before_a_crash(
+        registry, repair_workspace, tmp_path):
+    store_dir = tmp_path / "store"
+    runtime = make_runtime(registry, repair_workspace, store_dir, [])
+    runtime.backend = CrashingBackend([])
+    submit_repair_task(runtime, repair_workspace)
+    with pytest.raises(SystemExit):
+        runtime.run_until_quiescent(5)
+    runtime.store.close()
+
+    resumed = make_runtime(registry, repair_workspace, store_dir, [])
+    resumed.backend = RecordingBackend(repair_script(), resumed.store)
+    resumed.queue.enqueue("s0001", "resume")
+    resumed.run_until_quiescent(20)
+    session = resumed.store.session("s0001")
+    assert session.status is SessionStatus.COMPLETED
+    first_request, history = resumed.backend.seen[0]
+    injections = [e for e in history if standing(e)]
+    assert [e.seq for e in injections] == [2, 3]  # adjacent: nothing between them
+    assert workflow_messages(first_request) == 1
+    assert first_request.messages[-1][1] == injections[-1].payload["text"]
+    for request, history in resumed.backend.seen:
+        assert request.messages == full_render(history)
+        assert workflow_messages(request) == 1
+
