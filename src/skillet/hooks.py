@@ -24,7 +24,7 @@ system_note, the session stays usable.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -75,6 +75,9 @@ class HookDecision:
     state_update: dict | None = None
     rewrite_args: dict | None = None
 
+
+# a decision field counts as used when it differs from its declared default
+_FIELD_DEFAULTS = {f.name: getattr(HookDecision(), f.name) for f in fields(HookDecision)}
 
 _STAGE_FIELDS = {
     BEFORE_LLM: {"tool_filter", "injected_messages", "state_update"},
@@ -155,7 +158,9 @@ class HookPipeline:
             raise HookFault(manifest.skill_id, program_id, exc) from exc
         if decision is None:
             decision = HookDecision()
-        illegal = self._illegal_fields(decision, stage)
+        illegal = sorted(name for name, default in _FIELD_DEFAULTS.items()
+                         if name not in _STAGE_FIELDS[stage]
+                         and getattr(decision, name) != default)
         if illegal:
             raise HookFault(
                 manifest.skill_id, program_id,
@@ -166,25 +171,6 @@ class HookPipeline:
                 and decision.state_update != session.skill_state.get(manifest.skill_id, {})):
             self.store.put_skill_state(session.session_id, manifest.skill_id, decision.state_update)
         return decision
-
-    @staticmethod
-    def _illegal_fields(decision: HookDecision, stage: str) -> list[str]:
-        used = set()
-        if decision.tool_filter is not None:
-            used.add("tool_filter")
-        if decision.injected_messages:
-            used.add("injected_messages")
-        if decision.reject is not None:
-            used.add("reject")
-        if decision.force_action is not None:
-            used.add("force_action")
-        if decision.schedule_followup:
-            used.add("schedule_followup")
-        if decision.state_update is not None:
-            used.add("state_update")
-        if decision.rewrite_args is not None:
-            used.add("rewrite_args")
-        return sorted(used - _STAGE_FIELDS[stage])
 
     # -- the four boundaries -------------------------------------------------
 

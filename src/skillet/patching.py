@@ -1,9 +1,14 @@
-"""Unified-diff parsing and strict, all-or-nothing application.
+r"""Unified-diff parsing and strict, all-or-nothing application.
 
 Hunk context must match exactly (no fuzz): either every hunk applies at its
 stated position against the current file content, or nothing is written.
 `---`/`+++` file header lines are tolerated and ignored; the target path is
 carried separately by the patch tool call.
+
+Only "\n" ends a line, in the file and in the diff. Lines compare without
+their "\n" or "\r\n" ending, so a diff with LF endings applies to a CRLF
+file; every byte outside the hunks, and every context line, is kept as it
+was.
 """
 
 from __future__ import annotations
@@ -22,13 +27,26 @@ class Hunk:
     old_count: int
     new_start: int
     new_count: int
-    lines: list[str] = field(default_factory=list)  # each tagged ' ', '+', or '-'
+    # each tagged ' ', '+', or '-', then the text, then "\n" unless the diff
+    # marks the line "\ No newline at end of file"
+    lines: list[str] = field(default_factory=list)
 
     def old_lines(self) -> list[str]:
-        return [l[1:] for l in self.lines if l[0] in " -"]
+        return [_text(l[1:]) for l in self.lines if l[0] in " -"]
 
     def new_lines(self) -> list[str]:
-        return [l[1:] for l in self.lines if l[0] in " +"]
+        return [_text(l[1:]) for l in self.lines if l[0] in " +"]
+
+
+def _text(line: str) -> str:
+    r"""`line` without its "\n" or "\r\n" ending."""
+    return line.removesuffix("\n").removesuffix("\r")
+
+
+def split_lines(text: str) -> list[str]:
+    r"""`text`'s lines, each with its "\n" ending; the last has none when
+    `text` does not end in "\n"."""
+    return re.findall(r"[^\n]*\n|[^\n]+", text)
 
 
 class PatchFormatError(ValueError):
@@ -36,7 +54,7 @@ class PatchFormatError(ValueError):
 
 
 def parse_unified_diff(body: str) -> list[Hunk]:
-    lines = body.splitlines()
+    lines = [_text(l) for l in split_lines(body)]
     hunks: list[Hunk] = []
     i = 0
     # skip optional ---/+++ headers and any diff preamble before the first hunk
@@ -58,13 +76,15 @@ def parse_unified_diff(body: str) -> list[Hunk]:
         while i < len(lines) and not lines[i].startswith("@@"):
             line = lines[i]
             if line.startswith("\\"):  # "\ No newline at end of file"
+                if hunk.lines:
+                    hunk.lines[-1] = hunk.lines[-1].removesuffix("\n")
                 i += 1
                 continue
             if line == "":
                 line = " "  # blank context line with the leading space trimmed
             if line[0] not in " +-":
                 raise PatchFormatError(f"unexpected patch line {line!r}")
-            hunk.lines.append(line)
+            hunk.lines.append(line + "\n")
             i += 1
         old_n = sum(1 for l in hunk.lines if l[0] in " -")
         new_n = sum(1 for l in hunk.lines if l[0] in " +")
@@ -92,8 +112,15 @@ def is_creation_patch(hunks: list[Hunk]) -> bool:
 
 
 def apply_hunks(original: list[str], hunks: list[Hunk]) -> list[str]:
-    """Apply hunks at their stated positions. Raises HunkMismatch when the
-    expected old lines differ from the file; nothing is partially applied."""
+    r"""Apply hunks at their stated positions to a file's lines, each with its
+    ending (`split_lines`). Raises HunkMismatch when the expected old lines
+    differ from the file; nothing is partially applied.
+
+    A context line keeps the file's bytes; an added line takes the file's
+    newline ("\r\n" when its first line ends so, else "\n"), or none when
+    the diff marks it "\ No newline at end of file".
+    """
+    newline = "\r\n" if original and original[0].endswith("\r\n") else "\n"
     out: list[str] = []
     cursor = 0  # index into original
     for hunk in hunks:
@@ -104,20 +131,26 @@ def apply_hunks(original: list[str], hunks: list[Hunk]) -> list[str]:
                 f"hunk at -{hunk.old_start} overlaps a previous hunk or exceeds the file"
             )
         expected = hunk.old_lines()
-        actual = original[start:start + len(expected)]
+        span = original[start:start + len(expected)]
+        actual = [_text(l) for l in span]
         if actual != expected:
             raise HunkMismatch(
                 f"context mismatch at line {hunk.old_start}: expected {expected!r}, found {actual!r}"
             )
         out.extend(original[cursor:start])
-        out.extend(hunk.new_lines())
+        old = iter(span)
+        for line in hunk.lines:
+            if line[0] == "-":
+                next(old)
+                continue
+            text = next(old) if line[0] == " " else _text(line[1:]) + newline
+            out.append(text if line.endswith("\n") else _text(text))
         cursor = start + len(expected)
     out.extend(original[cursor:])
+    # only the last line may lack an ending: a line the diff left without one
+    # (the file's old last line, or a misplaced marker) that is now followed
+    # by another line gets the file's newline
+    for i in range(len(out) - 1):
+        if not out[i].endswith("\n"):
+            out[i] += newline
     return out
-
-
-def apply_patch_text(original: str, body: str) -> str:
-    hunks = parse_unified_diff(body)
-    lines = original.splitlines()
-    patched = apply_hunks(lines, hunks)
-    return "\n".join(patched) + ("\n" if patched else "")

@@ -40,9 +40,9 @@ from .errors import (
     StepBudgetExhausted,
     ToolError,
 )
-from .execution import ExecutionContext, RuntimeServices
+from .execution import ExecutionContext
 from .hooks import ContinuationKind, HookPipeline
-from .registry import SkillRegistry
+from .registry import PolicyConfig, SkillRegistry
 from .router import DelegatedTask, RoutedSkillSet, route
 from .schema import ActionSchema, validate_action_args
 from .sessions import (
@@ -166,7 +166,7 @@ class Runtime:
         self.queue.enqueue(session.session_id, "initial")
         return session
 
-    # -- runtime services exposed to tools -----------------------------------
+    # -- runtime callbacks exposed to tools ----------------------------------
 
     def _delegate(self, parent: Session, task_text: str, task_type: str,
                   subdir: str, done_when: str) -> dict:
@@ -376,13 +376,12 @@ class Runtime:
 
     def _execute(self, schema: ActionSchema, args: dict,
                  session: Session) -> tuple[bool, dict]:
-        allowlist = list(self.config.workspace.command_allowlist)
         try:
-            skill = self.registry.lookup(schema.name)
+            policy = self.registry.lookup(schema.name).policy
         except NotFound:
-            skill = None  # orchestration tool
-        else:
-            allowlist.extend(a for a in skill.policy.command_allowlist if a not in allowlist)
+            policy = PolicyConfig()  # an orchestration tool: no skill policy of its own
+        allowlist = list(self.config.workspace.command_allowlist)
+        allowlist.extend(a for a in policy.command_allowlist if a not in allowlist)
         # every routed skill's protected paths hold for every tool, visible or not
         protected = [glob for skill_id in session.routed_skills if skill_id in self.registry
                      for glob in self.registry.lookup(skill_id).policy.protected_path_globs]
@@ -392,11 +391,9 @@ class Runtime:
             command_timeout_s=self.config.workspace.command_timeout_s,
             output_truncate_bytes=self.config.workspace.output_truncate_bytes,
             protected_globs=protected,
-            services=RuntimeServices(
-                delegate=partial(self._delegate, session),
-                finish=partial(self._finish, session),
-            ),
-            skill=skill,
+            artifact_dir=policy.artifact_dir,
+            delegate=partial(self._delegate, session),
+            finish=partial(self._finish, session),
         )
         executor = self.registry.executors[schema.executor_id]
         try:

@@ -33,7 +33,7 @@ by the gate alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .bindings import completion_gate, executor, hook_program
@@ -53,9 +53,9 @@ from .patching import (
     is_creation_patch,
     is_pure_addition,
     parse_unified_diff,
+    split_lines,
 )
-from .registry import PolicyConfig
-from .workspace import _truncate, glob_match, resolve, run_allowlisted, write_file
+from .workspace import _truncate, glob_match, read_head, resolve, run_allowlisted, write_file
 
 SKILL_ID = "repair"
 
@@ -103,20 +103,11 @@ class RepairState:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RepairState":
-        state = cls()
-        for key in vars(state):
-            if key in doc:
-                setattr(state, key, doc[key])
-        return state
+        # keys that are not fields, such as an older snapshot's, are ignored
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
     def to_doc(self) -> dict:
-        return {
-            "phase": self.phase,
-            "verification_passed": self.verification_passed,
-            "failure_signature": self.failure_signature,
-            "required_artifacts": (None if self.required_artifacts is None
-                                   else list(self.required_artifacts)),
-        }
+        return asdict(self)
 
 
 # -- deterministic text machinery ---------------------------------------------
@@ -347,20 +338,18 @@ def collect_evidence(args: dict, ctx: ExecutionContext) -> dict:
     argv = args.get("command")
     log_path = args.get("log_path")
     if argv:
-        run = run_allowlisted(
-            argv, cwd=ctx.workspace_root, allowlist=ctx.command_allowlist,
-            timeout_s=ctx.command_timeout_s, truncate_bytes=ctx.output_truncate_bytes,
-        )
+        run = run_allowlisted(argv, ctx)
         output = (run["stdout"] + run["stderr"]).strip()
         exit_code = run["exit_code"]
         if not output and exit_code == 0:
             raise EmptyEvidence("command produced no output and no error")
         source = output or f"exit code {exit_code}"
     elif log_path:
-        scoped = resolve(ctx.workspace_root, log_path)
-        if not scoped.resolved.is_file():
+        # only the log's head is read: the signature comes from its first cap bytes
+        head = read_head(ctx, resolve(ctx.workspace_root, log_path))
+        if head is None:
             raise EmptyEvidence(f"log path {log_path!r} does not exist")
-        output = scoped.resolved.read_text(encoding="utf-8", errors="replace").strip()
+        output = head.strip()
         exit_code = None
         if not output:
             raise EmptyEvidence(f"log {log_path!r} is empty")
@@ -384,10 +373,12 @@ def apply_unified_patch(args: dict, ctx: ExecutionContext) -> dict:
     exists = scoped.resolved.is_file()
     if not exists and not is_creation_patch(hunks):
         raise TargetMissing(f"patch target {scoped.relative!r} does not exist")
-    original = scoped.resolved.read_text(encoding="utf-8") if exists else ""
-    lines = original.splitlines()
-    patched = apply_hunks(lines, hunks)  # HunkMismatch leaves the file untouched
-    write_file(ctx, args["target"], "\n".join(patched) + ("\n" if patched else ""))
+    try:
+        original = scoped.resolved.read_bytes().decode("utf-8") if exists else ""
+    except UnicodeDecodeError:
+        raise ToolError(f"patch target {scoped.relative!r} is not UTF-8 text") from None
+    patched = apply_hunks(split_lines(original), hunks)  # HunkMismatch writes nothing
+    write_file(ctx, args["target"], "".join(patched))
     return {
         "target": scoped.relative,
         "created": not exists,
@@ -437,10 +428,7 @@ def _check_command(cargs: dict, ctx: ExecutionContext) -> dict:
     if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
         raise ToolError("malformed check args: argv must be a list of strings")
     # CommandNotAllowed propagates: a disallowed command is an error, not a failed check
-    return run_allowlisted(
-        argv, cwd=ctx.workspace_root, allowlist=ctx.command_allowlist,
-        timeout_s=ctx.command_timeout_s, truncate_bytes=ctx.output_truncate_bytes,
-    )
+    return run_allowlisted(argv, ctx)
 
 
 def _check_file(cargs: dict, ctx: ExecutionContext, needle: str | None) -> tuple[bool, str]:
@@ -463,5 +451,4 @@ def _check_file(cargs: dict, ctx: ExecutionContext, needle: str | None) -> tuple
 
 @executor("repair.write_artifact")
 def write_artifact(args: dict, ctx: ExecutionContext) -> dict:
-    policy = ctx.skill.policy if ctx.skill is not None else PolicyConfig()
-    return write_file(ctx, args["path"], args["content"], artifact_dir=policy.artifact_dir)
+    return write_file(ctx, args["path"], args["content"], artifact_dir=ctx.artifact_dir)

@@ -1,18 +1,24 @@
-"""Workspace scoping, the one workspace writer, and the always-available
-orchestration tool set.
+"""Workspace scoping, the one workspace writer and reader, and the
+always-available orchestration tool set.
 
 Every path the model supplies goes through `resolve`, which proves the
 target lies inside the session's workspace root (traversal, absolute
 escapes, and symlinks pointing out of the root are all rejected). Every
 workspace write goes through `write_file`, which also enforces the routed
-skills' protected paths whether or not the calling tool was visible.
-Commands run with cwd at the root, an executable allowlist, a wall-clock
-bound, and captured, size-capped output.
+skills' protected paths whether or not the calling tool was visible. A write
+replaces the file with a renamed temp file, so a hard link at the target is
+broken rather than written through. Every file read goes through
+`read_head`, which reads no more than the output cap plus 4 bytes; a read
+may follow a hard link, so it can show a file that is also linked from
+outside the root. Commands run with cwd at the root, an executable allowlist,
+a wall-clock bound, and captured, size-capped output.
 """
 
 from __future__ import annotations
 
 import fnmatch
+import os
+import stat
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +65,8 @@ def write_file(ctx: ExecutionContext, raw: str, text: str,
 
     Before any byte is written, refuses a path matching `ctx.protected_globs`
     and, for an artifact write (`artifact_dir` given), a path outside that
-    directory of the workspace.
+    directory of the workspace. The new bytes replace the target atomically:
+    a failed write leaves the old file as it was.
     """
     scoped = resolve(ctx.workspace_root, raw)
     what = "path" if artifact_dir is None else "artifact path"
@@ -70,36 +77,76 @@ def write_file(ctx: ExecutionContext, raw: str, text: str,
         if artifact_root not in scoped.resolved.parents:
             raise ToolError(f"artifact path {scoped.relative!r} is outside the artifact "
                             f"directory {artifact_dir!r}")
-    scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
-    scoped.resolved.write_text(text, encoding="utf-8")
-    return {"path": scoped.relative, "bytes_written": len(text.encode("utf-8"))}
+    data = text.encode("utf-8")
+    try:
+        scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
+        _replace(scoped.resolved, data)
+    except OSError as exc:
+        raise ToolError(f"cannot write {scoped.relative}: {exc}") from exc
+    return {"path": scoped.relative, "bytes_written": len(data)}
 
 
-def run_allowlisted(
-    argv: list[str],
-    cwd: Path,
-    allowlist: list[str],
-    timeout_s: float,
-    truncate_bytes: int,
-) -> dict:
+def _replace(target: Path, data: bytes) -> None:
+    """Write `data` to a temp file beside `target` and rename it over `target`,
+    keeping the target's mode bits; the temp file is removed on any failure.
+    The file is not fsynced: on ext4 that is one more journal commit in the
+    wakeup, after the session log's, for each patch and artifact."""
+    try:
+        mode = stat.S_IMODE(target.stat().st_mode)
+    except FileNotFoundError:
+        mode = None  # a new file: created like any other, under the umask
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_head(ctx: ExecutionContext, scoped: ScopedPath) -> str | None:
+    """The first `ctx.output_truncate_bytes + 4` bytes of a workspace file,
+    decoded as UTF-8 with replacement; the 4 spare bytes keep whole a
+    character that the cap splits, so cutting the result to the cap gives
+    what cutting the whole file would. None when the path is not a regular
+    file: a FIFO is never opened, so a read never blocks on one.
+    """
+    if not scoped.resolved.is_file():
+        return None
+    try:
+        with open(scoped.resolved, "rb") as fh:
+            data = fh.read(ctx.output_truncate_bytes + 4)
+    except OSError as exc:
+        raise ToolError(f"cannot read {scoped.relative}: {exc}") from exc
+    return data.decode("utf-8", errors="replace")
+
+
+def run_allowlisted(argv: list[str], ctx: ExecutionContext) -> dict:
+    """Run `argv` under the context's command policy: cwd at the workspace
+    root, the executable allowlist, the wall-clock bound and the output cap."""
     if not argv:
         raise CommandNotAllowed("empty argv")
-    if argv[0] not in allowlist:
+    if argv[0] not in ctx.command_allowlist:
         raise CommandNotAllowed(f"command {argv[0]!r} is not in the allowlist")
     try:
         proc = subprocess.run(
             argv,
-            cwd=str(cwd),
+            cwd=str(ctx.workspace_root),
             capture_output=True,
             text=True,
-            timeout=timeout_s,
+            timeout=ctx.command_timeout_s,
         )
     except subprocess.TimeoutExpired:
-        raise CommandTimeout(f"command {argv[0]!r} exceeded {timeout_s}s") from None
+        raise CommandTimeout(
+            f"command {argv[0]!r} exceeded {ctx.command_timeout_s}s") from None
     except OSError as exc:
         raise ToolError(f"command failed to start: {exc}") from exc
-    stdout, out_cut = _truncate(proc.stdout, truncate_bytes)
-    stderr, err_cut = _truncate(proc.stderr, truncate_bytes)
+    stdout, out_cut = _truncate(proc.stdout, ctx.output_truncate_bytes)
+    stderr, err_cut = _truncate(proc.stderr, ctx.output_truncate_bytes)
     return {
         "exit_code": proc.returncode,
         "stdout": stdout,
@@ -166,12 +213,9 @@ def orchestration_schemas() -> list[ActionSchema]:
 @executor("core.fs_read")
 def fs_read(args: dict, ctx: ExecutionContext) -> dict:
     scoped = resolve(ctx.workspace_root, args["path"])
-    if not scoped.resolved.is_file():
+    text = read_head(ctx, scoped)
+    if text is None:
         raise ToolError(f"no such file: {scoped.relative}")
-    try:
-        text = scoped.resolved.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise ToolError(f"cannot read {scoped.relative}: {exc}") from exc
     content, truncated = _truncate(text, ctx.output_truncate_bytes)
     return {"path": scoped.relative, "content": content, "truncated": truncated}
 
@@ -183,22 +227,14 @@ def fs_write(args: dict, ctx: ExecutionContext) -> dict:
 
 @executor("core.run_command")
 def run_command(args: dict, ctx: ExecutionContext) -> dict:
-    return run_allowlisted(
-        args["argv"],
-        cwd=ctx.workspace_root,
-        allowlist=ctx.command_allowlist,
-        timeout_s=ctx.command_timeout_s,
-        truncate_bytes=ctx.output_truncate_bytes,
-    )
+    return run_allowlisted(args["argv"], ctx)
 
 
 @executor("core.delegate_subtask")
 def delegate_subtask(args: dict, ctx: ExecutionContext) -> dict:
-    return ctx.services.delegate(
-        args["task_text"], args["task_type"], args["subdir"], args["done_when"]
-    )
+    return ctx.delegate(args["task_text"], args["task_type"], args["subdir"], args["done_when"])
 
 
 @executor("core.finish")
 def finish(args: dict, ctx: ExecutionContext) -> dict:
-    return ctx.services.finish(args["report_text"])
+    return ctx.finish(args["report_text"])

@@ -233,6 +233,31 @@ class TestAfterTool:
             ("alpha", {"k": 1}), ("beta", {"k": 1}), ("beta", {"k": 2})]
 
 
+# the decision fields each stage may set
+LEGAL_FIELDS = {
+    "before_llm": {"tool_filter", "injected_messages", "state_update"},
+    "after_llm": {"force_action", "schedule_followup", "state_update"},
+    "before_tool": {"reject", "rewrite_args", "state_update"},
+    "after_tool": {"schedule_followup", "state_update"},
+}
+# a value other than its default for every HookDecision field
+SET_VALUES = {
+    "tool_filter": {"t_a"},
+    "injected_messages": ["m"],
+    "reject": Reject("no"),
+    "force_action": "t_a",
+    "schedule_followup": True,
+    "state_update": {"k": 1},
+    "rewrite_args": {"x": 2},
+}
+RUN_STAGE = {
+    "before_llm": lambda p, s: p.run_before_llm(s, CANDIDATES),
+    "after_llm": lambda p, s: p.run_after_llm(s, ModelResponse(text="")),
+    "before_tool": lambda p, s: p.run_before_tool(s, dict(TestBeforeTool.PENDING)),
+    "after_tool": lambda p, s: p.run_after_tool(s, dict(TestAfterTool.RECORD)),
+}
+
+
 class TestFaultsAndOrdering:
     def test_raising_hook_becomes_hook_fault(self, rig):
         pipeline, _, session = rig
@@ -247,6 +272,17 @@ class TestFaultsAndOrdering:
         BEHAVIOR["t.alpha_before_llm"] = HookDecision(force_action="t_a")
         with pytest.raises(HookFault, match="force_action"):
             pipeline.run_before_llm(session, CANDIDATES)
+
+    @pytest.mark.parametrize("stage,name", [
+        (stage, name) for stage, legal in LEGAL_FIELDS.items()
+        for name in SET_VALUES if name not in legal
+    ])
+    def test_every_illegal_field_at_every_stage_is_a_fault(self, rig, stage, name):
+        pipeline, store, session = rig
+        BEHAVIOR[f"t.alpha_{stage}"] = HookDecision(**{name: SET_VALUES[name]})
+        with pytest.raises(HookFault, match=name):
+            RUN_STAGE[stage](pipeline, session)
+        assert store.get_skill_state(session.session_id, "alpha") == {}
 
     def test_reject_invalid_outside_before_tool(self, rig):
         pipeline, _, session = rig

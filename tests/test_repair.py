@@ -15,8 +15,9 @@ from skillet.errors import (
     TargetMissing,
     ToolError,
 )
-from skillet.execution import ExecutionContext, RuntimeServices
+from skillet.execution import ExecutionContext
 from skillet.hooks import ContinuationKind, HookPipeline
+from skillet.registry import PolicyConfig
 from skillet.repair import (
     DIAGNOSE,
     PATCH,
@@ -52,8 +53,9 @@ def make_ctx(ws, allowlist=("python3", "echo"), skill=None):
         command_timeout_s=10.0,
         output_truncate_bytes=32768,
         protected_globs=list(skill.policy.protected_path_globs) if skill else [],
-        services=RuntimeServices(delegate=lambda *a: {}, finish=lambda *a: {}),
-        skill=skill,
+        artifact_dir=(skill.policy if skill else PolicyConfig()).artifact_dir,
+        delegate=lambda *a: {},
+        finish=lambda *a: {},
     )
 
 
@@ -414,6 +416,26 @@ class TestPatchExecutor:
             apply_unified_patch({"target": "in/ghost.py", "body": CALC_PATCH},
                                 make_ctx(repair_workspace))
 
+    @pytest.mark.parametrize("before,after", [
+        (b"a = 1\r\nb = 2\r\nc = 3", b"a = 1\r\nb = 3\r\nc = 3"),
+        (b"a = 1\nb = 2\nc = 3", b"a = 1\nb = 3\nc = 3"),
+    ], ids=["crlf_no_final_newline", "lf_no_final_newline"])
+    def test_bytes_outside_the_hunk_are_kept(self, repair_workspace, before, after):
+        target = repair_workspace / "in" / "calc.py"
+        target.write_bytes(before)
+        apply_unified_patch({"target": "in/calc.py", "body": "@@ -2,1 +2,1 @@\n-b = 2\n+b = 3\n"},
+                            make_ctx(repair_workspace))
+        assert target.read_bytes() == after
+
+    def test_non_utf8_target_is_a_tool_error(self, repair_workspace):
+        target = repair_workspace / "in" / "calc.py"
+        target.write_bytes("caf\xe9 = 1\n".encode("latin-1"))
+        with pytest.raises(ToolError, match="not UTF-8"):
+            apply_unified_patch({"target": "in/calc.py",
+                                 "body": "@@ -1,1 +1,1 @@\n-x\n+y\n"},
+                                make_ctx(repair_workspace))
+        assert target.read_bytes() == "caf\xe9 = 1\n".encode("latin-1")
+
 
 class TestVerificationExecutor:
     def test_command_exit_zero_pass_and_fail(self, repair_workspace):
@@ -571,6 +593,16 @@ class TestArtifactExecutor:
         assert calc.read_bytes() == before
         assert not (repair_workspace / "in" / "notes.md").exists()
         assert not (repair_workspace / "out").exists()
+
+
+def test_state_doc_round_trips_and_ignores_unknown_keys():
+    state = RepairState(phase=VERIFY, failure_signature="sig N",
+                        required_artifacts=["out/report.md"])
+    doc = state.to_doc()
+    assert list(doc) == ["phase", "verification_passed", "failure_signature",
+                         "required_artifacts"]
+    assert doc["required_artifacts"] is not state.required_artifacts
+    assert RepairState.from_doc({**doc, "last_tool": "repair_apply_unified_patch"}) == state
 
 
 def test_workflow_message_is_pure():

@@ -1,11 +1,15 @@
 """Path scoping, sandboxed command execution, and the orchestration executors."""
 
 import os
+import stat
+import tracemalloc
 
 import pytest
 
+from skillet import workspace
 from skillet.errors import CommandNotAllowed, CommandTimeout, PathEscape, ToolError
-from skillet.execution import ExecutionContext, RuntimeServices
+from skillet.execution import ExecutionContext
+from skillet.repair import collect_evidence
 from skillet.workspace import (
     _truncate,
     fs_read,
@@ -35,14 +39,16 @@ def test_root_swapped_for_a_symlink_makes_every_path_escape(tmp_path):
             resolve(root, raw)
 
 
-def make_ctx(ws, allowlist=("echo",), timeout=5.0, truncate=32768):
+def make_ctx(ws, allowlist=("echo",), timeout=5.0, truncate=32768, protected=()):
     return ExecutionContext(
         workspace_root=ws,
         command_allowlist=list(allowlist),
         command_timeout_s=timeout,
         output_truncate_bytes=truncate,
-        protected_globs=[],
-        services=RuntimeServices(delegate=lambda *a: {}, finish=lambda *a: {}),
+        protected_globs=list(protected),
+        artifact_dir="out",
+        delegate=lambda *a: {},
+        finish=lambda *a: {},
     )
 
 
@@ -93,25 +99,26 @@ class TestGlobMatch:
 
 class TestRunAllowlisted:
     def test_allowed_command_captures_output(self, guarded_workspace):
-        result = run_allowlisted(["echo", "hi"], guarded_workspace, ["echo"], 5.0, 1024)
+        result = run_allowlisted(["echo", "hi"], make_ctx(guarded_workspace))
         assert result == {"exit_code": 0, "stdout": "hi\n", "stderr": "", "truncated": False}
 
     def test_disallowed_command(self, guarded_workspace):
         with pytest.raises(CommandNotAllowed, match="curl"):
-            run_allowlisted(["curl", "http://x"], guarded_workspace, ["echo"], 5.0, 1024)
+            run_allowlisted(["curl", "http://x"], make_ctx(guarded_workspace))
 
     def test_empty_allowlist_blocks_everything(self, guarded_workspace):
         with pytest.raises(CommandNotAllowed):
-            run_allowlisted(["echo", "hi"], guarded_workspace, [], 5.0, 1024)
+            run_allowlisted(["echo", "hi"], make_ctx(guarded_workspace, allowlist=()))
 
     def test_timeout(self, guarded_workspace):
         with pytest.raises(CommandTimeout):
-            run_allowlisted(["sleep", "5"], guarded_workspace, ["sleep"], 0.2, 1024)
+            run_allowlisted(["sleep", "5"],
+                            make_ctx(guarded_workspace, allowlist=("sleep",), timeout=0.2))
 
     def test_output_truncation_recorded(self, guarded_workspace):
         result = run_allowlisted(
             ["python3", "-c", "print('x' * 10000)"],
-            guarded_workspace, ["python3"], 10.0, 100,
+            make_ctx(guarded_workspace, allowlist=("python3",), timeout=10.0, truncate=100),
         )
         assert result["truncated"] is True
         assert len(result["stdout"].encode()) <= 100
@@ -124,7 +131,7 @@ class TestRunAllowlisted:
         assert len(text.encode()) <= 50
 
     def test_cwd_is_workspace_root(self, guarded_workspace):
-        result = run_allowlisted(["pwd"], guarded_workspace, ["pwd"], 5.0, 1024)
+        result = run_allowlisted(["pwd"], make_ctx(guarded_workspace, allowlist=("pwd",)))
         assert result["stdout"].strip() == str(guarded_workspace.resolve())
 
 
@@ -168,3 +175,96 @@ def test_unreadable_path(guarded_workspace):
     secret.chmod(0)
     with pytest.raises(ToolError):
         fs_read({"path": "secret.txt"}, make_ctx(guarded_workspace))
+
+
+def test_unreadable_path_without_root(guarded_workspace, monkeypatch):
+    (guarded_workspace / "secret.txt").write_text("x")
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(workspace, "open", denied, raising=False)
+    with pytest.raises(ToolError, match="cannot read secret.txt"):
+        fs_read({"path": "secret.txt"}, make_ctx(guarded_workspace))
+
+
+class TestAtomicWrite:
+    def test_write_breaks_a_hard_link_to_outside_the_root(self, guarded_workspace, tmp_path):
+        outside = tmp_path / "decoy" / "keep.txt"
+        (guarded_workspace / "in").mkdir()
+        os.link(outside, guarded_workspace / "in" / "calc.py")
+        fs_write({"path": "in/calc.py", "content": "patched\n"}, make_ctx(guarded_workspace))
+        assert outside.read_text() == "do not touch\n"
+        assert (guarded_workspace / "in" / "calc.py").read_text() == "patched\n"
+
+    def test_write_breaks_a_hard_link_to_a_protected_path(self, guarded_workspace):
+        protected = guarded_workspace / "tests" / "t.py"
+        protected.parent.mkdir()
+        protected.write_text("assert True\n")
+        os.link(protected, guarded_workspace / "notes.txt")
+        ctx = make_ctx(guarded_workspace, protected=("tests/**",))
+        with pytest.raises(ToolError, match="protected path"):
+            fs_write({"path": "tests/t.py", "content": "x"}, ctx)
+        fs_write({"path": "notes.txt", "content": "clobbered\n"}, ctx)
+        assert protected.read_text() == "assert True\n"
+        assert (guarded_workspace / "notes.txt").read_text() == "clobbered\n"
+
+    def test_write_keeps_the_mode_bits(self, guarded_workspace):
+        script = guarded_workspace / "run.sh"
+        script.write_text("echo old\n")
+        script.chmod(0o751)
+        fs_write({"path": "run.sh", "content": "echo new\n"}, make_ctx(guarded_workspace))
+        assert stat.S_IMODE(script.stat().st_mode) == 0o751
+        assert script.read_text() == "echo new\n"
+
+    def test_failed_replace_leaves_the_old_bytes_and_no_temp_file(self, guarded_workspace,
+                                                                   monkeypatch):
+        target = guarded_workspace / "a.txt"
+        target.write_bytes(b"old bytes\n")
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(workspace.os, "replace", failing_replace)
+        with pytest.raises(ToolError, match="cannot write a.txt"):
+            fs_write({"path": "a.txt", "content": "new"}, make_ctx(guarded_workspace))
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in guarded_workspace.iterdir()) == ["a.txt"]
+
+
+class TestBoundedRead:
+    @pytest.mark.parametrize("read", [
+        lambda ctx: fs_read({"path": "big.log"}, ctx)["content"],
+        lambda ctx: collect_evidence({"log_path": "big.log"}, ctx)["output"],
+    ], ids=["fs_read", "collect_evidence"])
+    def test_read_of_a_file_far_above_the_cap_stays_small(self, guarded_workspace, read):
+        cap = 2048
+        (guarded_workspace / "big.log").write_bytes(b"error: x\n" * (cap * 1000 // 9 + 1))
+        tracemalloc.start()
+        try:
+            text = read(make_ctx(guarded_workspace, truncate=cap))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text.encode()) <= cap
+        assert text.startswith("error: x\n")
+        assert peak < 64 * cap, peak
+
+    def test_cut_matches_a_cut_of_the_whole_file(self, guarded_workspace):
+        text = "ab" + "\U0001f600" * 10
+        (guarded_workspace / "wide.txt").write_text(text, encoding="utf-8")
+        for cap in range(len(text.encode())):
+            out = fs_read({"path": "wide.txt"}, make_ctx(guarded_workspace, truncate=cap))
+            assert (out["content"], out["truncated"]) == _truncate(text, cap)
+
+    def test_fifo_reads_as_no_such_file(self, guarded_workspace):
+        os.mkfifo(guarded_workspace / "pipe")
+        with pytest.raises(ToolError, match="no such file"):
+            fs_read({"path": "pipe"}, make_ctx(guarded_workspace))
+
+    def test_read_may_follow_a_hard_link(self, guarded_workspace, tmp_path):
+        # a hard link cannot be told from the file it links; reads are allowed
+        os.link(tmp_path / "decoy" / "keep.txt", guarded_workspace / "linked.txt")
+        assert (guarded_workspace / "linked.txt").stat().st_nlink == 2
+        out = fs_read({"path": "linked.txt"}, make_ctx(guarded_workspace))
+        assert out["content"] == "do not touch\n"
