@@ -2,9 +2,10 @@
 
 Two backends share one interface: a deterministic scripted backend that
 drives every test without a live model, and a generic HTTP chat backend for
-real endpoints. Each completed request is appended to requests.jsonl and the
-owning session's usage totals are updated once its line is durable, so the
-session totals always equal the column sums of its log lines.
+real endpoints. Each completed request's usage is appended to requests.jsonl
+under one lock, and the owning session's usage totals are updated once its
+line is durable, so the session totals always equal the column sums of its
+log lines.
 
 Script files are a JSON list of steps:
 
@@ -231,39 +232,25 @@ class HttpBackend:
         )
 
 
-class _Batch:
-    """Lines queued for one write and fsync of requests.jsonl."""
-
-    def __init__(self, lock: threading.Lock):
-        self.lines: list[str] = []
-        self.usages: list[tuple[Session, UsageRecord]] = []
-        self.written = threading.Condition(lock)  # its callers wait here
-        self.done = False
-        self.error: Exception | None = None
-
-
 class UsageLog:
-    """requests.jsonl writer. One self-delimiting line per model request;
-    the owning session's totals are updated only after its line is durable,
-    so totals and log always agree. This file is where a reopened
-    SessionStore rebuilds the totals from. Readers skip a torn last line (a
-    crash mid-append); only the writer cuts it, before its first append.
+    """requests.jsonl writer: the accounting record of each model request.
+    One self-delimiting line per request; the owning session's totals are
+    updated only after its line is durable, so totals and log always agree.
+    This file is where a reopened SessionStore rebuilds the totals from.
+    Readers skip a torn last line (a crash mid-append); only the writer cuts
+    it, before its first append.
 
-    Appends are group-committed: callers that arrive while a batch is being
-    written queue their lines, and the first of them then writes and fsyncs
-    the whole queue at once. Each caller returns once its own line is
-    durable, or raises LogWriteError if its batch failed."""
+    One lock covers each caller's append, fsync and totals update, so a
+    caller returns once its own line is durable, or raises LogWriteError if
+    its own append failed."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
         self.fsync = fsync
         self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)  # the next batch's first caller waits here
-        self._batch = _Batch(self._lock)  # the batch new lines join
-        self._writing = False
         self._tail_checked = False
 
-    def record(self, session: Session, request: ModelRequest, response: ModelResponse) -> UsageRecord:
+    def record(self, session: Session, response: ModelResponse) -> UsageRecord:
         usage = response.usage
         line = json.dumps({
             "ts_us": int(time.time() * 1_000_000),  # an integer: lines keep one width
@@ -274,42 +261,15 @@ class UsageLog:
             "output_tokens": usage.output_tokens,
             "cache_tokens": usage.cache_tokens,
             "total_tokens": usage.total_tokens,
-            "assistant_text": response.text,
-            "tool_call": (
-                {"name": response.tool_call.name, "args": response.tool_call.args}
-                if response.tool_call else None
-            ),
-        }, sort_keys=True)
+        }, sort_keys=True) + "\n"
         with self._lock:
-            batch = self._batch
-            batch.lines.append(line + "\n")
-            batch.usages.append((session, usage))
-            lead = len(batch.lines) == 1  # a batch's first caller writes it
-            if lead:
-                while self._writing:
-                    self._idle.wait()
-                self._writing = True
-                self._batch = _Batch(self._lock)
-            else:
-                while not batch.done:
-                    batch.written.wait()
-        if lead:
             try:
-                self._append("".join(batch.lines).encode("utf-8"))
-            except Exception as exc:  # every caller in the batch raises it
-                batch.error = exc
-                self._tail_checked = False  # the next batch cuts a line this one tore
-            with self._lock:
-                if batch.error is None:
-                    for owner, counted in batch.usages:
-                        owner.usage.add(counted.input_tokens, counted.output_tokens,
-                                        counted.cache_tokens, counted.total_tokens)
-                batch.done = True
-                batch.written.notify_all()
-                self._writing = False
-                self._idle.notify()
-        if batch.error is not None:
-            raise LogWriteError(f"cannot append to {self.path}: {batch.error}") from batch.error
+                self._append(line.encode("utf-8"))
+            except Exception as exc:
+                self._tail_checked = False  # the next append cuts a line this one tore
+                raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
+            session.usage.add(usage.input_tokens, usage.output_tokens,
+                              usage.cache_tokens, usage.total_tokens)
         return usage
 
     def _append(self, data: bytes) -> None:

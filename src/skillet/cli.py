@@ -128,7 +128,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     requests no longer carried, is marked `[superseded]`. Trace creates,
     moves and truncates nothing, so it can read a running store."""
     session, records = read_log(args.store, args.session)
-    current = {seq for block in session.standing.values() for seq in block.seqs}
     usage_lines = [line for line in UsageLog(Path(args.store) / "requests.jsonl").lines()
                    if line.get("session_id") == args.session]
     snapshots = iter(snapshot_records(records))
@@ -144,7 +143,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             turn += 1
             if usage:
                 line += f" [tokens in={usage['input_tokens']} out={usage['output_tokens']}]"
-        elif is_standing(event) and event.seq not in current:
+        elif (is_standing(event) and event.payload["standing"]
+              != session.standing[event.payload["skill_id"]].block_id):
             line += " [superseded]"
         line += " " + _brief(event.payload)
         print(line)

@@ -280,7 +280,7 @@ class Runtime:
             self._finalize(session, followup)
             return
 
-        self.usage_log.record(session, request, response)
+        self.usage_log.record(session, response)
         self.store.append_event(session.session_id, EventKind.ASSISTANT_MESSAGE, {
             "text": response.text,
             "tool_call": (

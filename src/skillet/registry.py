@@ -2,7 +2,8 @@
 
 A skill package is a directory holding `manifest.json` (identity, triggers,
 tool schemas, hook declarations, policy) and `config.json` (a flat scalar
-map of deterministic policy parameters). Bindings are string ids resolved
+map of the skill's own parameters; a policy field there is refused, so the
+manifest's policy block is the policy's one source). Bindings are string ids resolved
 at load time against the in-process tables in `bindings`.
 
 The registry is built once at startup and read-only afterwards; reloading a
@@ -49,11 +50,6 @@ _POLICY_KEYS = {
 }
 _TOOL_KEYS = {"name", "description", "params", "executor_id"}
 _HOOK_KEYS = {"stage", "program_id", "order"}
-
-# config.json keys that override the parsed PolicyConfig. Config values are
-# scalars, so list-valued keys are comma-joined strings.
-_CONFIG_POLICY_OVERRIDES = ("protected_path_globs", "command_allowlist",
-                            "max_patch_lines", "artifact_dir")
 
 
 @dataclass
@@ -152,28 +148,14 @@ def _parse_policy(raw, where: str) -> PolicyConfig:
 def _parse_config(raw: dict, where: str) -> dict:
     for key, value in raw.items():
         _expect(isinstance(key, str), f"{where}: config keys must be strings")
+        _expect(key not in _POLICY_KEYS,
+                f"{where}: config key {key!r} is a policy field; it belongs in "
+                f"manifest.json's policy block")
         _expect(
             value is None or isinstance(value, (str, int, float, bool)),
             f"{where}: config value for {key!r} must be a scalar",
         )
     return dict(raw)
-
-
-def _apply_config_policy_overrides(policy: PolicyConfig, config: dict, where: str) -> None:
-    for key in _CONFIG_POLICY_OVERRIDES:
-        if key not in config:
-            continue
-        value = config[key]
-        if key in ("protected_path_globs", "command_allowlist"):
-            _expect(isinstance(value, str), f"{where}: config {key} must be a comma-joined string")
-            setattr(policy, key, [p for p in (s.strip() for s in value.split(",")) if p])
-        elif key == "max_patch_lines":
-            _expect(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-                    f"{where}: config max_patch_lines must be an integer >= 1")
-            policy.max_patch_lines = value
-        else:
-            _expect(isinstance(value, str), f"{where}: config artifact_dir must be a string")
-            policy.artifact_dir = value
 
 
 class SkillRegistry:
@@ -318,7 +300,6 @@ class SkillRegistry:
 
         policy = _parse_policy(raw["policy"], where)
         config = _parse_config(config_raw, where)
-        _apply_config_policy_overrides(policy, config, where)
 
         fingerprint = hashlib.sha256(
             json.dumps({"manifest": raw, "config": config_raw}, sort_keys=True).encode()

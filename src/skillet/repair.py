@@ -443,10 +443,30 @@ def _check_file(cargs: dict, ctx: ExecutionContext, needle: str | None) -> tuple
         return False, f"{path} does not exist"
     if needle is None:
         return True, f"{path} exists"
-    content = scoped.resolved.read_text(encoding="utf-8", errors="replace")
-    if needle in content:
+    if _contains(scoped.resolved, needle):
         return True, f"{path} contains the needle"
     return False, f"{path} does not contain the needle"
+
+
+_CHUNK_CHARS = 64 * 1024
+
+
+def _contains(path: Path, needle: str) -> bool:
+    """`needle in path.read_text(encoding="utf-8", errors="replace")`, read
+    in chunks: each search covers the previous chunk's last
+    `len(needle) - 1` characters plus the new chunk, so a needle that
+    straddles two chunks is found and memory stays bounded."""
+    if not needle:
+        return True
+    keep = len(needle) - 1
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        tail = ""
+        while chunk := fh.read(_CHUNK_CHARS):
+            window = tail + chunk
+            if needle in window:
+                return True
+            tail = window[-keep:] if keep else ""  # window[-0:] would keep it all
+    return False
 
 
 @executor("repair.write_artifact")

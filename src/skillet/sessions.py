@@ -131,10 +131,9 @@ class HistoryEvent:
 @dataclass
 class StandingBlock:
     """A skill's current standing guidance: the block id its stage wrote,
-    and the seqs of its injections and their indices in `Session.rendered`."""
+    and its injections' indices in `Session.rendered`."""
 
     block_id: int
-    seqs: list[int] = field(default_factory=list)
     indices: list[int] = field(default_factory=list)
 
 
@@ -222,7 +221,6 @@ def _render(session: Session, event: HistoryEvent) -> None:
                 for index in block.indices:  # superseded
                     session.rendered[index] = None
             block = session.standing[skill_id] = StandingBlock(block_id)
-        block.seqs.append(event.seq)
         block.indices.append(len(session.rendered))
     session.rendered.append(message)
 

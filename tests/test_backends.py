@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -398,13 +397,12 @@ class TestUsageLog:
         backend = ScriptedBackend([{"respond": {"text": "one"}},
                                    {"respond": {"text": "two"}}])
         for _ in range(2):
-            req = request(session_id=session.session_id)
-            log.record(session, req, backend.complete(req))
+            log.record(session, backend.complete(request(session_id=session.session_id)))
         lines = log.lines()
         assert len(lines) == 2
         expected_keys = {"ts_us", "session_id", "provider", "response_model",
                          "input_tokens", "output_tokens", "cache_tokens",
-                         "total_tokens", "assistant_text", "tool_call"}
+                         "total_tokens"}
         assert set(lines[0]) == expected_keys
         assert isinstance(lines[0]["ts_us"], int)
         assert session.usage.request_count == 2
@@ -417,7 +415,7 @@ class TestUsageLog:
         monkeypatch.setattr(backends.time, "time", lambda: next(clocks))
         response = ModelResponse(text="same", usage=UsageRecord("p", "m", 1, 1, 0, 2))
         for _ in range(2):
-            log.record(session, request(session_id=session.session_id), response)
+            log.record(session, response)
         first, second = (tmp_path / "requests.jsonl").read_bytes().splitlines()
         assert first != second
         assert len(first) == len(second)
@@ -432,12 +430,12 @@ class TestUsageLog:
         session = self.make_session(tmp_path)
         log = UsageLog(tmp_path / "requests.jsonl")
         req = request(session_id=session.session_id)
-        log.record(session, req, ScriptedBackend([{"respond": {"text": "s"}}]).complete(req))
+        log.record(session, ScriptedBackend([{"respond": {"text": "s"}}]).complete(req))
         _StubHandler.canned = (200, json.dumps({
             "choices": [{"message": {"content": "h"}}],
             "usage": {"prompt_tokens": 3, "completion_tokens": 1},
         }).encode())
-        log.record(session, req, http_backend(stub_server).complete(req))
+        log.record(session, http_backend(stub_server).complete(req))
         providers = [l["provider"] for l in log.lines()]
         assert providers == ["scripted", "http"]
         assert session.usage.request_count == 2
@@ -445,21 +443,18 @@ class TestUsageLog:
     def test_lines_skip_a_torn_last_line_without_writing(self, tmp_path):
         session = self.make_session(tmp_path)
         log = UsageLog(tmp_path / "requests.jsonl")
-        backend = ScriptedBackend([{"respond": {"text": "one"}},
-                                   {"respond": {"text": "two"}}])
-        for _ in range(2):
-            req = request(session_id=session.session_id)
-            log.record(session, req, backend.complete(req))
+        for n in (1, 2):
+            log.record(session, self.usage_response(n))
         log.path.write_bytes(log.path.read_bytes()[:-9])  # a crash mid-append
         torn = log.path.read_bytes()
-        assert [l["assistant_text"] for l in log.lines()] == ["one"]
+        assert [l["input_tokens"] for l in log.lines()] == [1]
         assert log.path.read_bytes() == torn
 
     @staticmethod
     def usage_response(n):
         return ModelResponse(text=f"r{n}", usage=UsageRecord("p", "m", n, 2 * n, 1, 3 * n + 1))
 
-    def test_concurrent_records_are_group_committed(self, tmp_path, monkeypatch):
+    def test_concurrent_records_each_append_and_fsync_once(self, tmp_path, monkeypatch):
         sessions = [self.make_session(tmp_path)]
         store = open_store(tmp_path / "store")
         sessions += [store.create_session("t", "misc", tmp_path / "ws", "") for _ in range(3)]
@@ -467,74 +462,83 @@ class TestUsageLog:
         fsyncs = []
         real_fsync = os.fsync
 
-        def slow_fsync(fd):
+        def counted_fsync(fd):
             fsyncs.append(fd)
-            time.sleep(0.002)
             real_fsync(fd)
 
-        monkeypatch.setattr(os, "fsync", slow_fsync)
+        monkeypatch.setattr(os, "fsync", counted_fsync)
         start = threading.Barrier(16)
 
         def writer(t):
             start.wait()
             for i in range(25):
                 session = sessions[(t + i) % len(sessions)]
-                log.record(session, request(session_id=session.session_id),
-                           self.usage_response(t * 25 + i))
+                log.record(session, self.usage_response(t * 25 + i))
 
         run_threads(writer, [(t,) for t in range(16)])
         lines = log.lines()
         assert len(lines) == 400
         assert len(log.path.read_bytes().splitlines()) == 400
         assert sorted(l["input_tokens"] for l in lines) == list(range(400))
-        assert len(fsyncs) < 400
+        assert len(fsyncs) == 400  # each record is made durable by its own caller
         for session in sessions:
             mine = [l for l in lines if l["session_id"] == session.session_id]
             assert session.usage.request_count == len(mine)
             for column in ("input_tokens", "output_tokens", "cache_tokens", "total_tokens"):
                 assert getattr(session.usage, column) == sum(l[column] for l in mine)
 
-    def test_every_caller_in_a_failed_batch_raises(self, tmp_path, monkeypatch):
-        session = self.make_session(tmp_path)
+    def test_a_failed_fsync_raises_to_its_own_caller_only(self, tmp_path, monkeypatch):
+        failing = self.make_session(tmp_path)
+        other = open_store(tmp_path / "store").create_session("t", "misc", tmp_path / "ws", "")
         log = UsageLog(tmp_path / "requests.jsonl")
-        fsyncs = []
+        log.record(failing, self.usage_response(1))
+        real_fsync = os.fsync
+        in_fsync, release = threading.Event(), threading.Event()
 
-        def failing_fsync(fd):
-            fsyncs.append(fd)
-            time.sleep(0.1)  # the other callers queue into the next batch meanwhile
-            raise OSError(5, "Input/output error")
+        def fsync(fd):
+            if threading.current_thread().name == "failing":
+                in_fsync.set()
+                release.wait(5)  # the other caller is queued on the lock meanwhile
+                raise OSError(5, "Input/output error")
+            real_fsync(fd)
 
-        monkeypatch.setattr(os, "fsync", failing_fsync)
-        start = threading.Barrier(8)
-        outcomes = []
+        monkeypatch.setattr(os, "fsync", fsync)
+        outcomes = {}
 
-        def writer(n):
-            start.wait()
+        def record(name, session, n):
             try:
-                log.record(session, request(session_id=session.session_id),
-                           self.usage_response(n))
+                log.record(session, self.usage_response(n))
             except LogWriteError:
-                outcomes.append("raised")
+                outcomes[name] = "raised"
             else:
-                outcomes.append("returned")
+                outcomes[name] = "returned"
 
-        run_threads(writer, [(n,) for n in range(8)])
-        assert outcomes == ["raised"] * 8
-        assert len(fsyncs) < 8  # some batch held more than one caller
-        assert session.usage.request_count == 0
-        # the next batch cuts whatever the failed one left and appends whole
-        monkeypatch.undo()
-        log.record(session, request(session_id=session.session_id), self.usage_response(9))
-        assert len(log.lines()) == 9
-        assert session.usage.request_count == 1
+        first = threading.Thread(target=record, args=("failing", failing, 2), name="failing")
+        second = threading.Thread(target=record, args=("other", other, 3), name="other")
+        first.start()
+        assert in_fsync.wait(5)
+        second.start()
+        threading.Timer(0.05, release.set).start()
+        first.join(10)
+        second.join(10)
+        assert outcomes == {"failing": "raised", "other": "returned"}
+        assert (failing.usage.request_count, failing.usage.input_tokens) == (1, 1)
+        assert (other.usage.request_count, other.usage.input_tokens) == (1, 3)
+        # the next record appends one whole line after whatever the failed one left
+        log.record(failing, self.usage_response(4))
+        data = log.path.read_bytes()
+        assert data.endswith(b"\n")
+        assert len(log.lines()) == len(data.splitlines())
+        assert log.lines()[-1]["input_tokens"] == 4
+        assert (failing.usage.request_count, failing.usage.input_tokens) == (2, 5)
 
     def test_write_failure_is_fatal(self, tmp_path):
         session = self.make_session(tmp_path)
         blocked = tmp_path / "as_dir"
         blocked.mkdir()
         log = UsageLog(blocked)  # appending to a directory cannot work
-        req = request(session_id=session.session_id)
-        response = ScriptedBackend([{"respond": {"text": "x"}}]).complete(req)
+        response = ScriptedBackend([{"respond": {"text": "x"}}]).complete(
+            request(session_id=session.session_id))
         with pytest.raises(LogWriteError):
-            log.record(session, req, response)
+            log.record(session, response)
         assert session.usage.request_count == 0

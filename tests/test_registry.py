@@ -225,15 +225,15 @@ class TestEdges:
         with pytest.raises(MalformedManifest, match="shadows an orchestration tool"):
             fresh_registry.load_skill_package(pkg)
 
-    def test_config_policy_override_via_scalar_strings(self, fresh_registry, tmp_path):
+    @pytest.mark.parametrize("key", ["protected_path_globs", "command_allowlist",
+                                     "max_patch_lines", "artifact_dir",
+                                     "requires_writable_workspace"])
+    def test_config_policy_field_is_refused(self, fresh_registry, tmp_path, key):
         manifest = load_repair_manifest()
-        pkg = write_package(tmp_path, manifest, config={
-            "protected_path_globs": "tests/**,docs/**",
-            "max_patch_lines": 10,
-        })
-        loaded = fresh_registry.load_skill_package(pkg)
-        assert loaded.policy.protected_path_globs == ["tests/**", "docs/**"]
-        assert loaded.policy.max_patch_lines == 10
+        pkg = write_package(tmp_path, manifest, config={key: "tests/**"})
+        with pytest.raises(MalformedManifest, match=f"config key '{key}' is a policy field.*"
+                                                    "manifest.json's policy block"):
+            fresh_registry.load_skill_package(pkg)
 
     def test_cross_skill_tool_collision(self, fresh_registry, tmp_path):
         fresh_registry.load_skill_package(REPAIR_PKG)

@@ -243,8 +243,7 @@ def test_blocks_of_several_skills_and_messages(tmp_path):
     assert texts[7] == ["task", "b1", "r1", "forced", "a3"]
     assert texts[10] == ["task", "r1", "forced", "a3", "r2", "b2", "b3"]
     assert texts[13] == ["task", "r1", "forced", "r2", "r3", "a4", "b4"]
-    assert {k: (b.block_id, b.seqs) for k, b in session.standing.items()} == {
-        "a": (12, [12]), "b": (12, [13])}
+    assert {k: b.block_id for k, b in session.standing.items()} == {"a": 12, "b": 12}
 
 
 def test_a_block_is_its_stage_not_a_run_of_adjacent_seqs(tmp_path):

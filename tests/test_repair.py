@@ -1,11 +1,12 @@
 """The repair skill: inference rules, guards, executors, transitions, gates."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from skillet import SessionStore
+from skillet import SessionStore, repair
 from skillet.backends import ModelResponse, ToolCallRequest
 from skillet.errors import (
     CommandNotAllowed,
@@ -476,6 +477,58 @@ class TestVerificationExecutor:
             {"name": "odd", "type": "file_exists", "args": {"path": "in/calc.py"}},
         ]}, make_ctx(repair_workspace))
         assert out["passed"] is True
+
+
+class TestFileContains:
+    def check(self, ws, needle, path="big.txt"):
+        out = run_verification({"checks": [
+            {"name": "c", "type": "file_contains", "args": {"path": path, "needle": needle}},
+        ]}, make_ctx(ws))
+        return out["checks"][0]["passed"]
+
+    def test_needle_straddling_a_chunk_boundary(self, repair_workspace):
+        chunk = repair._CHUNK_CHARS
+        (repair_workspace / "big.txt").write_text(
+            "a" * (chunk - 3) + "NEEDLE" + "b" * chunk, encoding="utf-8")
+        assert self.check(repair_workspace, "NEEDLE")
+        assert not self.check(repair_workspace, "NEEDLES")
+
+    def test_multibyte_character_split_at_a_chunk_boundary(self, repair_workspace):
+        chunk = repair._CHUNK_CHARS
+        # the euro sign is the first chunk's last character, its three bytes
+        # straddle the 64 KiB byte boundary too
+        (repair_workspace / "big.txt").write_text(
+            "a" * (chunk - 1) + "\u20acuro" + "b" * 10, encoding="utf-8")
+        assert self.check(repair_workspace, "a\u20acu")
+        assert not self.check(repair_workspace, "\ufffd")
+
+    @pytest.mark.parametrize("data", [
+        b"", b"abc", b"x\r\ny\r\nz", b"x\ry\r", b"ab\xffcd\xe2\x82",
+        "caf\u00e9 \u20ac\U0001f600!".encode("utf-8"), b"abababab\nab",
+    ])
+    def test_agrees_with_a_search_of_the_whole_text(self, tmp_path, monkeypatch, data):
+        monkeypatch.setattr(repair, "_CHUNK_CHARS", 2)
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        whole = path.read_text(encoding="utf-8", errors="replace")
+        needles = {"", "a", "ab", "bab", "abababab\nab", "x\ny", "\r\n", "\r", "y\nz",
+                   "\ufffd", "b\ufffdc", "\ufffd\ufffd", "\u00e9 \u20ac", "\U0001f600!"}
+        needles |= {whole[i:j] for i in range(len(whole)) for j in range(i, len(whole) + 1)}
+        for needle in needles:
+            assert repair._contains(path, needle) == (needle in whole), (data, needle)
+
+    def test_a_large_file_is_searched_in_bounded_memory(self, repair_workspace):
+        size = 2 * 1024 * 1024
+        (repair_workspace / "big.txt").write_bytes(b"x" * (size - 6) + b"needle")
+        tracemalloc.start()
+        try:
+            found = self.check(repair_workspace, "needle")
+            absent = self.check(repair_workspace, "!")  # a one-character needle keeps no tail
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (found, absent) == (True, False)
+        assert peak < size // 4, peak
 
 
 class TestTransitions:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillet import EventKind, SessionStatus, SessionStore, UsageLog
-from skillet.backends import ModelRequest, ModelResponse, UsageRecord
+from skillet.backends import ModelResponse, UsageRecord
 from skillet.errors import (
     CorruptStore,
     NotFound,
@@ -48,8 +48,7 @@ def record_usage(store_dir, session, *usages):
     """Record one model request per (input, output, cache, total) tuple."""
     usage_log = UsageLog(store_dir / "requests.jsonl")
     for usage in usages:
-        usage_log.record(session, ModelRequest([], [], session.session_id),
-                         ModelResponse(usage=UsageRecord("p", "m", *usage)))
+        usage_log.record(session, ModelResponse(usage=UsageRecord("p", "m", *usage)))
 
 
 class TestCreate:
@@ -386,12 +385,11 @@ class TestPersistence:
         code = (
             "import os\n"
             "from skillet import SessionStore, UsageLog\n"
-            "from skillet.backends import ModelRequest, ModelResponse, UsageRecord\n"
+            "from skillet.backends import ModelResponse, UsageRecord\n"
             f"store = SessionStore({str(tmp_path / 'store')!r})\n"
             f"s = store.create_session('t', 'misc', {str(ws)!r}, '')\n"
             f"UsageLog({str(tmp_path / 'store' / 'requests.jsonl')!r}).record(\n"
-            "    s, ModelRequest([], [], s.session_id),\n"
-            "    ModelResponse(usage=UsageRecord('p', 'm', 10, 5, 2, 17)))\n"
+            "    s, ModelResponse(usage=UsageRecord('p', 'm', 10, 5, 2, 17)))\n"
             "os._exit(1)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
