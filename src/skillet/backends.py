@@ -242,7 +242,7 @@ class UsageLog:
 
     One lock covers each caller's append, fsync and totals update, so a
     caller returns once its own line is durable, or raises LogWriteError if
-    its own append failed."""
+    its own append failed, after cutting its line from the file."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
@@ -266,21 +266,29 @@ class UsageLog:
             try:
                 self._append(line.encode("utf-8"))
             except Exception as exc:
-                self._tail_checked = False  # the next append cuts a line this one tore
+                self._tail_checked = False  # in case the cut back failed too
                 raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
             session.usage.add(usage.input_tokens, usage.output_tokens,
                               usage.cache_tokens, usage.total_tokens)
         return usage
 
     def _append(self, data: bytes) -> None:
+        """Append one line and fsync it; if either fails, cut the file back
+        to its length before the line, so a reopened store counts only the
+        lines whose callers returned."""
         if not self._tail_checked and self.path.exists():
             cut_torn_tail(self.path)
         self._tail_checked = True
-        with open(self.path, "ab") as fh:
-            fh.write(data)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+        with open(self.path, "ab", buffering=0) as fh:
+            start = os.fstat(fh.fileno()).st_size
+            try:
+                while data:
+                    data = data[fh.write(data):]
+                if self.fsync:
+                    os.fsync(fh.fileno())
+            except BaseException:
+                os.ftruncate(fh.fileno(), start)
+                raise
 
     def lines(self) -> list[dict]:
         """Every whole record; a torn last line is skipped, not cut."""

@@ -18,7 +18,7 @@ from .errors import SkilletError, StepBudgetExhausted
 from .planner import RunSummary, Runtime
 from .registry import SkillRegistry
 from .router import DelegatedTask
-from .sessions import EventKind, SessionStore, is_standing, read_log, snapshot_records
+from .sessions import EventKind, SessionStore, read_log, render_event, snapshot_records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,16 +123,19 @@ def cmd_skills(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Print one session's history, read from `<store>/sessions/<id>.log`
     alone and folded as the store folds it, with the phase notes of its
-    snapshot records and each turn's tokens from `requests.jsonl`. Standing
-    guidance that a later block of its skill superseded, and that later
-    requests no longer carried, is marked `[superseded]`. Trace creates,
-    moves and truncates nothing, so it can read a running store."""
+    snapshot records and each turn's tokens from `requests.jsonl`. A message
+    that later requests carried as a stub, or no longer carried, is marked:
+    a refused call's assistant line `[args not sent again]`, a read of a path
+    read again later and standing guidance that its skill's next block
+    replaced `[superseded]`. Trace creates, moves and truncates nothing, so
+    it can read a running store."""
     session, records = read_log(args.store, args.session)
     usage_lines = [line for line in UsageLog(Path(args.store) / "requests.jsonl").lines()
                    if line.get("session_id") == args.session]
     snapshots = iter(snapshot_records(records))
     pending = next(snapshots, None)
     turn = 0
+    rendered = iter(session.rendered)  # one entry for each event that renders
     print(f"session {session.session_id} status={session.status.value} "
           f"workspace={session.workspace_root}")
     print(f"routed skills: {', '.join(session.routed_skills) or '(none)'}")
@@ -143,9 +146,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             turn += 1
             if usage:
                 line += f" [tokens in={usage['input_tokens']} out={usage['output_tokens']}]"
-        elif (is_standing(event) and event.payload["standing"]
-              != session.standing[event.payload["skill_id"]].block_id):
-            line += " [superseded]"
+        message = render_event(event)
+        if message is not None and next(rendered) != message:
+            line += (" [args not sent again]" if event.kind is EventKind.ASSISTANT_MESSAGE
+                     else " [superseded]")
         line += " " + _brief(event.payload)
         print(line)
         while pending is not None and pending["seq"] <= event.seq:

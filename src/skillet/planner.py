@@ -325,9 +325,9 @@ class Runtime:
         schema = next((t for t in visible if t.name == call.name), None)
 
         def refuse(output: dict) -> None:
+            # the raw arguments are in the assistant_message just written
             self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
-                "name": call.name, "args": call.args, "call_id": call_id,
-                "accepted": False,
+                "name": call.name, "call_id": call_id, "accepted": False,
             })
             self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
                 "call_id": call_id, "name": call.name, "ok": False, "output": output,
@@ -498,6 +498,8 @@ class Runtime:
 
 def render_messages(session: Session) -> list[tuple[str, str]]:
     """The (role, text) chat messages a request carries: the list that
-    `sessions.apply_record` renders each history event onto once, without
-    the places of each skill's superseded standing guidance."""
+    `sessions.apply_record` renders each history event onto once, with the
+    stubs of stale messages in their places (a superseded read, a refused
+    call's arguments) and without each skill's superseded standing
+    guidance."""
     return list(filter(None, session.rendered))

@@ -23,14 +23,25 @@ one `write` and one fsync, then fsyncs `sessions/` so the new name is durable.
 
 Rendering is part of the fold. Each history event is rendered to its chat
 message once, when it is folded in, onto `Session.rendered`, an in-memory
-list that the planner sends as a request's messages. A guidance injection
-whose payload has a `standing` block id is a skill's standing guidance: a
-block is every injection one before_llm stage wrote for the skill, all
-carrying that stage's id, and the skill's next block replaces its previous
-one in the list (the superseded messages become None there), so a request
-carries only each skill's latest block. The log keeps every injection;
-unmarked injections, including every one in a log written before the marker
-existed, render like any other message and stay.
+list that the planner sends as a request's messages. One supersede rule then
+keeps repeated or dead text out of later requests: a message may stand under
+a key, and a later record under that key makes it stale, whereupon the fold
+replaces it in place by its stub. The log keeps every record. The rule has
+three users:
+- standing guidance: a guidance injection whose payload has a `standing`
+  block id stands under its skill, tagged with that id (a block is every
+  injection one before_llm stage wrote for the skill); the skill's next
+  block drops it (its stub is None), so a request carries only each skill's
+  latest block. Unmarked injections render like any other message and stay;
+- reads: an ok `fs_read` result stands under its relative path and becomes a
+  one-line stub once a later ok `fs_read` of the same path is folded in.
+  Reads of different paths, and failed reads, supersede nothing;
+- refused calls: an assistant line's `[tool_call] name({args})` becomes
+  `[tool_call] name(...)` once a `tool_call` record with `"accepted": false`
+  follows it. Its tool_result, with the reason, still renders; a call the
+  executor ran keeps its arguments, even when it failed.
+The rule reads only the log, so a log written before it renders the same
+way on reload as a live session does.
 
 Durability (with `fsync`, the default): a write fsyncs the log before it
 returns, except inside `batch(session_id)` on the thread that opened the
@@ -128,13 +139,17 @@ class HistoryEvent:
     payload: dict
 
 
-@dataclass
-class StandingBlock:
-    """A skill's current standing guidance: the block id its stage wrote,
-    and its injections' indices in `Session.rendered`."""
+Message = tuple[str, str]  # (role, text)
 
-    block_id: int
-    indices: list[int] = field(default_factory=list)
+
+@dataclass
+class Standing:
+    """The messages of `Session.rendered` that stand under one supersede key:
+    the tag of the records that wrote them, and each one's index with the
+    stub it becomes once a later record makes it stale."""
+
+    tag: object
+    stubs: list[tuple[int, Message | None]] = field(default_factory=list)
 
 
 @dataclass
@@ -154,10 +169,10 @@ class Session:
     tool_calls: int = 0
     tool_call_ids: set[str] = field(default_factory=set)
     has_completion: bool = False
-    # the chat messages the history renders to (None where superseded) and
-    # each skill's current standing guidance block: in memory only
-    rendered: list[tuple[str, str] | None] = field(default_factory=list, repr=False)
-    standing: dict[str, StandingBlock] = field(default_factory=dict, repr=False)
+    # the chat messages the history renders to (stubs and None where stale)
+    # and what stands under each supersede key: in memory only
+    rendered: list[Message | None] = field(default_factory=list, repr=False)
+    standing: dict[tuple[str, str], Standing] = field(default_factory=dict, repr=False)
 
     @property
     def next_seq(self) -> int:
@@ -176,7 +191,11 @@ def _contains(root: Path, candidate: Path) -> bool:
     return True
 
 
-def _render_event(event: HistoryEvent) -> tuple[str, str] | None:
+def _call_line(text: str, name: str, args: str) -> Message:
+    return ("assistant", f"{text}\n[tool_call] {name}({args})".strip())
+
+
+def render_event(event: HistoryEvent) -> Message | None:
     """The (role, text) chat message one history event renders to, a pure
     function of its kind and payload; None for runtime bookkeeping
     (tool_call, system_note, completion).
@@ -192,7 +211,7 @@ def _render_event(event: HistoryEvent) -> tuple[str, str] | None:
         text = payload.get("text") or ""
         call = payload.get("tool_call")
         if call:
-            text += f"\n[tool_call] {call['name']}({json.dumps(call['args'], sort_keys=True)})"
+            return _call_line(text, call["name"], json.dumps(call["args"], sort_keys=True))
         return ("assistant", text.strip())
     if event.kind is EventKind.TOOL_RESULT:
         return ("user", (
@@ -202,34 +221,60 @@ def _render_event(event: HistoryEvent) -> tuple[str, str] | None:
     return None
 
 
-def is_standing(event: HistoryEvent) -> bool:
-    """Whether the event is standing guidance: a before_llm injection that
-    the skill's next block supersedes."""
-    return (event.kind is EventKind.GUIDANCE_INJECTION
-            and event.payload.get("standing") is not None)
+# the supersede key of the session's latest assistant line with a tool call
+_CALL = ("call", "")
+
+
+def _stand(session: Session, key: tuple[str, str], tag: object, stub: Message | None) -> None:
+    """The message just rendered stands under `key`: a later message under
+    the key with another tag makes it stale, and so does `_retire(key)`."""
+    current = session.standing.get(key)
+    if current is None or current.tag != tag:
+        _retire(session, key)
+        current = session.standing[key] = Standing(tag)
+    current.stubs.append((len(session.rendered) - 1, stub))
+
+
+def _retire(session: Session, key: tuple[str, str]) -> None:
+    """Replace every message that stands under `key` by its stub."""
+    stale = session.standing.pop(key, None)
+    if stale is not None:
+        for index, stub in stale.stubs:
+            session.rendered[index] = stub
 
 
 def _render(session: Session, event: HistoryEvent) -> None:
-    message = _render_event(event)
+    """Render one event onto `Session.rendered` under the supersede rule."""
+    payload = event.payload
+    if event.kind is EventKind.TOOL_CALL and payload.get("accepted") is False:
+        _retire(session, _CALL)  # the refused call's own assistant line
+    message = render_event(event)
     if message is None:
         return
-    if is_standing(event):
-        skill_id, block_id = event.payload["skill_id"], event.payload["standing"]
-        block = session.standing.get(skill_id)
-        if block is None or block.block_id != block_id:
-            if block is not None:
-                for index in block.indices:  # superseded
-                    session.rendered[index] = None
-            block = session.standing[skill_id] = StandingBlock(block_id)
-        block.indices.append(len(session.rendered))
     session.rendered.append(message)
+    if event.kind is EventKind.ASSISTANT_MESSAGE:
+        # only a refusal right after this line makes it stale, not a later line
+        session.standing.pop(_CALL, None)
+        call = payload.get("tool_call")
+        if call:
+            stub = _call_line(payload.get("text") or "", call["name"], "...")
+            _stand(session, _CALL, event.seq, stub)
+    elif event.kind is EventKind.GUIDANCE_INJECTION and payload.get("standing") is not None:
+        _stand(session, ("guidance", payload["skill_id"]), payload["standing"], None)
+    elif (event.kind is EventKind.TOOL_RESULT and payload["name"] == "fs_read"
+          and payload["ok"]):
+        path = payload["output"]["path"]
+        _stand(session, ("read", path), event.seq, ("user", (
+            "[tool_result fs_read] ok=true "
+            + json.dumps({"path": path, "superseded": "read again later"}, sort_keys=True))))
 
 
 def apply_record(session: Session | None, record: dict) -> Session | None:
     """Fold one log record into session state; no other code does. A history
-    event is also rendered here, once, onto `Session.rendered`, where a
-    skill's new standing block replaces its previous one. Returns the
-    session, or None for a first record that is not a `session_meta`."""
+    event is also rendered here, once, onto `Session.rendered`, and the
+    supersede rule replaces the messages it makes stale by their stubs.
+    Returns the session, or None for a first record that is not a
+    `session_meta`."""
     kind = record.get("kind")
     if session is None:
         if kind != _META_KIND:

@@ -11,15 +11,19 @@ broken rather than written through. Every file read goes through
 `read_head`, which reads no more than the output cap plus 4 bytes; a read
 may follow a hard link, so it can show a file that is also linked from
 outside the root. Commands run with cwd at the root, an executable allowlist,
-a wall-clock bound, and captured, size-capped output.
+a wall-clock bound, and captured, size-capped output, each in a process group
+of its own that is killed when the command returns.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import os
+import selectors
+import signal
 import stat
 import subprocess
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,32 +131,96 @@ def read_head(ctx: ExecutionContext, scoped: ScopedPath) -> str | None:
 
 def run_allowlisted(argv: list[str], ctx: ExecutionContext) -> dict:
     """Run `argv` under the context's command policy: cwd at the workspace
-    root, the executable allowlist, the wall-clock bound and the output cap."""
+    root, the executable allowlist, the wall-clock bound and the output cap.
+
+    The command runs in a process group of its own, and the whole group is
+    killed once the direct child has exited, when the time is up, or when
+    stdout or stderr passes the cap (its exit code is then that of the kill).
+    So a grandchild that holds the output pipe neither holds the call until
+    its timeout nor outlives it.
+    """
     if not argv:
         raise CommandNotAllowed("empty argv")
     if argv[0] not in ctx.command_allowlist:
         raise CommandNotAllowed(f"command {argv[0]!r} is not in the allowlist")
     try:
-        proc = subprocess.run(
-            argv,
-            cwd=str(ctx.workspace_root),
-            capture_output=True,
-            text=True,
-            timeout=ctx.command_timeout_s,
-        )
-    except subprocess.TimeoutExpired:
-        raise CommandTimeout(
-            f"command {argv[0]!r} exceeded {ctx.command_timeout_s}s") from None
+        proc = subprocess.Popen(argv, cwd=str(ctx.workspace_root), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, start_new_session=True)
     except OSError as exc:
         raise ToolError(f"command failed to start: {exc}") from exc
-    stdout, out_cut = _truncate(proc.stdout, ctx.output_truncate_bytes)
-    stderr, err_cut = _truncate(proc.stderr, ctx.output_truncate_bytes)
+    try:
+        # the 4 spare bytes keep whole a character that the cap splits
+        output = _read_capped(proc, ctx.output_truncate_bytes + 4, ctx.command_timeout_s)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the command and all it left running
+        except ProcessLookupError:
+            pass
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait()
+    if output is None:
+        raise CommandTimeout(
+            f"command {argv[0]!r} exceeded {ctx.command_timeout_s}s")
+    stdout, out_cut = _truncate(output[0].decode("utf-8", errors="replace"),
+                                ctx.output_truncate_bytes)
+    stderr, err_cut = _truncate(output[1].decode("utf-8", errors="replace"),
+                                ctx.output_truncate_bytes)
     return {
         "exit_code": proc.returncode,
         "stdout": stdout,
         "stderr": stderr,
         "truncated": out_cut or err_cut,
     }
+
+
+def _read_capped(proc: subprocess.Popen, cap: int,
+                 timeout_s: float) -> tuple[bytes, bytes] | None:
+    """At most `cap` bytes of each of the child's stdout and stderr, read
+    until the child has exited or a stream is full, and then only what the
+    pipes already hold; None if `timeout_s` runs out first. The child is not
+    reaped here."""
+    out = {proc.stdout.fileno(): bytearray(), proc.stderr.fileno(): bytearray()}
+    deadline = time.monotonic() + timeout_s
+    try:  # readable once the child exits; without pidfds, poll every 50 ms instead
+        exit_fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        exit_fd = None
+    with selectors.DefaultSelector() as sel:
+        for fd in out:
+            sel.register(fd, selectors.EVENT_READ)
+        if exit_fd is not None:
+            sel.register(exit_fd, selectors.EVENT_READ)
+        try:
+            exited = full = False
+            while not (exited or full):
+                timeout = deadline - time.monotonic()
+                if timeout <= 0:
+                    return None
+                for key, _ in sel.select(timeout if exit_fd is not None else min(timeout, 0.05)):
+                    if key.fd == exit_fd:
+                        exited = True
+                    else:
+                        full |= _read_into(sel, key.fd, out[key.fd], cap)
+                if exit_fd is None:
+                    exited = proc.poll() is not None
+            while ready := [key.fd for key, _ in sel.select(0) if key.fd in out]:
+                for fd in ready:
+                    _read_into(sel, fd, out[fd], cap)
+        finally:
+            if exit_fd is not None:
+                os.close(exit_fd)
+    return bytes(out[proc.stdout.fileno()]), bytes(out[proc.stderr.fileno()])
+
+
+def _read_into(sel: selectors.BaseSelector, fd: int, buf: bytearray, cap: int) -> bool:
+    """Append what `fd` holds to `buf`, keeping it to `cap` bytes; a stream
+    that ended or is full is unregistered. True once `buf` is full."""
+    chunk = os.read(fd, min(65536, cap - len(buf)))
+    buf += chunk
+    if not chunk or len(buf) >= cap:
+        sel.unregister(fd)
+    return len(buf) >= cap
 
 
 def _truncate(text: str, limit: int) -> tuple[str, bool]:

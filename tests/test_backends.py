@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import skillet
-from skillet import ScriptedBackend, UsageLog, backends
+from skillet import ScriptedBackend, SessionStore, UsageLog, backends
 from skillet.backends import (
     HttpBackend,
     ModelRequest,
@@ -531,6 +531,27 @@ class TestUsageLog:
         assert len(log.lines()) == len(data.splitlines())
         assert log.lines()[-1]["input_tokens"] == 4
         assert (failing.usage.request_count, failing.usage.input_tokens) == (2, 5)
+
+    def test_a_failed_append_leaves_no_line(self, tmp_path, monkeypatch):
+        session = self.make_session(tmp_path)
+        log = UsageLog(tmp_path / "store" / "requests.jsonl")
+        log.record(session, self.usage_response(1))
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(LogWriteError):
+            log.record(session, self.usage_response(2))
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        log.record(session, self.usage_response(4))
+        assert [line["input_tokens"] for line in log.lines()] == [1, 4]
+        assert log.path.read_bytes().count(b"\n") == 2
+        assert session.usage.input_tokens == 5
+        with SessionStore(tmp_path / "store") as reopened:
+            again = reopened.session(session.session_id).usage
+            assert (again.input_tokens, again.request_count) == (5, 2)
 
     def test_write_failure_is_fatal(self, tmp_path):
         session = self.make_session(tmp_path)

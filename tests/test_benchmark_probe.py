@@ -1,13 +1,17 @@
-"""The benchmark's outside-in probe still finds every name it wraps.
+"""The benchmark's outside-in probe still finds every name it wraps, and
+its correctness checks still see a wrong outcome.
 
 `perfbench/probe.py` times each layer by replacing, by name, a method, a
 module-level function or a binding-table entry of the runtime. Installing
 its instruments here makes a rename or removal of a wrapped name fail this
-suite instead of only a traced benchmark run.
+suite instead of only a traced benchmark run; running `perfbench/selftest.py`
+does the same for a runtime change that blinds one of its checks.
 """
 
 import os
 import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,7 +20,8 @@ from skillet.planner import Runtime
 
 from conftest import make_runtime, repair_script, submit_repair_task
 
-PROBE = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+ROOT = Path(__file__).resolve().parents[1]
+PROBE = ROOT / "perfbench" / "probe.py"
 
 
 def load_probe() -> types.ModuleType:
@@ -93,3 +98,11 @@ def test_probe_sees_every_pop_of_a_threaded_drain(registry, repair_workspace, tm
     metrics = probe.layer_metrics(tracer, tasks=sessions)
     assert metrics["planner.pop_hit_ratio"] > 0
     assert metrics["planner.queue_wait_ms"] > 0
+
+
+def test_every_benchmark_check_reports_its_wrong_outcome():
+    # -B: no bytecode is written under perfbench/
+    run = subprocess.run([sys.executable, "-B", "perfbench/selftest.py"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "17/17 checks report their wrong outcome" in run.stdout

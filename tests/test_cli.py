@@ -120,6 +120,38 @@ class TestTrace:
         assert "phase: report" in guidance[-1]
         assert out.count("[superseded]") == 4
 
+    def test_trace_marks_superseded_reads_and_refused_arguments(
+            self, repair_workspace, tmp_path, config_file, capsys):
+        def step(phase, name, args):
+            return {"when": {"phase_contains": f"phase: {phase}"},
+                    "respond": {"tool_call": {"name": name, "args": args}}}
+
+        canonical = repair_script()
+        script = tmp_path / "reads.json"
+        script.write_text(json.dumps([
+            canonical[0],
+            step("patch", "fs_read", {"path": "in/calc.py"}),
+            step("patch", "repair_apply_unified_patch", {"target": "in/calc.py",
+                                                         "body": "not a diff"}),
+            canonical[1],
+            step("verify", "fs_read", {"path": "in/calc.py"}),
+            *canonical[2:],
+        ]))
+        assert main(run_args(repair_workspace, tmp_path, script, config_file)) == 0
+        capsys.readouterr()
+        code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        reads = [line for line in lines if "tool_result" in line and '"fs_read"' in line]
+        assert ["[superseded]" in line for line in reads] == [True, False]
+        marked = [i for i, line in enumerate(lines) if "[args not sent again]" in line]
+        assert len(marked) == 1
+        assert "assistant_message" in lines[marked[0]]
+        call = next(line for line in lines[marked[0]:] if " tool_call " in line)
+        assert '"accepted": false' in call and '"args"' not in call
+        assert not any("[args not sent again]" in line or "[superseded]" in line
+                       for line in lines if "tool_call" in line and "fs_read" in line)
+
     def test_torn_usage_log_tail_is_skipped_and_left_alone(
             self, repair_workspace, tmp_path, script_file, config_file, capsys):
         main(run_args(repair_workspace, tmp_path, script_file, config_file))

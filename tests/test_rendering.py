@@ -1,15 +1,21 @@
-"""Rendering in the session fold: each history event is rendered once, and a
-request carries only each skill's latest standing guidance block."""
+"""Rendering in the session fold: each history event is rendered once, and
+one supersede rule keeps stale text out of later requests: a skill's older
+standing guidance, the results of a path read again later, and the
+arguments of refused calls."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from skillet import DelegatedTask, RunConfig, ScriptedBackend, SessionStatus, SessionStore
+from skillet import sessions
 from skillet.planner import render_messages
-from skillet.sessions import EventKind, apply_record, read_log
+from skillet.schema import ActionSchema, object_spec
+from skillet.sessions import EventKind, HistoryEvent, apply_record, read_log
 
 from conftest import (
+    CALC_PATCH,
     artifact_step,
     delegation_script,
     evidence_step,
@@ -22,26 +28,30 @@ from conftest import (
 )
 
 
+def legacy_message(event):
+    """The message an event rendered to before any supersede rule existed;
+    None for an event that renders to nothing."""
+    payload = event.payload
+    if event.kind in (EventKind.USER_MESSAGE, EventKind.GUIDANCE_INJECTION):
+        return ("user", payload["text"])
+    if event.kind is EventKind.ASSISTANT_MESSAGE:
+        text = payload.get("text") or ""
+        call = payload.get("tool_call")
+        if call:
+            text += f"\n[tool_call] {call['name']}({json.dumps(call['args'], sort_keys=True)})"
+        return ("assistant", text.strip())
+    if event.kind is EventKind.TOOL_RESULT:
+        return ("user", (
+            f"[tool_result {payload['name']}] ok={str(payload['ok']).lower()} "
+            f"{json.dumps(payload['output'], sort_keys=True)}"
+        ))
+    return None
+
+
 def legacy_render(history):
     """The rendering from before standing guidance existed: every event that
     renders at all is kept."""
-    messages = []
-    for event in history:
-        payload = event.payload
-        if event.kind in (EventKind.USER_MESSAGE, EventKind.GUIDANCE_INJECTION):
-            messages.append(("user", payload["text"]))
-        elif event.kind is EventKind.ASSISTANT_MESSAGE:
-            text = payload.get("text") or ""
-            call = payload.get("tool_call")
-            if call:
-                text += f"\n[tool_call] {call['name']}({json.dumps(call['args'], sort_keys=True)})"
-            messages.append(("assistant", text.strip()))
-        elif event.kind is EventKind.TOOL_RESULT:
-            messages.append(("user", (
-                f"[tool_result {payload['name']}] ok={str(payload['ok']).lower()} "
-                f"{json.dumps(payload['output'], sort_keys=True)}"
-            )))
-    return messages
+    return [m for m in map(legacy_message, history) if m is not None]
 
 
 def standing(event):
@@ -63,12 +73,49 @@ def latest_blocks(history):
     return {skill_id: seqs for skill_id, (_, seqs) in latest.items()}
 
 
+def read_path(event):
+    """The path of an ok fs_read result; None for any other event."""
+    if (event.kind is EventKind.TOOL_RESULT and event.payload["name"] == "fs_read"
+            and event.payload["ok"]):
+        return event.payload["output"]["path"]
+    return None
+
+
+def refused_lines(history):
+    """The seqs of the assistant lines whose call a refused tool_call record
+    answered."""
+    refused, line = set(), None
+    for event in history:
+        if event.kind is EventKind.ASSISTANT_MESSAGE:
+            line = event.seq
+        elif event.kind is EventKind.TOOL_CALL and event.payload["accepted"] is False:
+            refused.add(line)
+    return refused
+
+
 def full_render(history):
-    """A from-scratch rendering under the standing rule: the legacy rendering
-    of every event except the standing injections a later block of the same
-    skill superseded."""
+    """A from-scratch rendering under the supersede rule: the legacy rendering
+    of every event, except that standing injections a later block of the same
+    skill superseded are dropped, an ok read of a path that a later ok read
+    of it follows is a stub, and so are the arguments of a refused call."""
     keep = {seq for seqs in latest_blocks(history).values() for seq in seqs}
-    return legacy_render([e for e in history if not standing(e) or e.seq in keep])
+    last_read = {read_path(e): e.seq for e in history if read_path(e)}
+    refused = refused_lines(history)
+    messages = []
+    for event in history:
+        message = legacy_message(event)
+        if message is None or (standing(event) and event.seq not in keep):
+            continue
+        path = read_path(event)
+        if event.seq in refused:
+            call = event.payload["tool_call"]
+            message = ("assistant", f"{event.payload.get('text') or ''}\n[tool_call] "
+                                    f"{call['name']}(...)".strip())
+        elif path and last_read[path] != event.seq:
+            message = ("user", '[tool_result fs_read] ok=true '
+                               f'{{"path": "{path}", "superseded": "read again later"}}')
+        messages.append(message)
+    return messages
 
 
 class RecordingBackend(ScriptedBackend):
@@ -86,12 +133,13 @@ class RecordingBackend(ScriptedBackend):
         return super().complete(request)
 
 
-def run_canonical(registry, workspace, store_dir, delegated, single_worker, script=None):
+def run_canonical(registry, workspace, store_dir, delegated, single_worker, script=None,
+                  backend=RecordingBackend):
     config = RunConfig.from_dict({"planner": {"single_worker": single_worker}})
     if script is None:
         script = delegation_script() if delegated else repair_script()
     runtime = make_runtime(registry, workspace, store_dir, [], config=config)
-    runtime.backend = RecordingBackend(script, runtime.store)
+    runtime.backend = backend(script, runtime.store)
     if delegated:
         runtime.submit_task(DelegatedTask("coordinate the work", "coordination", workspace,
                                           "child reports back"))
@@ -243,7 +291,8 @@ def test_blocks_of_several_skills_and_messages(tmp_path):
     assert texts[7] == ["task", "b1", "r1", "forced", "a3"]
     assert texts[10] == ["task", "r1", "forced", "a3", "r2", "b2", "b3"]
     assert texts[13] == ["task", "r1", "forced", "r2", "r3", "a4", "b4"]
-    assert {k: b.block_id for k, b in session.standing.items()} == {"a": 12, "b": 12}
+    assert {k: b.tag for k, b in session.standing.items()} == {
+        ("guidance", "a"): 12, ("guidance", "b"): 12}
 
 
 def test_a_block_is_its_stage_not_a_run_of_adjacent_seqs(tmp_path):
@@ -306,3 +355,239 @@ def test_a_resumed_wakeup_supersedes_the_guidance_written_before_a_crash(
         assert request.messages == full_render(history)
         assert workflow_messages(request) == 1
 
+
+
+# -- the supersede rule's other users: refused calls and re-read files ----------
+
+GHOST = ActionSchema(name="t_ghost", description="a tool no skill provides",
+                     params=object_spec({}, []), executor_id="core.none")
+
+
+class GhostBackend(RecordingBackend):
+    """Also lets the script call `t_ghost`, which no skill provides, so the
+    call reaches the runtime and is refused as an unknown tool."""
+
+    def complete(self, request):
+        return super().complete(replace(request, tools=[*request.tools, GHOST]))
+
+
+def call_step(name, args, phase, text=""):
+    return {"when": {"phase_contains": f"phase: {phase}"},
+            "respond": {"text": text, "tool_call": {"name": name, "args": args}}}
+
+
+GHOST_ARGS = {"marker": "ghost-" + "x" * 40}
+MALFORMED_BODY = "replace the minus with a plus, " + "y" * 40
+MISMATCHED_PATCH = CALC_PATCH.replace("-    return a - b", "-    return a * b")
+
+
+def refusal_script():
+    """The canonical repair with one refused call of each kind in its patch
+    phase: an unknown tool, invalid arguments and a before_tool rejection."""
+    return [
+        evidence_step(argv=["python3", "in/test_calc.py"]),
+        call_step("t_ghost", GHOST_ARGS, "patch", text="trying a tool"),
+        call_step("repair_apply_unified_patch", {"target": "in/calc.py"}, "patch"),
+        call_step("repair_apply_unified_patch",
+                  {"target": "in/calc.py", "body": MALFORMED_BODY}, "patch"),
+        *repair_script()[1:],
+    ]
+
+
+def read_script():
+    """The canonical repair that reads in/calc.py before and after its patch
+    (the second time spelled differently) and in/test_calc.py once."""
+    return [
+        evidence_step(argv=["python3", "in/test_calc.py"]),
+        call_step("fs_read", {"path": "in/calc.py"}, "patch"),
+        call_step("fs_read", {"path": "in/test_calc.py"}, "patch"),
+        patch_step(),
+        call_step("fs_read", {"path": "./in/calc.py"}, "verify"),
+        *repair_script()[2:],
+    ]
+
+
+def failed_call_script():
+    """The canonical repair whose first patch is accepted by the guard and
+    fails in the executor, as its context does not match."""
+    return [
+        evidence_step(argv=["python3", "in/test_calc.py"]),
+        patch_step(body=MISMATCHED_PATCH),
+        *repair_script()[1:],
+    ]
+
+
+RUNS = {
+    "refusals": (refusal_script, GhostBackend),
+    "reads": (read_script, RecordingBackend),
+    "failed_call": (failed_call_script, RecordingBackend),
+}
+
+
+@pytest.fixture
+def checked_fold(monkeypatch):
+    """Check, after every record folded in live or on reload, that the
+    incremental rendering equals the from-scratch one."""
+    fold = sessions.apply_record
+
+    def apply_and_check(session, record):
+        session = fold(session, record)
+        if session is not None:
+            assert render_messages(session) == full_render(session.history)
+        return session
+
+    monkeypatch.setattr(sessions, "apply_record", apply_and_check)
+
+
+def run_script(registry, workspace, store_dir, run, single_worker=True):
+    script, backend = RUNS[run]
+    runtime = run_canonical(registry, workspace, store_dir, delegated=False,
+                            single_worker=single_worker, script=script(), backend=backend)
+    return runtime, runtime.store.session("s0001")
+
+
+@pytest.mark.parametrize("single_worker", [True, False], ids=["single", "threaded"])
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_the_fold_matches_a_full_render_after_every_record(
+        registry, repair_workspace, tmp_path, checked_fold, run, single_worker):
+    runtime, live = run_script(registry, repair_workspace, tmp_path / "store", run,
+                               single_worker)
+    for request, history in runtime.backend.seen:
+        assert request.messages == full_render(history)
+        assert request.messages[-1][1].startswith("[repair workflow]")
+    with SessionStore(tmp_path / "store") as reopened:  # folds through the check too
+        again = reopened.session("s0001")
+        assert again.rendered == live.rendered
+        assert render_messages(again) == render_messages(live)
+
+
+def texts_after(runtime, seq):
+    """The message texts of every request made after the record at `seq`."""
+    return [[t for _, t in request.messages] for request, history in runtime.backend.seen
+            if history[-1].seq > seq]
+
+
+def test_a_refused_call_keeps_its_name_and_reason_but_not_its_arguments(
+        registry, repair_workspace, tmp_path):
+    runtime, session = run_script(registry, repair_workspace, tmp_path / "store", "refusals")
+    calls = [e for e in session.history if e.kind is EventKind.TOOL_CALL]
+    refused = [e for e in calls if not e.payload["accepted"]]
+    results = {e.payload["call_id"]: e for e in session.history
+               if e.kind is EventKind.TOOL_RESULT}
+    assert [results[e.payload["call_id"]].payload["output"]["error"] for e in refused] == [
+        "unknown_tool", "invalid_arguments", "rejected"]
+    for call in refused:  # the arguments are written once, in the assistant_message
+        assert call.payload == {"name": call.payload["name"], "call_id": call.payload["call_id"],
+                                "accepted": False}
+    for call in calls:
+        if call.payload["accepted"]:
+            assert "args" in call.payload
+    last = runtime.backend.seen[-1][0].messages
+    texts = [t for _, t in last]
+    assert "trying a tool\n[tool_call] t_ghost(...)" in texts
+    assert texts.count("[tool_call] repair_apply_unified_patch(...)") == 2
+    for later in texts_after(runtime, refused[0].seq):
+        joined = "\n".join(later)
+        assert GHOST_ARGS["marker"] not in joined and "y" * 40 not in joined
+    for call in refused:  # each refusal still renders, with its reason
+        result = results[call.payload["call_id"]]
+        assert sessions.render_event(result) in last
+    # the patch the executor ran keeps its arguments
+    assert any(t.endswith(json.dumps({"body": CALC_PATCH, "target": "in/calc.py"},
+                                     sort_keys=True) + ")") for t in texts)
+
+
+def test_only_the_latest_read_of_a_path_is_sent(registry, repair_workspace, tmp_path):
+    runtime, session = run_script(registry, repair_workspace, tmp_path / "store", "reads")
+    reads = [e for e in session.history if read_path(e)]
+    assert [read_path(e) for e in reads] == ["in/calc.py", "in/test_calc.py", "in/calc.py"]
+    assert "a - b" in reads[0].payload["output"]["content"]
+    assert "a + b" in reads[2].payload["output"]["content"]  # the log keeps every read
+    stub = ("user", '[tool_result fs_read] ok=true '
+                    '{"path": "in/calc.py", "superseded": "read again later"}')
+    for request, history in runtime.backend.seen:
+        later = [e for e in history if read_path(e)]
+        if len(later) == 3:
+            assert stub in request.messages
+            assert sessions.render_event(reads[0]) not in request.messages
+        else:  # before the second read of in/calc.py, its first read is sent whole
+            assert stub not in request.messages
+            assert all(sessions.render_event(e) in request.messages for e in later)
+        assert all(sessions.render_event(e) in request.messages for e in later[1:])
+
+
+def test_a_call_the_executor_ran_keeps_its_arguments_when_it_fails(
+        registry, repair_workspace, tmp_path):
+    runtime, session = run_script(registry, repair_workspace, tmp_path / "store", "failed_call")
+    failed = next(e for e in session.history if e.kind is EventKind.TOOL_RESULT
+                  and not e.payload["ok"])
+    assert failed.payload["output"]["error"] == "hunk_mismatch"
+    line = next(legacy_message(e)[1] for e in reversed(session.history[:failed.seq - 1])
+                if e.kind is EventKind.ASSISTANT_MESSAGE)
+    assert "return a * b" in line
+    later = texts_after(runtime, failed.seq)
+    assert later and all(line in texts for texts in later)
+
+
+def read_call(seq, path):
+    return event_record(seq, EventKind.ASSISTANT_MESSAGE, text="",
+                        tool_call={"name": "fs_read", "args": {"path": path}})
+
+
+def tool_call(seq, call_id, name, accepted=True, **extra):
+    return event_record(seq, EventKind.TOOL_CALL, name=name, call_id=call_id,
+                        accepted=accepted, **extra)
+
+
+def read_result(seq, call_id, path, ok=True):
+    output = ({"path": path, "content": f"content {seq}", "truncated": False} if ok
+              else {"error": "ToolError", "message": f"no such file: {path}"})
+    return event_record(seq, EventKind.TOOL_RESULT, call_id=call_id, name="fs_read",
+                        ok=ok, output=output)
+
+
+def read(seq, n, path, ok=True):
+    """The three records of one read, from seq on."""
+    call_id = f"call-{n}"
+    return [read_call(seq, path), tool_call(seq + 1, call_id, "fs_read"),
+            read_result(seq + 2, call_id, path, ok)]
+
+
+def test_reads_of_other_paths_and_failed_reads_supersede_nothing(tmp_path):
+    records = [
+        meta_record(tmp_path, []),
+        event_record(1, EventKind.USER_MESSAGE, text="task"),
+        *read(2, 1, "a.txt"),
+        *read(5, 2, "b.txt"),
+        *read(8, 3, "a.txt", ok=False),
+        *read(11, 4, "c.txt"),
+        *read(14, 5, "a.txt"),
+    ]
+    _, texts = fold_texts(records)
+    results = [legacy_message(HistoryEvent(r["seq"], EventKind(r["kind"]), r["payload"]))[1]
+               for r in records if r["kind"] == EventKind.TOOL_RESULT.value]
+    assert [t for t in texts[13] if t.startswith("[tool_result")] == results[:4]
+    stub = '[tool_result fs_read] ok=true {"path": "a.txt", "superseded": "read again later"}'
+    assert [t for t in texts[16] if t.startswith("[tool_result")] == [stub, *results[1:]]
+
+
+def test_an_older_log_with_refused_arguments_renders_the_same(tmp_path):
+    """A refused tool_call record written before the arguments were left out
+    of it folds to the same rendering; a call that after_llm diverted, with no
+    tool_call record, keeps its arguments."""
+    call = {"name": "t_x", "args": {"big": "z" * 30}}
+    records = [
+        meta_record(tmp_path, []),
+        event_record(1, EventKind.USER_MESSAGE, text="task"),
+        event_record(2, EventKind.ASSISTANT_MESSAGE, text="first", tool_call=call),
+        event_record(3, EventKind.ASSISTANT_MESSAGE, text="second", tool_call=call),
+        tool_call(4, "call-1", "t_x", accepted=False, args=call["args"]),
+        event_record(5, EventKind.TOOL_RESULT, call_id="call-1", name="t_x", ok=False,
+                     output={"error": "unknown_tool"}),
+    ]
+    _, texts = fold_texts(records)
+    args = json.dumps(call["args"], sort_keys=True)
+    assert texts[5][1:3] == [f"first\n[tool_call] t_x({args})",
+                             "second\n[tool_call] t_x(...)"]
+    records[4]["payload"].pop("args")
+    assert fold_texts(records)[1] == texts

@@ -1,8 +1,11 @@
 """Path scoping, sandboxed command execution, and the orchestration executors."""
 
 import os
+import signal
 import stat
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +100,30 @@ class TestGlobMatch:
         assert glob_match("config.lock", ["tests/**", "*.lock"])
 
 
+def group_members(group: int) -> dict[int, str]:
+    """pid -> state of every process whose process group is `group`."""
+    members = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process is gone
+        if int(fields[2]) == group:
+            members[int(stat.parent.name)] = fields[0]
+    return members
+
+
+def group_running(group: int, wait_s: float = 2.0) -> bool:
+    """Whether a process of the group still runs after `wait_s`; a SIGKILL is
+    delivered asynchronously, and a zombie runs nothing."""
+    deadline = time.monotonic() + wait_s
+    while any(state != "Z" for state in group_members(group).values()):
+        if time.monotonic() > deadline:
+            return True
+        time.sleep(0.01)
+    return False
+
+
 class TestRunAllowlisted:
     def test_allowed_command_captures_output(self, guarded_workspace):
         result = run_allowlisted(["echo", "hi"], make_ctx(guarded_workspace))
@@ -122,6 +149,29 @@ class TestRunAllowlisted:
         )
         assert result["truncated"] is True
         assert len(result["stdout"].encode()) <= 100
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_a_grandchild_holding_the_pipe_neither_holds_the_call_nor_outlives_it(
+            self, guarded_workspace):
+        code = ("import os, subprocess, sys\n"
+                "child = subprocess.Popen(['sleep', '30'])\n"  # shares stdout and stderr
+                "print('hi', flush=True)\n"
+                "print(os.getpgid(0), file=sys.stderr)\n")
+        start = time.monotonic()
+        result = run_allowlisted(["python3", "-c", code], make_ctx(
+            guarded_workspace, allowlist=("python3",), timeout=5.0))
+        assert time.monotonic() - start < 5.0
+        assert (result["exit_code"], result["stdout"]) == (0, "hi\n")
+        assert not group_running(int(result["stderr"]))  # the sleep was in it
+
+    def test_a_full_stream_ends_the_command(self, guarded_workspace):
+        code = "import sys, time; sys.stdout.write('x' * 1000); sys.stdout.flush(); time.sleep(30)"
+        start = time.monotonic()
+        result = run_allowlisted(["python3", "-c", code], make_ctx(
+            guarded_workspace, allowlist=("python3",), timeout=5.0, truncate=100))
+        assert time.monotonic() - start < 5.0
+        assert (result["stdout"], result["truncated"]) == ("x" * 100, True)
+        assert result["exit_code"] == -signal.SIGKILL
 
     def test_cut_counts_bytes_and_drops_a_split_character(self):
         assert _truncate("éé", 3) == ("é", True)
