@@ -134,10 +134,11 @@ def run_allowlisted(argv: list[str], ctx: ExecutionContext) -> dict:
     root, the executable allowlist, the wall-clock bound and the output cap.
 
     The command runs in a process group of its own, and the whole group is
-    killed once the direct child has exited, when the time is up, or when
-    stdout or stderr passes the cap (its exit code is then that of the kill).
-    So a grandchild that holds the output pipe neither holds the call until
-    its timeout nor outlives it.
+    killed once the direct child has exited or the time is up. So a
+    grandchild that holds the output pipe neither holds the call until its
+    timeout nor outlives it. Output past the cap is read and dropped, so a
+    command that prints more than the cap still runs to its own exit code.
+    Output is decoded as UTF-8 with replacement, with universal newlines.
     """
     if not argv:
         raise CommandNotAllowed("empty argv")
@@ -162,10 +163,8 @@ def run_allowlisted(argv: list[str], ctx: ExecutionContext) -> dict:
     if output is None:
         raise CommandTimeout(
             f"command {argv[0]!r} exceeded {ctx.command_timeout_s}s")
-    stdout, out_cut = _truncate(output[0].decode("utf-8", errors="replace"),
-                                ctx.output_truncate_bytes)
-    stderr, err_cut = _truncate(output[1].decode("utf-8", errors="replace"),
-                                ctx.output_truncate_bytes)
+    (stdout, out_cut), (stderr, err_cut) = (
+        _decode(raw, ctx.output_truncate_bytes) for raw in output)
     return {
         "exit_code": proc.returncode,
         "stdout": stdout,
@@ -174,12 +173,21 @@ def run_allowlisted(argv: list[str], ctx: ExecutionContext) -> dict:
     }
 
 
+def _decode(raw: bytes, limit: int) -> tuple[str, bool]:
+    """The text of a captured stream, cut to `limit` bytes; cut when the
+    stream carried more than `limit` bytes."""
+    text = raw.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+    text, cut = _truncate(text, limit)
+    return text, cut or len(raw) > limit
+
+
 def _read_capped(proc: subprocess.Popen, cap: int,
                  timeout_s: float) -> tuple[bytes, bytes] | None:
-    """At most `cap` bytes of each of the child's stdout and stderr, read
-    until the child has exited or a stream is full, and then only what the
-    pipes already hold; None if `timeout_s` runs out first. The child is not
-    reaped here."""
+    """The first `cap` bytes of each of the child's stdout and stderr, read
+    until the child has exited, and then what the pipes already hold until
+    each is empty or full; None if `timeout_s` runs out first. Bytes past
+    the cap are read and dropped, so the child never blocks on a full pipe.
+    The child is not reaped here."""
     out = {proc.stdout.fileno(): bytearray(), proc.stderr.fileno(): bytearray()}
     deadline = time.monotonic() + timeout_s
     try:  # readable once the child exits; without pidfds, poll every 50 ms instead
@@ -192,8 +200,8 @@ def _read_capped(proc: subprocess.Popen, cap: int,
         if exit_fd is not None:
             sel.register(exit_fd, selectors.EVENT_READ)
         try:
-            exited = full = False
-            while not (exited or full):
+            exited = False
+            while not exited:
                 timeout = deadline - time.monotonic()
                 if timeout <= 0:
                     return None
@@ -201,10 +209,12 @@ def _read_capped(proc: subprocess.Popen, cap: int,
                     if key.fd == exit_fd:
                         exited = True
                     else:
-                        full |= _read_into(sel, key.fd, out[key.fd], cap)
+                        _read_into(sel, key.fd, out[key.fd], cap)
                 if exit_fd is None:
                     exited = proc.poll() is not None
-            while ready := [key.fd for key, _ in sel.select(0) if key.fd in out]:
+            # a grandchild may still be writing: stop at a full buffer, not at the end
+            while ready := [key.fd for key, _ in sel.select(0)
+                            if key.fd in out and len(out[key.fd]) < cap]:
                 for fd in ready:
                     _read_into(sel, fd, out[fd], cap)
         finally:
@@ -213,14 +223,13 @@ def _read_capped(proc: subprocess.Popen, cap: int,
     return bytes(out[proc.stdout.fileno()]), bytes(out[proc.stderr.fileno()])
 
 
-def _read_into(sel: selectors.BaseSelector, fd: int, buf: bytearray, cap: int) -> bool:
-    """Append what `fd` holds to `buf`, keeping it to `cap` bytes; a stream
-    that ended or is full is unregistered. True once `buf` is full."""
-    chunk = os.read(fd, min(65536, cap - len(buf)))
-    buf += chunk
-    if not chunk or len(buf) >= cap:
+def _read_into(sel: selectors.BaseSelector, fd: int, buf: bytearray, cap: int) -> None:
+    """Append what `fd` holds to `buf`, keeping it to `cap` bytes and dropping
+    the rest; a stream that ended is unregistered."""
+    chunk = os.read(fd, 65536)
+    if not chunk:
         sel.unregister(fd)
-    return len(buf) >= cap
+    buf += chunk[:cap - len(buf)]
 
 
 def _truncate(text: str, limit: int) -> tuple[str, bool]:

@@ -1,7 +1,6 @@
 """Path scoping, sandboxed command execution, and the orchestration executors."""
 
 import os
-import signal
 import stat
 import time
 import tracemalloc
@@ -12,7 +11,7 @@ import pytest
 from skillet import workspace
 from skillet.errors import CommandNotAllowed, CommandTimeout, PathEscape, ToolError
 from skillet.execution import ExecutionContext
-from skillet.repair import collect_evidence
+from skillet.repair import collect_evidence, run_verification
 from skillet.workspace import (
     _truncate,
     fs_read,
@@ -124,6 +123,68 @@ def group_running(group: int, wait_s: float = 2.0) -> bool:
     return False
 
 
+@pytest.fixture(params=["pidfd", "polling"])
+def exit_wait(request, monkeypatch):
+    """Run a test once with the child's exit seen through a pidfd, and once
+    through polling, the path of a platform without pidfds."""
+    if request.param == "pidfd":
+        if not hasattr(os, "pidfd_open"):
+            pytest.skip("no pidfds on this platform")
+    else:
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    return request.param
+
+
+def python_ctx(ws, timeout=5.0, truncate=32768):
+    return make_ctx(ws, allowlist=("python3",), timeout=timeout, truncate=truncate)
+
+
+class TestCommandCapture:
+    def test_a_grandchild_holding_the_pipe_neither_holds_the_call_nor_outlives_it(
+            self, guarded_workspace, exit_wait):
+        code = ("import os, subprocess, sys\n"
+                "child = subprocess.Popen(['sleep', '30'])\n"  # shares stdout and stderr
+                "print('hi', flush=True)\n"
+                "print(os.getpgid(0), file=sys.stderr)\n")
+        start = time.monotonic()
+        result = run_allowlisted(["python3", "-c", code], python_ctx(guarded_workspace))
+        assert time.monotonic() - start < 5.0
+        assert (result["exit_code"], result["stdout"]) == (0, "hi\n")
+        if Path("/proc/self/stat").exists():
+            assert not group_running(int(result["stderr"]))  # the sleep was in it
+
+    def test_output_past_the_cap_keeps_the_exit_code(self, guarded_workspace, exit_wait):
+        code = ("import sys\n"
+                "sys.stdout.write('x' * 200000)\n"
+                "sys.stderr.write('y' * 200000)\n"
+                "sys.exit(3)\n")
+        result = run_allowlisted(["python3", "-c", code],
+                                 python_ctx(guarded_workspace, truncate=100))
+        assert result == {"exit_code": 3, "stdout": "x" * 100, "stderr": "y" * 100,
+                          "truncated": True}
+
+    def test_a_verbose_passing_check_passes(self, guarded_workspace, exit_wait):
+        check = {"name": "verbose", "type": "command_exit_zero",
+                 "args": {"argv": ["python3", "-c", "print('ok ' * 50000)"]}}
+        out = run_verification({"checks": [check]}, python_ctx(guarded_workspace, truncate=100))
+        assert out["passed"] is True
+        assert run_allowlisted(check["args"]["argv"],
+                               python_ctx(guarded_workspace, truncate=100))["truncated"] is True
+
+    def test_a_command_that_never_stops_writing_times_out(self, guarded_workspace, exit_wait):
+        code = "import sys\nwhile True: sys.stdout.write('x' * 65536)\n"
+        start = time.monotonic()
+        with pytest.raises(CommandTimeout):
+            run_allowlisted(["python3", "-c", code],
+                            python_ctx(guarded_workspace, timeout=0.5, truncate=100))
+        assert time.monotonic() - start < 5.0
+
+    def test_newlines_are_universal(self, guarded_workspace, exit_wait):
+        code = "import sys\nsys.stdout.write('a\\r\\nb\\rc\\n')\n"
+        result = run_allowlisted(["python3", "-c", code], python_ctx(guarded_workspace))
+        assert (result["stdout"], result["truncated"]) == ("a\nb\nc\n", False)
+
+
 class TestRunAllowlisted:
     def test_allowed_command_captures_output(self, guarded_workspace):
         result = run_allowlisted(["echo", "hi"], make_ctx(guarded_workspace))
@@ -149,29 +210,6 @@ class TestRunAllowlisted:
         )
         assert result["truncated"] is True
         assert len(result["stdout"].encode()) <= 100
-
-    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-    def test_a_grandchild_holding_the_pipe_neither_holds_the_call_nor_outlives_it(
-            self, guarded_workspace):
-        code = ("import os, subprocess, sys\n"
-                "child = subprocess.Popen(['sleep', '30'])\n"  # shares stdout and stderr
-                "print('hi', flush=True)\n"
-                "print(os.getpgid(0), file=sys.stderr)\n")
-        start = time.monotonic()
-        result = run_allowlisted(["python3", "-c", code], make_ctx(
-            guarded_workspace, allowlist=("python3",), timeout=5.0))
-        assert time.monotonic() - start < 5.0
-        assert (result["exit_code"], result["stdout"]) == (0, "hi\n")
-        assert not group_running(int(result["stderr"]))  # the sleep was in it
-
-    def test_a_full_stream_ends_the_command(self, guarded_workspace):
-        code = "import sys, time; sys.stdout.write('x' * 1000); sys.stdout.flush(); time.sleep(30)"
-        start = time.monotonic()
-        result = run_allowlisted(["python3", "-c", code], make_ctx(
-            guarded_workspace, allowlist=("python3",), timeout=5.0, truncate=100))
-        assert time.monotonic() - start < 5.0
-        assert (result["stdout"], result["truncated"]) == ("x" * 100, True)
-        assert result["exit_code"] == -signal.SIGKILL
 
     def test_cut_counts_bytes_and_drops_a_split_character(self):
         assert _truncate("éé", 3) == ("é", True)
