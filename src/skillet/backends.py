@@ -26,7 +26,6 @@ tool exposure measurably shrinks requests.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from .errors import (
     ScriptToolNotVisible,
 )
 from .schema import ActionSchema
-from .sessions import Session, cut_torn_tail, parse_jsonl
+from .sessions import Session, append_log, open_log, parse_jsonl
 
 
 @dataclass
@@ -240,9 +239,12 @@ class UsageLog:
     Readers skip a torn last line (a crash mid-append); only the writer cuts
     it, before its first append.
 
-    One lock covers each caller's append, fsync and totals update, so a
-    caller returns once its own line is durable, or raises LogWriteError if
-    its own append failed, after cutting its line from the file."""
+    Each line goes through the session logs' appender (`sessions.open_log`
+    and `append_log`), opened for that line alone: one write loop, an fsync,
+    and on any failure the file cut back to its length before the line. One
+    lock covers each caller's append, fsync and totals update, so a caller
+    returns once its own line is durable, or raises LogWriteError if its own
+    append failed, and then leaves no byte of its line behind."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
@@ -264,31 +266,18 @@ class UsageLog:
         }, sort_keys=True) + "\n"
         with self._lock:
             try:
-                self._append(line.encode("utf-8"))
+                intact = None
+                if not self._tail_checked and self.path.exists():
+                    intact = parse_jsonl(self.path.read_bytes(), self.path.name)[1]
+                self._tail_checked = True
+                with open_log(self.path, intact) as fh:
+                    append_log(fh, line.encode("utf-8"), self.fsync)
             except Exception as exc:
                 self._tail_checked = False  # in case the cut back failed too
                 raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
             session.usage.add(usage.input_tokens, usage.output_tokens,
                               usage.cache_tokens, usage.total_tokens)
         return usage
-
-    def _append(self, data: bytes) -> None:
-        """Append one line and fsync it; if either fails, cut the file back
-        to its length before the line, so a reopened store counts only the
-        lines whose callers returned."""
-        if not self._tail_checked and self.path.exists():
-            cut_torn_tail(self.path)
-        self._tail_checked = True
-        with open(self.path, "ab", buffering=0) as fh:
-            start = os.fstat(fh.fileno()).st_size
-            try:
-                while data:
-                    data = data[fh.write(data):]
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            except BaseException:
-                os.ftruncate(fh.fileno(), start)
-                raise
 
     def lines(self) -> list[dict]:
         """Every whole record; a torn last line is skipped, not cut."""

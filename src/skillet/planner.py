@@ -26,7 +26,6 @@ import logging
 import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import bindings
 from .backends import ModelRequest, ModelResponse
@@ -166,7 +165,7 @@ class Runtime:
         self.queue.enqueue(session.session_id, "initial")
         return session
 
-    # -- runtime callbacks exposed to tools ----------------------------------
+    # -- the runtime's own tools: delegate_subtask and finish ----------------
 
     def _delegate(self, parent: Session, task_text: str, task_type: str,
                   subdir: str, done_when: str) -> dict:
@@ -392,12 +391,14 @@ class Runtime:
             output_truncate_bytes=self.config.workspace.output_truncate_bytes,
             protected_globs=protected,
             artifact_dir=policy.artifact_dir,
-            delegate=partial(self._delegate, session),
-            finish=partial(self._finish, session),
         )
-        executor = self.registry.executors[schema.executor_id]
-        try:
-            return True, executor(args, ctx)
+        try:  # the planner runs finish and delegate_subtask itself
+            if schema.executor_id == "core.finish":
+                return True, self._finish(session, args["report_text"])
+            if schema.executor_id == "core.delegate_subtask":
+                return True, self._delegate(session, args["task_text"], args["task_type"],
+                                            args["subdir"], args["done_when"])
+            return True, self.registry.executors[schema.executor_id](args, ctx)
         except ToolError as exc:
             return False, exc.payload()
         except SkilletError as exc:

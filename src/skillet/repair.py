@@ -85,7 +85,7 @@ PHASE_EDGES = frozenset({
     (VERIFY, PATCH),
 })
 
-DEFAULT_ARTIFACT_EXTENSIONS = (".md", ".txt", ".json", ".patch")
+ARTIFACT_EXTENSIONS = (".md", ".txt", ".json", ".patch")
 
 CHECK_TYPES = ("command_exit_zero", "file_exists", "file_contains", "output_matches")
 
@@ -130,18 +130,7 @@ def normalize_failure_signature(output: str) -> str | None:
     return re.sub(r"\d+", "N", picked)
 
 
-def artifact_extensions(config: dict) -> tuple[str, ...]:
-    raw = config.get("artifact_extensions")
-    if not raw:
-        return DEFAULT_ARTIFACT_EXTENSIONS
-    return tuple(e for e in (s.strip() for s in str(raw).split(",")) if e)
-
-
-def infer_required_artifacts(
-    done_when: str,
-    workspace_root: Path,
-    extensions: tuple[str, ...] = DEFAULT_ARTIFACT_EXTENSIONS,
-) -> list[str]:
+def infer_required_artifacts(done_when: str, workspace_root: Path) -> list[str]:
     """Extract the artifact paths a done_when contract demands.
 
     Rule: every backtick-quoted or whitespace-delimited token that contains a
@@ -154,7 +143,7 @@ def infer_required_artifacts(
     for cand in candidates:
         if not cand:
             continue
-        if "/" not in cand and not cand.lower().endswith(extensions):
+        if "/" not in cand and not cand.lower().endswith(ARTIFACT_EXTENSIONS):
             continue
         try:
             resolve(workspace_root, cand)
@@ -212,8 +201,7 @@ def before_llm(ctx: HookContext) -> HookDecision:
     state = RepairState.from_doc(ctx.state)
     inferring = state.required_artifacts is None
     if inferring:  # once per session: the result is kept in the skill state
-        state.required_artifacts = infer_required_artifacts(
-            ctx.done_when, ctx.workspace_root, artifact_extensions(ctx.config))
+        state.required_artifacts = infer_required_artifacts(ctx.done_when, ctx.workspace_root)
     visible = set(PHASE_ACTIONS[state.phase]) | {"fs_read", "finish"}
     return HookDecision(
         tool_filter=visible,

@@ -10,16 +10,16 @@ One fold, `apply_record`, is the only code that turns a record into session
 state: the meta record builds the `Session`, a history event is appended (a
 completion event also sets COMPLETED and the session's tool-call fields are
 kept up to date), a snapshot replaces that skill's state, and a status record
-sets the status. Each writer builds its record, writes it to the log with one
-`write`, then applies it through the fold; loading a log is the same fold run
-over its parsed records (`replay`). So the live session and a reload of its
-log agree after every write, and a process that dies at any record boundary
-leaves a log whose reload gives the session as it was at that point. A torn
-tail line is skipped on load, which writes nothing; anything corrupt earlier
-raises CorruptStore. A log without a `session_meta` line is moved to
+sets the status. Each writer builds its record, appends it to the log, then
+applies it through the fold; loading a log is the same fold run over its
+parsed records (`replay`). So the live session and a reload of its log agree
+after every write, and a process that dies at any record boundary leaves a
+log whose reload gives the session as it was at that point. A torn tail line
+is skipped on load, which writes nothing; anything corrupt earlier raises
+CorruptStore. A log without a `session_meta` line is moved to
 `<store>/quarantine/`, and new ids are allocated past every log file seen.
-`create_session` writes the meta record and the task's `user_message` with
-one `write` and one fsync, then fsyncs `sessions/` so the new name is durable.
+`create_session` appends the meta record and the task's `user_message` in
+one append and one fsync, then fsyncs `sessions/` so the new name is durable.
 
 Rendering is part of the fold. Each history event is rendered to its chat
 message once, when it is folded in, onto `Session.rendered`, an in-memory
@@ -51,15 +51,23 @@ runs each wakeup in a batch and syncs before a tool's effect, so a wakeup
 costs two session-log fsyncs however many records it writes. Writes from
 other threads, such as a child's report into its parent, are not deferred.
 
-The store keeps one `O_APPEND` descriptor per session log it writes to. It
-opens it at the first write to that log, cutting a torn tail line (with a
-warning) first, so the next record starts a line of its own. It syncs and
-closes it when the session becomes COMPLETED or FAILED, and `close()` (or
-leaving a `with` block) does so for every descriptor still open; a later
-write to a closed log opens it again. `set_status` writes a status record
-only when the status changes. Usage totals are rebuilt on load from one scan of
-`<store>/requests.jsonl`, the per-request log that `UsageLog` appends to; its
-torn last line is skipped there, and cut only by `UsageLog` before it
+One appender writes every JSONL log, the session logs and `requests.jsonl`
+alike. `open_log` opens a log for appending, first cutting a torn tail line
+(with a warning) to the length the caller's `parse_jsonl` found, so the next
+record starts a line of its own; `append_log` writes a batch of records with
+one write loop and fsyncs it when asked. If the write or the fsync fails, it
+cuts the log back to its length before the append and raises, so a failed
+append leaves nothing behind: no half line for the next record to join, and
+no record that the live session never folded in.
+
+The store keeps one `O_APPEND` descriptor per session log it writes to,
+opened at the first write to that log. It syncs and closes it when the
+session becomes COMPLETED or FAILED, and `close()` (or leaving a `with`
+block) does so for every descriptor still open; a later write to a closed
+log opens it again. `set_status` writes a status record only when the status
+changes. Usage totals are rebuilt on load from one scan of
+`<store>/requests.jsonl`, the per-request log that `UsageLog` appends to;
+its torn last line is skipped there, and cut only by `UsageLog` before it
 appends.
 """
 
@@ -181,14 +189,6 @@ class Session:
 
 def _canonical(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _contains(root: Path, candidate: Path) -> bool:
-    try:
-        candidate.relative_to(root)
-    except ValueError:
-        return False
-    return True
 
 
 def _call_line(text: str, name: str, args: str) -> Message:
@@ -358,13 +358,30 @@ def parse_jsonl(data: bytes, name: str) -> tuple[list[dict], int | None]:
     return records, sum(len(line) + 1 for line in body) if torn_tail else None
 
 
-def cut_torn_tail(path: Path) -> None:
-    """Cut a torn last line from a log this process is about to append to
-    (with a warning), so the next record starts a line of its own."""
-    _, intact = parse_jsonl(path.read_bytes(), path.name)
+def open_log(path: Path, intact: int | None) -> io.FileIO:
+    """Open a JSONL log for appending. `intact` is the length that the
+    caller's `parse_jsonl` of the log returned for a torn tail; the tail is
+    cut to it first (with a warning), so the next record starts a line of its
+    own."""
     if intact is not None:
         os.truncate(path, intact)
         log.warning("%s: truncated torn tail record", path.name)
+    return open(path, "ab", buffering=0)
+
+
+def append_log(fh: io.FileIO, data: bytes, fsync: bool) -> None:
+    """Append `data` with one write loop, and fsync it when asked. If the
+    write or the fsync fails, cut the log back to its length before the
+    append, then raise: a failed append leaves nothing behind."""
+    start = os.fstat(fh.fileno()).st_size
+    try:
+        while data:
+            data = data[fh.write(data):]
+        if fsync:
+            os.fsync(fh.fileno())
+    except BaseException:
+        os.ftruncate(fh.fileno(), start)
+        raise
 
 
 class SessionStore:
@@ -383,7 +400,7 @@ class SessionStore:
         self._logs: dict[str, io.FileIO] = {}  # open append descriptors by session id
         self._batched: dict[str, int] = {}  # session id -> thread that holds its batch
         self._dirty: set[str] = set()  # ids of open logs with writes not yet fsynced
-        self._torn: set[str] = set()  # ids of logs loaded with a torn last line
+        self._torn: dict[str, int] = {}  # session id -> intact length of a torn log
         self._store_lock = threading.Lock()
         self._last_id = 0
         self._load()
@@ -412,7 +429,7 @@ class SessionStore:
             parent = self._sessions.get(parent_id)
             if parent is None:
                 raise UnknownParent(f"unknown parent session {parent_id!r}")
-            if not _contains(parent.workspace_root, root):
+            if not root.is_relative_to(parent.workspace_root):
                 raise WorkspaceEscape(
                     f"child root {root} escapes parent root {parent.workspace_root}"
                 )
@@ -544,34 +561,28 @@ class SessionStore:
             self._close_log(session.session_id)
 
     def _write_records(self, session_id: str, *records: dict) -> None:
-        """Append records with one `write` and fsync them, unless this thread
-        holds the session's batch: then they are left for its next
-        durability point. The caller holds the session's lock (or owns a
-        session no other thread can see yet)."""
-        fh = self._logs.get(session_id) or self._open_log(session_id)
-        data = "".join(_canonical(record) + "\n" for record in records).encode("utf-8")
-        while data:
-            data = data[fh.write(data):]
-        if not self.fsync:
-            return
-        if self._batched.get(session_id) == threading.get_ident():
+        """Append records in one `append_log` and fsync them, unless this
+        thread holds the session's batch: then they are left for its next
+        durability point. A failed append leaves the log as it was. The
+        caller holds the session's lock (or owns a session no other thread
+        can see yet)."""
+        if session_id not in self._logs:
+            self._logs[session_id] = open_log(self._log_path(session_id),
+                                              self._torn.get(session_id))
+            self._torn.pop(session_id, None)
+        deferred = self.fsync and self._batched.get(session_id) == threading.get_ident()
+        append_log(self._logs[session_id],
+                   "".join(_canonical(record) + "\n" for record in records).encode("utf-8"),
+                   self.fsync and not deferred)
+        if deferred:
             self._dirty.add(session_id)
         else:
-            os.fsync(fh.fileno())
             self._dirty.discard(session_id)  # the fsync covered earlier writes too
 
     def _sync(self, session_id: str) -> None:
         if session_id in self._dirty:
             self._dirty.discard(session_id)
             os.fsync(self._logs[session_id].fileno())
-
-    def _open_log(self, session_id: str) -> io.FileIO:
-        path = self._log_path(session_id)
-        if session_id in self._torn:
-            cut_torn_tail(path)
-            self._torn.discard(session_id)
-        fh = self._logs[session_id] = open(path, "ab", buffering=0)
-        return fh
 
     def _close_log(self, session_id: str) -> None:
         fh = self._logs.get(session_id)
@@ -592,7 +603,7 @@ class SessionStore:
                 self._quarantine(log_path)
                 continue
             if intact is not None:
-                self._torn.add(session.session_id)
+                self._torn[session.session_id] = intact
             self._sessions[session.session_id] = session
             self._locks[session.session_id] = threading.Lock()
         for log_path in self.quarantine_dir.glob("*.log"):

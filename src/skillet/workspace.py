@@ -305,13 +305,3 @@ def fs_write(args: dict, ctx: ExecutionContext) -> dict:
 @executor("core.run_command")
 def run_command(args: dict, ctx: ExecutionContext) -> dict:
     return run_allowlisted(args["argv"], ctx)
-
-
-@executor("core.delegate_subtask")
-def delegate_subtask(args: dict, ctx: ExecutionContext) -> dict:
-    return ctx.delegate(args["task_text"], args["task_type"], args["subdir"], args["done_when"])
-
-
-@executor("core.finish")
-def finish(args: dict, ctx: ExecutionContext) -> dict:
-    return ctx.finish(args["report_text"])

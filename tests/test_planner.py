@@ -591,34 +591,72 @@ class TestDurabilityPoints:
 
 
 class TestHookFaultHandling:
-    def test_fault_records_note_and_session_survives(self, tmp_path, guarded_workspace):
+    @staticmethod
+    def run_alpha(tmp_path, ws, behavior, script):
+        """Run one session routed to the synthetic skill `alpha`, whose hook
+        programs do what `behavior` maps their ids to, until it is quiescent."""
         import test_hooks
         from skillet import SkillRegistry
 
         test_hooks.BEHAVIOR.clear()
-        calls = {"n": 0}
-
-        def bomb_once(ctx):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("flaky policy")
-            return None
-
-        test_hooks.BEHAVIOR["t.alpha_before_llm"] = bomb_once
+        test_hooks.BEHAVIOR.update(behavior)
         registry = SkillRegistry()
         registry.load_skill_package(test_hooks.synth_manifest(tmp_path, "alpha"))
-        runtime = make_runtime(registry, guarded_workspace, tmp_path / "store",
-                               [{"respond": {"text": "fine"}}])
-        session = runtime.store.create_session(
-            "t", "misc", guarded_workspace, "", routed_skills=["alpha"])
+        runtime = make_runtime(registry, ws, tmp_path / "store", script)
+        session = runtime.store.create_session("t", "misc", ws, "", routed_skills=["alpha"])
         runtime.queue.enqueue(session.session_id, "initial")
-        runtime.run_until_quiescent(5)
-        notes = [e for e in session.history if e.kind is EventKind.SYSTEM_NOTE]
-        assert notes and notes[0].payload["note"] == "hook_fault"
-        assert notes[0].payload["skill_id"] == "alpha"
-        # the retried wakeup got past the hook and completed the session
+        try:
+            summary = runtime.run_until_quiescent(5)
+        finally:
+            test_hooks.BEHAVIOR.clear()
+        return session, summary
+
+    def test_fault_records_note_and_session_survives(self, tmp_path, guarded_workspace):
+        user, assistant, note, completion = (
+            EventKind.USER_MESSAGE, EventKind.ASSISTANT_MESSAGE, EventKind.SYSTEM_NOTE,
+            EventKind.COMPLETION)
+        expected = {  # an after_llm fault comes after the model's reply
+            "before_llm": [user, note, assistant, completion],
+            "after_llm": [user, assistant, note, assistant, completion],
+        }
+        for stage, kinds in expected.items():
+            calls = {"n": 0}
+
+            def bomb_once(ctx):
+                calls["n"] += 1
+                if calls["n"] == 1:
+                    raise RuntimeError("flaky policy")
+                return None
+
+            (tmp_path / stage).mkdir()
+            session, summary = self.run_alpha(
+                tmp_path / stage, guarded_workspace, {f"t.alpha_{stage}": bomb_once},
+                [{"respond": {"text": "fine"}}] * 2)
+            assert [e.kind for e in session.history] == kinds, stage
+            fault = next(e.payload for e in session.history if e.kind is note)
+            assert (fault["note"], fault["skill_id"], fault["program_id"]) == \
+                ("hook_fault", "alpha", f"t.alpha_{stage}")
+            # the fault's follow-up got past the hook and completed the session
+            assert summary.steps_used == 2, stage
+            assert session.status is SessionStatus.COMPLETED, stage
+
+    def test_after_llm_schedule_followup_runs_no_tool(self, tmp_path, guarded_workspace):
+        from skillet.hooks import HookDecision
+
+        decisions = [HookDecision(schedule_followup=True)]
+        session, summary = self.run_alpha(
+            tmp_path, guarded_workspace,
+            {"t.alpha_after_llm": lambda ctx: decisions.pop() if decisions else None},
+            [{"respond": {"tool_call": {"name": "fs_read", "args": {"path": "in/calc.py"}}}},
+             {"respond": {"text": "done"}}])
+        # the call was neither recorded nor run, and a follow-up took its place
+        assert [e.kind for e in session.history] == [
+            EventKind.USER_MESSAGE, EventKind.ASSISTANT_MESSAGE,
+            EventKind.ASSISTANT_MESSAGE, EventKind.COMPLETION]
+        assert session.history[1].payload["tool_call"]["name"] == "fs_read"
+        assert session.tool_calls == 0
+        assert summary.steps_used == 2
         assert session.status is SessionStatus.COMPLETED
-        test_hooks.BEHAVIOR.clear()
 
 
 class TestSpawnSubsession:

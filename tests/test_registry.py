@@ -1,6 +1,7 @@
 """Skill package loading, invariants, and lookup."""
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -92,11 +93,13 @@ class TestLoadFailures:
             fresh_registry.load_skill_package(pkg)
 
     def test_unresolved_executor(self, fresh_registry, tmp_path):
-        manifest = load_repair_manifest()
-        manifest["tools"][0]["executor_id"] = "repair.not_a_thing"
-        pkg = write_package(tmp_path, manifest)
-        with pytest.raises(UnresolvedBinding, match="not_a_thing"):
-            fresh_registry.load_skill_package(pkg)
+        # the planner runs finish and delegate_subtask itself: their ids are no executors
+        for executor_id in ("repair.not_a_thing", "core.finish", "core.delegate_subtask"):
+            manifest = load_repair_manifest()
+            manifest["tools"][0]["executor_id"] = executor_id
+            pkg = write_package(tmp_path, manifest, name=executor_id)
+            with pytest.raises(UnresolvedBinding, match=re.escape(repr(executor_id))):
+                fresh_registry.load_skill_package(pkg)
 
     def test_unresolved_hook_program(self, fresh_registry, tmp_path):
         manifest = load_repair_manifest()

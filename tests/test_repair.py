@@ -55,8 +55,6 @@ def make_ctx(ws, allowlist=("python3", "echo"), skill=None):
         output_truncate_bytes=32768,
         protected_globs=list(skill.policy.protected_path_globs) if skill else [],
         artifact_dir=(skill.policy if skill else PolicyConfig()).artifact_dir,
-        delegate=lambda *a: {},
-        finish=lambda *a: {},
     )
 
 

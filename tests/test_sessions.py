@@ -1,6 +1,8 @@
 """Session store: typed history, skill state, and crash-safe persistence."""
 
+import errno
 import gc
+import io
 import json
 import os
 import stat
@@ -211,6 +213,77 @@ class TestDurability:
         assert fsyncs == ["file"]
 
 
+class TestFailedAppends:
+    """A session-log append whose write or fsync fails leaves the log as it
+    was, so a reopened store holds what the live one folded in."""
+
+    @staticmethod
+    def fail_next_fsync(monkeypatch):
+        """The next fsync raises EIO; the ones after it run."""
+        pending = [OSError(errno.EIO, "Input/output error")]
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if pending:
+                raise pending.pop()
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    def test_a_failed_fsync_outside_a_batch_leaves_no_record(self, tmp_path, ws, store,
+                                                             monkeypatch):
+        s = make_session(store, ws)
+        self.fail_next_fsync(monkeypatch)
+        with pytest.raises(OSError):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 0})
+        assert store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 1}) == 2
+        store.close()
+        again = SessionStore(tmp_path / "store").session(s.session_id)
+        assert [(e.seq, e.kind, e.payload) for e in again.history] == \
+            [(e.seq, e.kind, e.payload) for e in s.history]
+        assert [e.seq for e in again.history] == [1, 2]  # no seq is used twice
+
+    def test_a_short_write_then_an_error_leaves_no_partial_line(self, tmp_path, ws, store,
+                                                                monkeypatch):
+        faults = []
+
+        class FaultyLog(io.FileIO):
+            def write(self, data):
+                fault = faults.pop(0) if faults else None
+                if fault == "short":
+                    return super().write(data[:len(data) // 2])
+                if fault is not None:
+                    raise fault
+                return super().write(data)
+
+        monkeypatch.setattr("skillet.sessions.open", lambda path, mode, buffering=-1:
+                            FaultyLog(path, mode), raising=False)
+        s = make_session(store, ws)
+        faults += ["short", OSError(errno.ENOSPC, "No space left on device")]
+        with pytest.raises(OSError):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"text": "x" * 100})
+        for i in (1, 2):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
+        store.close()
+        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
+        assert log.read_bytes().endswith(b"\n")
+        again = SessionStore(tmp_path / "store").session(s.session_id)
+        assert [(e.seq, e.payload) for e in again.history] == \
+            [(1, {"text": "task"}), (2, {"i": 1}), (3, {"i": 2})]
+
+    def test_a_failed_create_leaves_no_session(self, tmp_path, ws, store, monkeypatch):
+        self.fail_next_fsync(monkeypatch)
+        with pytest.raises(OSError):
+            make_session(store, ws)
+        assert store.sessions() == []
+        store.close()
+        with SessionStore(tmp_path / "store") as again:
+            with pytest.raises(NotFound):
+                again.session("s0001")
+            assert again.sessions() == []
+            assert make_session(again, ws).session_id == "s0002"  # ids are never reused
+
+
 class TestSkillState:
     def test_get_before_put_is_empty_doc(self, store, ws):
         s = make_session(store, ws)
@@ -302,19 +375,27 @@ class TestPersistence:
         assert len(SessionStore(tmp_path / "store").session(s.session_id).history) == 1
         assert log.read_bytes() == torn
 
-    def test_first_append_after_reload_starts_on_a_line_of_its_own(self, tmp_path, ws, store):
-        s = store.create_session("t", "misc", ws, "")
-        for i in range(3):
-            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
-        store.close()
-        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
-        log.write_bytes(log.read_bytes()[:-7])  # cut into the last note
-        with SessionStore(tmp_path / "store") as reloaded:
-            seq = reloaded.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": "after"})
-        assert seq == 4
-        again = SessionStore(tmp_path / "store").session(s.session_id)
-        assert [e.payload for e in again.history[1:]] == [{"i": 0}, {"i": 1}, {"i": "after"}]
-        assert [e.seq for e in again.history] == [1, 2, 3, 4]
+    def test_first_append_after_reload_starts_on_a_line_of_its_own(self, tmp_path, ws):
+        tears = {
+            "cut": lambda data: data[:-7],  # cut into the last note
+            # a whole last line, newline and all, that does not parse
+            "unparseable": lambda data: (data[:data.rindex(b"\n", 0, -1) + 1]
+                                         + b'{"seq": 4, "ki\n'),
+        }
+        for name, tear in tears.items():
+            with SessionStore(tmp_path / name) as store:
+                s = store.create_session("t", "misc", ws, "")
+                for i in range(3):
+                    store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
+            log = tmp_path / name / "sessions" / f"{s.session_id}.log"
+            log.write_bytes(tear(log.read_bytes()))
+            with SessionStore(tmp_path / name) as reloaded:
+                seq = reloaded.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": "after"})
+            assert seq == 4, name
+            again = SessionStore(tmp_path / name).session(s.session_id)
+            assert [e.payload for e in again.history[1:]] == \
+                [{"i": 0}, {"i": 1}, {"i": "after"}], name
+            assert [e.seq for e in again.history] == [1, 2, 3, 4], name
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_log_descriptors_close_with_their_session_and_the_store(self, tmp_path, ws):

@@ -49,8 +49,6 @@ def make_ctx(ws, allowlist=("echo",), timeout=5.0, truncate=32768, protected=())
         output_truncate_bytes=truncate,
         protected_globs=list(protected),
         artifact_dir="out",
-        delegate=lambda *a: {},
-        finish=lambda *a: {},
     )
 
 
