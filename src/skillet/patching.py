@@ -34,9 +34,6 @@ class Hunk:
     def old_lines(self) -> list[str]:
         return [_text(l[1:]) for l in self.lines if l[0] in " -"]
 
-    def new_lines(self) -> list[str]:
-        return [_text(l[1:]) for l in self.lines if l[0] in " +"]
-
 
 def _text(line: str) -> str:
     r"""`line` without its "\n" or "\r\n" ending."""

@@ -1,14 +1,19 @@
 """The event-driven single-step planner loop.
 
-One wakeup = at most one model decision plus its tool effects, with a
-follow-up enqueued while anything remains open. Each record a wakeup writes
-reaches its session's log as it happens, but the wakeup runs in a store batch
-that fsyncs the log only at its durability points: right after an accepted
-tool_call record, before the tool's effect, so an effect never comes before
-a durable call record; when a COMPLETED or FAILED log is closed; and at the
-end of the batch, before `run_wakeup` returns and so before a follow-up of
-the session can run. The queue is FIFO by enqueue order and never hands out
-two wakeups for the same session at once.
+One wakeup = at most one model decision plus its tool effects, which return
+the (cause, attempt) of the follow-up the session needs, or None.
+`run_wakeup` is the one exit: it turns a hook fault from any stage into a
+`hook_fault` note plus a follow-up, enqueues the follow-up (after any child's
+`initial` or parent's `child_report` the wakeup enqueued), and rests a
+session still open ACTIVE with a follow-up, AWAITING_FOLLOWUP without. Each
+record a wakeup writes reaches its session's log as it happens, but the
+wakeup runs in a store batch that fsyncs the log only at its durability
+points: right after an accepted tool_call record, before the tool's effect,
+so an effect never comes before a durable call record; when a COMPLETED or
+FAILED log is closed; and at the end of the batch, before `run_wakeup`
+returns and so before a follow-up of the session can run. The queue is FIFO
+by enqueue order and never hands out two wakeups for the same session at
+once.
 
 One drain loop serves both drain modes, with no polling. A runner runs the
 wakeup it was given, then keeps taking wakeups until none is runnable. The
@@ -62,6 +67,10 @@ class WakeupEvent:
     session_id: str
     cause: str  # initial | followup | forced_action | child_report
     attempt: int = 0
+
+
+Followup = tuple[str, int]  # the (cause, attempt) of a session's next wakeup
+FOLLOWUP: Followup = ("followup", 0)
 
 
 class WakeupQueue:
@@ -162,6 +171,7 @@ class Runtime:
             parent_id=parent_id,
             routed_skills=routed.skill_ids(),
         )
+        self._turns[session.session_id] = 0  # the summary lists it
         self.queue.enqueue(session.session_id, "initial")
         return session
 
@@ -226,37 +236,39 @@ class Runtime:
         return tools
 
     def run_wakeup(self, event: WakeupEvent) -> None:
+        """Run one wakeup and leave it through the one exit (module docstring)."""
         session = self.store.session(event.session_id)
         if session.status not in OPEN_STATUSES:
             return
         with self.store.batch(session.session_id):  # leaving it syncs the log
-            self._wakeup(session, event)
+            try:
+                followup = self._wakeup(session, event)
+            except HookFault as fault:
+                self.store.append_event(session.session_id, EventKind.SYSTEM_NOTE, {
+                    "note": "hook_fault", "skill_id": fault.skill_id,
+                    "program_id": fault.program_id, "detail": str(fault),
+                })
+                followup = FOLLOWUP
+            if followup is not None:
+                self.queue.enqueue(session.session_id, *followup)
+            resting = SessionStatus.ACTIVE if followup else SessionStatus.AWAITING_FOLLOWUP
+            if session.status in OPEN_STATUSES:
+                self.store.set_status(session.session_id, resting)
 
-    def _wakeup(self, session: Session, event: WakeupEvent) -> None:
+    def _wakeup(self, session: Session, event: WakeupEvent) -> Followup | None:
+        """One model decision and its effects; returns the follow-up the
+        session needs, or None."""
         self.store.set_status(session.session_id, SessionStatus.ACTIVE)
         self._turns[session.session_id] += 1
-        followup = False
-
-        def enqueue_followup(cause: str = "followup", attempt: int = 0) -> None:
-            nonlocal followup
-            self.queue.enqueue(session.session_id, cause, attempt=attempt)
-            followup = True
-
-        try:
-            outcome = self.pipeline.run_before_llm(session, self._candidate_tools(session))
-            # standing guidance, under this stage's block id: the session's
-            # next seq, which no earlier block's id can equal, so the skill's
-            # next block, under a later id, supersedes all of this one
-            block_id = session.next_seq
-            for skill_id, text in outcome.injections:
-                self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION,
-                                        {"skill_id": skill_id, "text": text,
-                                         "standing": block_id})
-        except HookFault as fault:
-            self._note_hook_fault(session, fault)
-            enqueue_followup()
-            self._finalize(session, followup)
-            return
+        outcome = self.pipeline.run_before_llm(session, self._candidate_tools(session))
+        # standing guidance, under this stage's block id: the session's next
+        # seq, which no earlier block's id can equal, so the skill's next
+        # block, under a later id, supersedes all of this one
+        block_id = session.next_seq
+        for skill_id, text in outcome.injections:
+            self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION,
+                                    {"skill_id": skill_id, "text": text,
+                                     "standing": block_id})
 
         request = ModelRequest(
             messages=render_messages(session),
@@ -273,11 +285,9 @@ class Runtime:
                 "attempt": event.attempt,
             })
             if err.retryable and event.attempt + 1 < self.config.planner.backend_retries:
-                enqueue_followup(cause=event.cause, attempt=event.attempt + 1)
-            else:
-                self.store.set_status(session.session_id, SessionStatus.FAILED)
-            self._finalize(session, followup)
-            return
+                return event.cause, event.attempt + 1
+            self.store.set_status(session.session_id, SessionStatus.FAILED)
+            return None
 
         self.usage_log.record(session, response)
         self.store.append_event(session.session_id, EventKind.ASSISTANT_MESSAGE, {
@@ -288,42 +298,35 @@ class Runtime:
             ),
         })
 
-        try:
-            decision = self.pipeline.run_after_llm(session, response)
-            if decision.kind is ContinuationKind.PROCEED_TO_TOOL:
-                self._run_tool(session, response, outcome.visible_tools, enqueue_followup)
-            elif decision.kind is ContinuationKind.FORCE_ACTION:
-                self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION, {
-                    "skill_id": decision.skill_id or "runtime",
-                    "text": f"You must now call `{decision.tool_name}`.",
-                })
-                enqueue_followup(cause="forced_action")
-            elif decision.kind is ContinuationKind.SCHEDULE_FOLLOWUP:
-                enqueue_followup()
-            else:  # allow_finish
-                gate_pairs = self._gate_reasons(session)
-                if gate_pairs:
-                    self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION, {
-                        "skill_id": gate_pairs[0][0],
-                        "text": "Completion is blocked: "
-                                + "; ".join(r for _, r in gate_pairs),
-                    })
-                    enqueue_followup()
-                else:
-                    self._complete(session, report_text=response.text)
-        except HookFault as fault:
-            self._note_hook_fault(session, fault)
-            enqueue_followup()
-        self._finalize(session, followup)
+        decision = self.pipeline.run_after_llm(session, response)
+        if decision.kind is ContinuationKind.PROCEED_TO_TOOL:
+            return self._run_tool(session, response, outcome.visible_tools)
+        if decision.kind is ContinuationKind.FORCE_ACTION:
+            self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION, {
+                "skill_id": decision.skill_id or "runtime",
+                "text": f"You must now call `{decision.tool_name}`.",
+            })
+            return "forced_action", 0
+        if decision.kind is ContinuationKind.SCHEDULE_FOLLOWUP:
+            return FOLLOWUP
+        gate_pairs = self._gate_reasons(session)  # allow_finish
+        if gate_pairs:
+            self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION, {
+                "skill_id": gate_pairs[0][0],
+                "text": "Completion is blocked: " + "; ".join(r for _, r in gate_pairs),
+            })
+            return FOLLOWUP
+        self._complete(session, report_text=response.text)
+        return None
 
     def _run_tool(self, session: Session, response: ModelResponse,
-                  visible: list[ActionSchema], enqueue_followup) -> None:
+                  visible: list[ActionSchema]) -> Followup | None:
         call = response.tool_call
         assert call is not None
         call_id = f"call-{session.tool_calls + 1}"
         schema = next((t for t in visible if t.name == call.name), None)
 
-        def refuse(output: dict) -> None:
+        def refuse(output: dict) -> Followup:
             # the raw arguments are in the assistant_message just written
             self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
                 "name": call.name, "call_id": call_id, "accepted": False,
@@ -331,26 +334,23 @@ class Runtime:
             self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
                 "call_id": call_id, "name": call.name, "ok": False, "output": output,
             })
-            enqueue_followup()
+            return FOLLOWUP
 
         if schema is None:
-            refuse({"error": "unknown_tool",
-                    "message": f"tool {call.name!r} is not available"})
-            return
+            return refuse({"error": "unknown_tool",
+                           "message": f"tool {call.name!r} is not available"})
         validation = validate_action_args(schema, call.args)
         if not validation.ok:
-            refuse({"error": "invalid_arguments",
-                    "issues": [{"path": i.path, "reason": i.reason}
-                               for i in validation.errors]})
-            return
+            return refuse({"error": "invalid_arguments",
+                           "issues": [{"path": i.path, "reason": i.reason}
+                                      for i in validation.errors]})
         pre = self.pipeline.run_before_tool(session, {
             "name": call.name, "args": validation.value, "call_id": call_id,
         })
         if not pre.allowed:
-            refuse({"error": "rejected", "reason": pre.reason,
-                    "redirect_hint": pre.redirect_hint,
-                    "rejected_by": pre.rejecting_skill})
-            return
+            return refuse({"error": "rejected", "reason": pre.reason,
+                           "redirect_hint": pre.redirect_hint,
+                           "rejected_by": pre.rejecting_skill})
 
         self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
             "name": call.name, "args": pre.args, "call_id": call_id, "accepted": True,
@@ -363,15 +363,14 @@ class Runtime:
         if ok and schema.executor_id == "core.finish":
             # a successful finish: gates were checked inside the executor
             self._complete(session, output["report_text"])
-            return
+            return None
         after = self.pipeline.run_after_tool(session, {
             "name": call.name, "ok": ok, "args": pre.args, "result": output, "seq": seq,
         })
         # a successful delegation parks the parent until the child reports;
         # every other executed tool needs a turn for the model to see its result
         paused = ok and schema.executor_id == "core.delegate_subtask"
-        if after.followup_needed or not paused:
-            enqueue_followup()
+        return FOLLOWUP if after.followup_needed or not paused else None
 
     def _execute(self, schema: ActionSchema, args: dict,
                  session: Session) -> tuple[bool, dict]:
@@ -406,21 +405,6 @@ class Runtime:
         except Exception as exc:  # executor bug: surface it, keep the loop alive
             log.exception("executor %s crashed", schema.executor_id)
             return False, {"error": "executor_fault", "message": repr(exc)}
-
-    def _note_hook_fault(self, session: Session, fault: HookFault) -> None:
-        self.store.append_event(session.session_id, EventKind.SYSTEM_NOTE, {
-            "note": "hook_fault",
-            "skill_id": fault.skill_id,
-            "program_id": fault.program_id,
-            "detail": str(fault),
-        })
-
-    def _finalize(self, session: Session, followup: bool) -> None:
-        if session.status in OPEN_STATUSES:
-            self.store.set_status(
-                session.session_id,
-                SessionStatus.ACTIVE if followup else SessionStatus.AWAITING_FOLLOWUP,
-            )
 
     # -- draining --------------------------------------------------------------
 
@@ -481,16 +465,17 @@ class Runtime:
                 self.store.set_status(session_id, SessionStatus.AWAITING_FOLLOWUP)
 
     def summary(self, steps_used: int = 0) -> RunSummary:
+        """The sessions this runtime submitted or woke, by id."""
         return RunSummary(
             sessions=[
                 SessionSummary(
                     session_id=s.session_id,
                     parent_id=s.parent_id,
                     status=s.status.value,
-                    turns=self._turns.get(s.session_id, 0),
+                    turns=self._turns[s.session_id],
                     usage=s.usage,
                 )
-                for s in self.store.sessions()
+                for s in map(self.store.session, sorted(self._turns))
             ],
             steps_used=steps_used,
             pending=len(self.queue),

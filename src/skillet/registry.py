@@ -23,6 +23,7 @@ from typing import Callable
 from . import bindings
 from .errors import DuplicateSkill, MalformedManifest, NotFound, UnresolvedBinding
 from .schema import ActionSchema, parse_param_spec
+from .workspace import orchestration_schemas
 
 log = logging.getLogger(__name__)
 
@@ -34,9 +35,7 @@ HOOK_STAGES = (
 )
 
 # Tool names owned by the runtime itself; skill tools may not shadow them.
-RESERVED_TOOL_NAMES = frozenset(
-    {"fs_read", "fs_write", "run_command", "delegate_subtask", "finish"}
-)
+RESERVED_TOOL_NAMES = frozenset(schema.name for schema in orchestration_schemas())
 
 _SEMVER_RE = re.compile(r"^\d+\.\d+\.\d+(?:[-+][0-9A-Za-z.-]+)?$")
 

@@ -65,8 +65,6 @@ PATCH = "patch"
 VERIFY = "verify"
 REPORT = "report"
 
-PHASES = (REPRODUCE, DIAGNOSE, PATCH, VERIFY, REPORT)
-
 # visible repair actions per phase; finish and fs_read stay visible on top
 PHASE_ACTIONS: dict[str, tuple[str, ...]] = {
     REPRODUCE: ("repair_collect_evidence",),

@@ -20,6 +20,8 @@ CorruptStore. A log without a `session_meta` line is moved to
 `<store>/quarantine/`, and new ids are allocated past every log file seen.
 `create_session` appends the meta record and the task's `user_message` in
 one append and one fsync, then fsyncs `sessions/` so the new name is durable.
+If either fails, the new log is closed and quarantined before the error is
+raised, so no store holds the session and its id is never handed out again.
 
 Rendering is part of the fold. Each history event is rendered to its chat
 message once, when it is folded in, onto `Session.rendered`, an in-memory
@@ -80,7 +82,7 @@ import logging
 import os
 import re
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -452,13 +454,17 @@ class SessionStore:
                  "payload": {"text": task_text}}
         # no other thread writes to the new id: it is not registered until
         # its first records are written
-        self._write_records(session_id, meta, first)
-        if self.fsync:
-            fd = os.open(self.sessions_dir, os.O_RDONLY)
-            try:
-                os.fsync(fd)  # the new log's directory entry
-            finally:
-                os.close(fd)
+        try:
+            self._write_records(session_id, meta, first)
+            if self.fsync:
+                fd = os.open(self.sessions_dir, os.O_RDONLY)
+                try:
+                    os.fsync(fd)  # the new log's directory entry
+                finally:
+                    os.close(fd)
+        except BaseException:
+            self._discard_new_log(session_id)
+            raise
         session = replay([meta, first])
         with self._store_lock:
             self._sessions[session_id] = session
@@ -594,13 +600,27 @@ class SessionStore:
             del self._logs[session_id]
             fh.close()
 
+    def _discard_new_log(self, session_id: str) -> None:
+        """Undo a failed `create_session`: close and drop the new log's
+        descriptor and move the log to quarantine, so no store holds the
+        session and its id stays taken."""
+        fh, log_path = self._logs.pop(session_id, None), self._log_path(session_id)
+        with suppress(OSError):  # the caller raises the create's own error
+            if fh is not None:
+                fh.close()
+        with suppress(OSError):
+            if log_path.exists():
+                self._quarantine(log_path, "create_session failed")
+        with self._store_lock:
+            del self._locks[session_id]
+
     def _load(self) -> None:
         for log_path in sorted(self.sessions_dir.glob("*.log")):
             self._note_id(log_path)
             records, intact = parse_jsonl(log_path.read_bytes(), log_path.name)
             session = replay(records)
             if session is None:
-                self._quarantine(log_path)
+                self._quarantine(log_path, "missing session_meta record")
                 continue
             if intact is not None:
                 self._torn[session.session_id] = intact
@@ -615,12 +635,12 @@ class SessionStore:
         if match:
             self._last_id = max(self._last_id, int(match.group(1)))
 
-    def _quarantine(self, log_path: Path) -> None:
+    def _quarantine(self, log_path: Path, reason: str) -> None:
         # ids are allocated past quarantined logs too, so names never collide here
         self.quarantine_dir.mkdir(exist_ok=True)
         target = self.quarantine_dir / log_path.name
         os.replace(log_path, target)
-        log.warning("%s: missing session_meta record, moved to %s", log_path.name, target)
+        log.warning("%s: %s, moved to %s", log_path.name, reason, target)
 
     def _load_usage(self) -> None:
         requests = self.store_dir / "requests.jsonl"

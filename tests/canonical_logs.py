@@ -1,0 +1,70 @@
+"""Write the logs of the canonical runs, so that two versions of skillet can
+be compared byte for byte.
+
+    PYTHONPATH=<checkout>/src python tests/canonical_logs.py <out_dir>
+
+Runs the canonical plain and delegated runs (`conftest.canonical_runtime`)
+in both drain modes, each in a fresh workspace and store, and writes
+`<out_dir>/<plain|delegated>-<single|threaded>/`: the session logs under
+`sessions/`, and `requests.jsonl` without its `ts_us` field. The workspace
+path is replaced by `<workspace>`, so outputs made in any directories
+compare with `diff -r`. It drives whichever `skillet` comes first on the
+path, with the helpers of the conftest.py next to it; pytest does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from conftest import canonical_runtime, write_repair_workspace
+from skillet import SkillRegistry, builtin_skills_dir
+
+PLACEHOLDER = b"<workspace>"
+
+
+def write_run(registry, out: Path, delegated: bool, single_worker: bool) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp) / "ws"
+        ws.mkdir()
+        write_repair_workspace(ws)
+        store_dir = Path(tmp) / "store"
+        runtime = canonical_runtime(registry, ws, store_dir, delegated=delegated,
+                                    single_worker=single_worker)
+        try:
+            runtime.run_until_quiescent(25)
+        finally:
+            runtime.store.close()
+        root = str(ws.resolve()).encode()
+        (out / "sessions").mkdir(parents=True)
+        for log in sorted((store_dir / "sessions").glob("*.log")):
+            (out / "sessions" / log.name).write_bytes(
+                log.read_bytes().replace(root, PLACEHOLDER))
+        lines = []
+        for line in (store_dir / "requests.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            del record["ts_us"]
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        (out / "requests.jsonl").write_text("".join(lines))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: canonical_logs.py <out_dir>", file=sys.stderr)
+        return 1
+    out_dir = Path(argv[0])
+    registry = SkillRegistry()
+    registry.load_all(builtin_skills_dir())
+    for delegated in (False, True):
+        for single_worker in (True, False):
+            name = (f"{'delegated' if delegated else 'plain'}-"
+                    f"{'single' if single_worker else 'threaded'}")
+            write_run(registry, out_dir / name, delegated, single_worker)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

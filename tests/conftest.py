@@ -64,7 +64,11 @@ def guarded_workspace(tmp_path):
 @pytest.fixture
 def repair_workspace(guarded_workspace):
     """Buggy single-file program plus a failing test, under in/."""
-    ws = guarded_workspace
+    return write_repair_workspace(guarded_workspace)
+
+
+def write_repair_workspace(ws: Path) -> Path:
+    """Write the repair fixture's files under `ws`/in/."""
     (ws / "in").mkdir()
     (ws / "in" / "calc.py").write_text(BUGGY_CALC)
     (ws / "in" / "test_calc.py").write_text(CALC_TEST)
@@ -216,6 +220,22 @@ def submit_repair_task(runtime, workspace, task_text=REPAIR_TASK_TEXT,
         workspace_root=Path(workspace),
         done_when=done_when,
     ))
+
+
+def canonical_runtime(registry, workspace, store_dir, *, delegated: bool,
+                      single_worker: bool) -> Runtime:
+    """A runtime with the canonical task submitted, in one drain mode: the
+    repair task (plain), or a coordinator that delegates it (delegated)."""
+    config = RunConfig.from_dict({"planner": {"single_worker": single_worker}})
+    runtime = make_runtime(registry, workspace, store_dir,
+                           delegation_script() if delegated else repair_script(),
+                           config=config)
+    if delegated:
+        runtime.submit_task(DelegatedTask("coordinate the work", "coordination",
+                                          Path(workspace), "child reports back"))
+    else:
+        submit_repair_task(runtime, workspace)
+    return runtime
 
 
 def session_snapshots(store: SessionStore, session_id: str) -> list[dict]:

@@ -81,6 +81,23 @@ class TestRun:
         ])
         assert code == 1
 
+    def test_summary_lists_only_the_sessions_of_this_run(self, guarded_workspace, tmp_path,
+                                                         config_file, capsys):
+        script = tmp_path / "chat.json"
+        script.write_text(json.dumps([{"respond": {"text": "hello"}}]))
+        args = ["run", "--skills", str(builtin_skills_dir()),
+                "--store", str(tmp_path / "store"),
+                "--workspace", str(guarded_workspace),
+                "--task", "say hello", "--script", str(script),
+                "--config", str(config_file)]
+        outs = []
+        for _ in range(2):  # the second run reuses the first run's store
+            assert main(args) == 0
+            outs.append(capsys.readouterr().out.splitlines()[1:])
+        assert [line.split()[0] for line in outs[0]] == ["s0001"]
+        assert [line.split()[0] for line in outs[1]] == ["s0002"]
+        assert "status=completed turns=1" in outs[1][0]
+
 
 class TestSkills:
     def test_lists_repair(self, capsys):

@@ -80,7 +80,6 @@ class TestParse:
             "@@ -1,1 +1,1 @@\n-old\n\\ No newline at end of file\n+new\n"
         )
         assert hunks[0].old_lines() == ["old"]
-        assert hunks[0].new_lines() == ["new"]
 
 
 class TestApply:

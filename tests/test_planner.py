@@ -21,6 +21,7 @@ from skillet.sessions import read_log
 from conftest import (
     BUGGY_CALC,
     artifact_step,
+    canonical_runtime,
     delegation_script,
     evidence_step,
     finish_step,
@@ -612,14 +613,20 @@ class TestHookFaultHandling:
         return session, summary
 
     def test_fault_records_note_and_session_survives(self, tmp_path, guarded_workspace):
-        user, assistant, note, completion = (
+        user, assistant, note, completion, call, result = (
             EventKind.USER_MESSAGE, EventKind.ASSISTANT_MESSAGE, EventKind.SYSTEM_NOTE,
-            EventKind.COMPLETION)
-        expected = {  # an after_llm fault comes after the model's reply
-            "before_llm": [user, note, assistant, completion],
-            "after_llm": [user, assistant, note, assistant, completion],
+            EventKind.COMPLETION, EventKind.TOOL_CALL, EventKind.TOOL_RESULT)
+        (guarded_workspace / "notes.txt").write_text("x\n")
+        read = {"respond": {"tool_call": {"name": "fs_read", "args": {"path": "notes.txt"}}}}
+        fine = {"respond": {"text": "fine"}}
+        expected = {  # each fault comes after what its stage saw
+            "before_llm": ([fine] * 2, [user, note, assistant, completion]),
+            "after_llm": ([fine] * 2, [user, assistant, note, assistant, completion]),
+            "before_tool": ([read, fine], [user, assistant, note, assistant, completion]),
+            "after_tool": ([read, fine],
+                           [user, assistant, call, result, note, assistant, completion]),
         }
-        for stage, kinds in expected.items():
+        for stage, (script, kinds) in expected.items():
             calls = {"n": 0}
 
             def bomb_once(ctx):
@@ -630,8 +637,7 @@ class TestHookFaultHandling:
 
             (tmp_path / stage).mkdir()
             session, summary = self.run_alpha(
-                tmp_path / stage, guarded_workspace, {f"t.alpha_{stage}": bomb_once},
-                [{"respond": {"text": "fine"}}] * 2)
+                tmp_path / stage, guarded_workspace, {f"t.alpha_{stage}": bomb_once}, script)
             assert [e.kind for e in session.history] == kinds, stage
             fault = next(e.payload for e in session.history if e.kind is note)
             assert (fault["note"], fault["skill_id"], fault["program_id"]) == \
@@ -657,6 +663,37 @@ class TestHookFaultHandling:
         assert session.tool_calls == 0
         assert summary.steps_used == 2
         assert session.status is SessionStatus.COMPLETED
+
+
+class TestOneExit:
+    @pytest.mark.parametrize("delegated", [False, True], ids=["plain", "delegated"])
+    @pytest.mark.parametrize("single_worker", [True, False], ids=["single", "threaded"])
+    def test_a_wakeup_enqueues_its_own_session_at_most_once_and_last(
+            self, registry, repair_workspace, tmp_path, delegated, single_worker):
+        runtime = canonical_runtime(registry, repair_workspace, tmp_path / "store",
+                                    delegated=delegated, single_worker=single_worker)
+        current = threading.local()  # the ids the running wakeup enqueued
+        wakeups = []  # (session id, the ids its wakeup enqueued, in order)
+        enqueue, run_wakeup = runtime.queue.enqueue, runtime.run_wakeup
+
+        def noted_enqueue(session_id, cause, attempt=0):
+            if getattr(current, "ids", None) is not None:
+                current.ids.append(session_id)
+            enqueue(session_id, cause, attempt)
+
+        def noted_wakeup(event):
+            current.ids = []
+            run_wakeup(event)
+            wakeups.append((event.session_id, current.ids))
+            current.ids = None
+
+        runtime.queue.enqueue, runtime.run_wakeup = noted_enqueue, noted_wakeup
+        summary = runtime.run_until_quiescent(25)
+        assert {s.status for s in summary.sessions} == {"completed"}
+        assert len(wakeups) == summary.steps_used == (7 if delegated else 5)
+        for session_id, ids in wakeups:
+            own = [i for i, enqueued in enumerate(ids) if enqueued == session_id]
+            assert own in ([], [len(ids) - 1]), (session_id, ids)
 
 
 class TestSpawnSubsession:

@@ -283,6 +283,43 @@ class TestFailedAppends:
             assert again.sessions() == []
             assert make_session(again, ws).session_id == "s0002"  # ids are never reused
 
+    def test_a_failed_directory_fsync_on_create_leaves_no_session(self, tmp_path, ws, store,
+                                                                  monkeypatch):
+        real_fsync = os.fsync
+
+        def fsync(fd):  # the log's fsync succeeds, the fsync of sessions/ fails
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError):
+            make_session(store, ws)
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        assert store.sessions() == []
+        store.close()
+        assert list((tmp_path / "store" / "sessions").iterdir()) == []
+        with SessionStore(tmp_path / "store") as again:
+            assert again.sessions() == []
+            assert make_session(again, ws).session_id == "s0002"
+
+    def test_a_failed_append_on_create_keeps_no_descriptor_and_warns_no_reopen(
+            self, tmp_path, ws, store, monkeypatch, caplog):
+        def append_log(fh, data, fsync):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("skillet.sessions.append_log", append_log)
+        with pytest.raises(OSError):
+            make_session(store, ws)
+        assert store._logs == {}  # the new log's descriptor is closed at once
+        monkeypatch.undo()
+        store.close()
+        caplog.clear()
+        with SessionStore(tmp_path / "store") as again:
+            assert again.sessions() == []
+            assert make_session(again, ws).session_id == "s0002"
+        assert caplog.records == []  # nothing was left for the reopen to quarantine
+
 
 class TestSkillState:
     def test_get_before_put_is_empty_doc(self, store, ws):
