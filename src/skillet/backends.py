@@ -88,7 +88,10 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        steps = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            steps = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ModelBackendError(f"cannot read script {path}: {exc}") from exc
         if not isinstance(steps, list):
             raise ModelBackendError(f"script {path} must be a JSON list of steps")
         return cls(steps)

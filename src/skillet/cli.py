@@ -56,9 +56,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not workspace.is_dir():
         print(f"error: workspace not found: {workspace}", file=sys.stderr)
         return 1
-    config = RunConfig()
-    if args.config:
-        config = RunConfig.from_file(args.config)
+    config = RunConfig.from_file(args.config) if args.config else RunConfig()
 
     if args.script:
         backend = ScriptedBackend.from_file(args.script)
@@ -76,24 +74,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     registry = SkillRegistry()
     registry.load_all(skills_dir)
     usage_log = UsageLog(Path(args.store) / "requests.jsonl")
-    exhausted = False
-    with SessionStore(args.store) as store:
-        runtime = Runtime(registry, store, backend, usage_log, config)
-        root = runtime.submit_task(DelegatedTask(
-            task_text=args.task,
-            task_type=args.task_type,
-            workspace_root=workspace.resolve(),
-            done_when=args.done_when,
-        ))
-        try:
-            summary = runtime.run_until_quiescent()
-        except StepBudgetExhausted as exc:
-            summary = exc.summary
-            exhausted = True
-    print_summary(summary)
-    if exhausted:
+    runtime = Runtime(registry, SessionStore(args.store), backend, usage_log, config)
+    root = runtime.submit_task(DelegatedTask(
+        task_text=args.task,
+        task_type=args.task_type,
+        workspace_root=workspace.resolve(),
+        done_when=args.done_when,
+    ))
+    try:
+        summary = runtime.run_until_quiescent()
+    except StepBudgetExhausted as exc:
+        print_summary(exc.summary)
         return 2
-    return 0 if store.session(root.session_id).status.value == "completed" else 1
+    print_summary(summary)
+    return 0 if root.status.value == "completed" else 1
 
 
 def print_summary(summary: RunSummary) -> None:

@@ -92,6 +92,10 @@ class LogWriteError(SkilletError):
 
 # -- planner -----------------------------------------------------------------
 
+class ConfigError(SkilletError):
+    """A run config that is not valid JSON, or does not fit RunConfig."""
+
+
 class StepBudgetExhausted(SkilletError):
     """Wakeup queue not drained within max_steps. Carries the run summary."""
 

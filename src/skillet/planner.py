@@ -9,8 +9,8 @@ session still open ACTIVE with a follow-up, AWAITING_FOLLOWUP without. Each
 record a wakeup writes reaches its session's log as it happens, but the
 wakeup runs in a store batch that fsyncs the log only at its durability
 points: right after an accepted tool_call record, before the tool's effect,
-so an effect never comes before a durable call record; when a COMPLETED or
-FAILED log is closed; and at the end of the batch, before `run_wakeup`
+so an effect never comes before a durable call record; when the session
+completes or fails; and at the end of the batch, before `run_wakeup`
 returns and so before a follow-up of the session can run. The queue is FIFO
 by enqueue order and never hands out two wakeups for the same session at
 once.
@@ -114,10 +114,6 @@ class WakeupQueue:
                     return False
                 self._cond.wait()
             return True
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._items)
 
     def pending_sessions(self) -> list[str]:
         with self._cond:
@@ -454,15 +450,13 @@ class Runtime:
             runner.join()
         if errors:
             raise errors[0]
-        if len(self.queue):
-            self._park_pending()
-            raise StepBudgetExhausted(self.summary(steps))
-        return self.summary(steps)
-
-    def _park_pending(self) -> None:
-        for session_id in self.queue.pending_sessions():
+        pending = self.queue.pending_sessions()
+        for session_id in pending:  # out of budget: what is left waits for a follow-up
             if self.store.session(session_id).status is SessionStatus.ACTIVE:
                 self.store.set_status(session_id, SessionStatus.AWAITING_FOLLOWUP)
+        if pending:
+            raise StepBudgetExhausted(self.summary(steps))
+        return self.summary(steps)
 
     def summary(self, steps_used: int = 0) -> RunSummary:
         """The sessions this runtime submitted or woke, by id."""
@@ -478,7 +472,7 @@ class Runtime:
                 for s in map(self.store.session, sorted(self._turns))
             ],
             steps_used=steps_used,
-            pending=len(self.queue),
+            pending=len(self.queue.pending_sessions()),
         )
 
 

@@ -20,8 +20,8 @@ CorruptStore. A log without a `session_meta` line is moved to
 `<store>/quarantine/`, and new ids are allocated past every log file seen.
 `create_session` appends the meta record and the task's `user_message` in
 one append and one fsync, then fsyncs `sessions/` so the new name is durable.
-If either fails, the new log is closed and quarantined before the error is
-raised, so no store holds the session and its id is never handed out again.
+If either fails, the new log is quarantined before the error is raised, so
+no store holds the session and its id is never handed out again.
 
 Rendering is part of the fold. Each history event is rendered to its chat
 message once, when it is folded in, onto `Session.rendered`, an in-memory
@@ -48,10 +48,11 @@ way on reload as a live session does.
 Durability (with `fsync`, the default): a write fsyncs the log before it
 returns, except inside `batch(session_id)` on the thread that opened the
 batch. There the fsync is deferred to the session's next durability point:
-`sync(session_id)`, the closing of the log, or leaving the batch. The planner
-runs each wakeup in a batch and syncs before a tool's effect, so a wakeup
-costs two session-log fsyncs however many records it writes. Writes from
-other threads, such as a child's report into its parent, are not deferred.
+`sync(session_id)`, the write that completes or fails the session, or
+leaving the batch. The planner runs each wakeup in a batch and syncs before
+a tool's effect, so a wakeup costs two session-log fsyncs however many
+records it writes. Writes from other threads, such as a child's report into
+its parent, are not deferred.
 
 One appender writes every JSONL log, the session logs and `requests.jsonl`
 alike. `open_log` opens a log for appending, first cutting a torn tail line
@@ -62,15 +63,15 @@ cuts the log back to its length before the append and raises, so a failed
 append leaves nothing behind: no half line for the next record to join, and
 no record that the live session never folded in.
 
-The store keeps one `O_APPEND` descriptor per session log it writes to,
-opened at the first write to that log. It syncs and closes it when the
-session becomes COMPLETED or FAILED, and `close()` (or leaving a `with`
-block) does so for every descriptor still open; a later write to a closed
-log opens it again. `set_status` writes a status record only when the status
-changes. Usage totals are rebuilt on load from one scan of
-`<store>/requests.jsonl`, the per-request log that `UsageLog` appends to;
-its torn last line is skipped there, and cut only by `UsageLog` before it
-appends.
+A session log is open only while it is written. A batch opens the log at
+its first write, its writes share that descriptor, and leaving the batch
+syncs and closes it. Any other write opens the log, appends, fsyncs and
+closes it in one call, as `UsageLog` does for `requests.jsonl`. So the store
+holds no descriptor between calls and needs no closing. `set_status` writes
+a status record only when the status changes. Usage totals are rebuilt on
+load from one scan of `<store>/requests.jsonl`, the per-request log that
+`UsageLog` appends to; its torn last line is skipped there, and cut only by
+`UsageLog` before it appends.
 """
 
 from __future__ import annotations
@@ -387,9 +388,9 @@ def append_log(fh: io.FileIO, data: bytes, fsync: bool) -> None:
 
 
 class SessionStore:
-    """Durable home of sessions. Per-session writes, syncs and batches, and
-    the opening and closing of that session's log descriptor, are
-    serialized by a lock."""
+    """Durable home of sessions. Per-session writes, syncs and batches are
+    serialized by a lock. A log's descriptor is open only during a write,
+    or from a batch's first write to the end of that batch."""
 
     def __init__(self, store_dir: str | Path, fsync: bool = True):
         self.store_dir = Path(store_dir)
@@ -399,19 +400,13 @@ class SessionStore:
         self.fsync = fsync
         self._sessions: dict[str, Session] = {}
         self._locks: dict[str, threading.Lock] = {}
-        self._logs: dict[str, io.FileIO] = {}  # open append descriptors by session id
+        self._logs: dict[str, io.FileIO] = {}  # session id -> its batch's descriptor
         self._batched: dict[str, int] = {}  # session id -> thread that holds its batch
-        self._dirty: set[str] = set()  # ids of open logs with writes not yet fsynced
+        self._dirty: set[str] = set()  # ids of batched logs with writes not yet fsynced
         self._torn: dict[str, int] = {}  # session id -> intact length of a torn log
         self._store_lock = threading.Lock()
         self._last_id = 0
         self._load()
-
-    def __enter__(self) -> SessionStore:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- public API --------------------------------------------------------
 
@@ -463,7 +458,12 @@ class SessionStore:
                 finally:
                     os.close(fd)
         except BaseException:
-            self._discard_new_log(session_id)
+            # quarantine the new log: no store holds the session, its id stays taken
+            with suppress(OSError):  # the create's own error is raised
+                if (log_path := self._log_path(session_id)).exists():
+                    self._quarantine(log_path, "create_session failed")
+            with self._store_lock:
+                del self._locks[session_id]
             raise
         session = replay([meta, first])
         with self._store_lock:
@@ -532,10 +532,12 @@ class SessionStore:
     @contextmanager
     def batch(self, session_id: str):
         """Defer the fsync of this thread's writes to the session's log until
-        `sync`, the closing of the log, or the end of the block, which syncs.
-        Every record is still written as it is made, so a crash of the
-        process loses none of them; only a power loss can lose the unsynced
-        ones. Writes from other threads fsync as they would outside a batch."""
+        `sync`, the write that completes or fails the session, or the end of
+        the block, which syncs. The block's writes share one descriptor,
+        opened at the first of them and closed at the end. Every record is
+        still written as it is made, so a crash of the process loses none of
+        them; only a power loss can lose the unsynced ones. Writes from other
+        threads fsync as they would outside a batch."""
         lock = self._locks[session_id]
         with lock:
             self._batched[session_id] = threading.get_ident()
@@ -544,13 +546,12 @@ class SessionStore:
         finally:
             with lock:
                 del self._batched[session_id]
-                self._sync(session_id)
-
-    def close(self) -> None:
-        """Sync and close every session log descriptor still open."""
-        for session_id in list(self._logs):
-            with self._locks[session_id]:
-                self._close_log(session_id)
+                try:
+                    self._sync(session_id)
+                finally:
+                    fh = self._logs.pop(session_id, None)
+                    if fh is not None:
+                        fh.close()
 
     # -- persistence internals ----------------------------------------------
 
@@ -558,61 +559,42 @@ class SessionStore:
         return self.sessions_dir / f"{session_id}.log"
 
     def _commit(self, session: Session, record: dict) -> None:
-        """Write one record and fold it into the live session, closing the
+        """Write one record and fold it into the live session, syncing the
         log once the session is COMPLETED or FAILED; the caller holds the
         session's lock."""
         self._write_records(session.session_id, record)
         apply_record(session, record)
         if session.status not in OPEN_STATUSES:
-            self._close_log(session.session_id)
+            self._sync(session.session_id)
 
     def _write_records(self, session_id: str, *records: dict) -> None:
         """Append records in one `append_log` and fsync them, unless this
-        thread holds the session's batch: then they are left for its next
-        durability point. A failed append leaves the log as it was. The
-        caller holds the session's lock (or owns a session no other thread
-        can see yet)."""
-        if session_id not in self._logs:
-            self._logs[session_id] = open_log(self._log_path(session_id),
-                                              self._torn.get(session_id))
-            self._torn.pop(session_id, None)
-        deferred = self.fsync and self._batched.get(session_id) == threading.get_ident()
-        append_log(self._logs[session_id],
-                   "".join(_canonical(record) + "\n" for record in records).encode("utf-8"),
-                   self.fsync and not deferred)
-        if deferred:
-            self._dirty.add(session_id)
-        else:
+        thread holds the session's batch: then they go through the batch's
+        descriptor and are left for its next durability point. Any other
+        write opens the log for this append alone. A failed append leaves
+        the log as it was. The caller holds the session's lock (or owns a
+        session no other thread can see yet)."""
+        data = "".join(_canonical(record) + "\n" for record in records).encode("utf-8")
+        if self._batched.get(session_id) != threading.get_ident():
+            with self._open_log(session_id) as fh:
+                append_log(fh, data, self.fsync)
             self._dirty.discard(session_id)  # the fsync covered earlier writes too
+            return
+        if session_id not in self._logs:
+            self._logs[session_id] = self._open_log(session_id)
+        append_log(self._logs[session_id], data, False)
+        if self.fsync:
+            self._dirty.add(session_id)
+
+    def _open_log(self, session_id: str) -> io.FileIO:
+        fh = open_log(self._log_path(session_id), self._torn.get(session_id))
+        self._torn.pop(session_id, None)  # the first open cut the torn tail
+        return fh
 
     def _sync(self, session_id: str) -> None:
         if session_id in self._dirty:
             self._dirty.discard(session_id)
             os.fsync(self._logs[session_id].fileno())
-
-    def _close_log(self, session_id: str) -> None:
-        fh = self._logs.get(session_id)
-        if fh is None:
-            return
-        try:
-            self._sync(session_id)
-        finally:
-            del self._logs[session_id]
-            fh.close()
-
-    def _discard_new_log(self, session_id: str) -> None:
-        """Undo a failed `create_session`: close and drop the new log's
-        descriptor and move the log to quarantine, so no store holds the
-        session and its id stays taken."""
-        fh, log_path = self._logs.pop(session_id, None), self._log_path(session_id)
-        with suppress(OSError):  # the caller raises the create's own error
-            if fh is not None:
-                fh.close()
-        with suppress(OSError):
-            if log_path.exists():
-                self._quarantine(log_path, "create_session failed")
-        with self._store_lock:
-            del self._locks[session_id]
 
     def _load(self) -> None:
         for log_path in sorted(self.sessions_dir.glob("*.log")):

@@ -6,22 +6,25 @@ be compared byte for byte.
 Runs the canonical plain and delegated runs (`conftest.canonical_runtime`)
 in both drain modes, each in a fresh workspace and store, and writes
 `<out_dir>/<plain|delegated>-<single|threaded>/`: the session logs under
-`sessions/`, and `requests.jsonl` without its `ts_us` field. The workspace
-path is replaced by `<workspace>`, so outputs made in any directories
-compare with `diff -r`. It drives whichever `skillet` comes first on the
-path, with the helpers of the conftest.py next to it; pytest does not
-collect it.
+`sessions/`, each session's `skillet trace` output under `traces/`, and
+`requests.jsonl` without its `ts_us` field. The workspace path is replaced
+by `<workspace>`, so outputs made in any directories compare with
+`diff -r`. It drives whichever `skillet` comes first on the path, with the
+helpers of the conftest.py next to it; pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from conftest import canonical_runtime, write_repair_workspace
 from skillet import SkillRegistry, builtin_skills_dir
+from skillet.cli import main as skillet_main
 
 PLACEHOLDER = b"<workspace>"
 
@@ -34,15 +37,18 @@ def write_run(registry, out: Path, delegated: bool, single_worker: bool) -> None
         store_dir = Path(tmp) / "store"
         runtime = canonical_runtime(registry, ws, store_dir, delegated=delegated,
                                     single_worker=single_worker)
-        try:
-            runtime.run_until_quiescent(25)
-        finally:
-            runtime.store.close()
+        runtime.run_until_quiescent(25)
         root = str(ws.resolve()).encode()
         (out / "sessions").mkdir(parents=True)
+        (out / "traces").mkdir()
         for log in sorted((store_dir / "sessions").glob("*.log")):
             (out / "sessions" / log.name).write_bytes(
                 log.read_bytes().replace(root, PLACEHOLDER))
+            trace = io.StringIO()
+            with redirect_stdout(trace):
+                skillet_main(["trace", "--store", str(store_dir), "--session", log.stem])
+            (out / "traces" / f"{log.stem}.txt").write_bytes(
+                trace.getvalue().encode().replace(root, PLACEHOLDER))
         lines = []
         for line in (store_dir / "requests.jsonl").read_text().splitlines():
             record = json.loads(line)

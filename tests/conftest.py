@@ -80,29 +80,15 @@ def write_repair_workspace(ws: Path) -> Path:
     return ws
 
 
-# stores opened through open_store, closed after every test
+# stores opened through open_store, for phase_sequence to search
 _open_stores: list[SessionStore] = []
 
 
 def open_store(*args, **kwargs) -> SessionStore:
-    """A SessionStore that is closed after the current test."""
+    """A SessionStore that `phase_sequence` can find its sessions in."""
     store = SessionStore(*args, **kwargs)
     _open_stores.append(store)
     return store
-
-
-@pytest.fixture(autouse=True)
-def close_open_stores(request, monkeypatch):
-    """Close the stores `open_store` (and so `make_runtime`) opened once the
-    test is over. The acceptance suite is the fixed behavioural contract and
-    is not edited, so the stores it builds itself go through `open_store`
-    too. Any other store a test drops with a log still open fails that test:
-    pyproject.toml turns the ResourceWarning into an error."""
-    if request.module.__name__ == "test_acceptance":
-        monkeypatch.setattr(request.module, "SessionStore", open_store)
-    yield
-    while _open_stores:
-        _open_stores.pop().close()
 
 
 @pytest.fixture(scope="session")

@@ -549,9 +549,9 @@ class TestUsageLog:
         assert [line["input_tokens"] for line in log.lines()] == [1, 4]
         assert log.path.read_bytes().count(b"\n") == 2
         assert session.usage.input_tokens == 5
-        with SessionStore(tmp_path / "store") as reopened:
-            again = reopened.session(session.session_id).usage
-            assert (again.input_tokens, again.request_count) == (5, 2)
+        reopened = SessionStore(tmp_path / "store")
+        again = reopened.session(session.session_id).usage
+        assert (again.input_tokens, again.request_count) == (5, 2)
 
     def test_write_failure_is_fatal(self, tmp_path):
         session = self.make_session(tmp_path)

@@ -69,6 +69,24 @@ class TestRun:
         assert code == 2
         assert "awaiting_followup" in out
 
+    @pytest.mark.parametrize("bad", ["unknown_config_key", "malformed_config",
+                                     "malformed_script", "missing_script"])
+    def test_bad_input_files_are_errors_not_tracebacks(self, repair_workspace, tmp_path,
+                                                       script_file, config_file, bad, capsys):
+        if bad == "unknown_config_key":
+            config_file.write_text(json.dumps({"planner": {"max_stesp": 5}}))
+        elif bad == "malformed_config":
+            config_file.write_text('{"planner": ')
+        elif bad == "malformed_script":
+            script_file.write_text("[{")
+        else:
+            script_file.unlink()
+        code = main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "store").exists()  # refused before anything runs
+
     def test_failed_root_exits_one(self, guarded_workspace, tmp_path, config_file, capsys):
         script = tmp_path / "empty_script.json"
         script.write_text("[]")

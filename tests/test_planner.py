@@ -531,8 +531,8 @@ class TestDurabilityPoints:
             "        os._exit(3)\n"
             "    return execute(schema, args, session)\n"
             "runtime._execute = crashing"))
-        with SessionStore(tmp_path / "store") as store:
-            last = store.session("s0001").history[-1]
+        store = SessionStore(tmp_path / "store")
+        last = store.session("s0001").history[-1]
         assert last.kind is EventKind.TOOL_CALL
         assert last.payload["name"] == "repair_apply_unified_patch"
         assert last.payload["accepted"] is True
@@ -552,10 +552,10 @@ class TestDurabilityPoints:
             "        os._exit(3)\n"
             "runtime.run_wakeup = crash_after_second"))
         live = json.loads(out)
-        with SessionStore(tmp_path / "store") as store:
-            again = store.session("s0001")
-            assert [[e.seq, e.kind.value, e.payload] for e in again.history] \
-                + [again.skill_state, again.status.value] == live
+        store = SessionStore(tmp_path / "store")
+        again = store.session("s0001")
+        assert [[e.seq, e.kind.value, e.payload] for e in again.history] \
+            + [again.skill_state, again.status.value] == live
         assert live[-3][2]["name"] == "repair_apply_unified_patch"  # the patch's result
 
     def test_failed_sync_before_an_effect_stops_the_run(

@@ -193,11 +193,11 @@ class TestCanonicalRuns:
             assert session.rendered == live.rendered
             if live.routed_skills:
                 assert superseded > 0  # the run did supersede guidance
-        with SessionStore(tmp_path / "store") as reopened:
-            for live in runtime.store.sessions():
-                again = reopened.session(live.session_id)
-                assert again.rendered == live.rendered
-                assert render_messages(again) == render_messages(live)
+        reopened = SessionStore(tmp_path / "store")
+        for live in runtime.store.sessions():
+            again = reopened.session(live.session_id)
+            assert again.rendered == live.rendered
+            assert render_messages(again) == render_messages(live)
 
 
 def test_forced_action_and_blocked_notes_still_render(registry, repair_workspace, tmp_path):
@@ -338,7 +338,6 @@ def test_a_resumed_wakeup_supersedes_the_guidance_written_before_a_crash(
     submit_repair_task(runtime, repair_workspace)
     with pytest.raises(SystemExit):
         runtime.run_until_quiescent(5)
-    runtime.store.close()
 
     resumed = make_runtime(registry, repair_workspace, store_dir, [])
     resumed.backend = RecordingBackend(repair_script(), resumed.store)
@@ -455,10 +454,10 @@ def test_the_fold_matches_a_full_render_after_every_record(
     for request, history in runtime.backend.seen:
         assert request.messages == full_render(history)
         assert request.messages[-1][1].startswith("[repair workflow]")
-    with SessionStore(tmp_path / "store") as reopened:  # folds through the check too
-        again = reopened.session("s0001")
-        assert again.rendered == live.rendered
-        assert render_messages(again) == render_messages(live)
+    reopened = SessionStore(tmp_path / "store")  # folds through the check too
+    again = reopened.session("s0001")
+    assert again.rendered == live.rendered
+    assert render_messages(again) == render_messages(live)
 
 
 def texts_after(runtime, seq):

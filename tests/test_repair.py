@@ -64,12 +64,12 @@ def rig(repair_workspace, tmp_path):
     from skillet import SkillRegistry, builtin_skills_dir
     registry = SkillRegistry()
     registry.load_all(builtin_skills_dir())
-    with SessionStore(tmp_path / "store") as store:
-        session = store.create_session(
-            "fix the bug", "code_repair", repair_workspace,
-            "write the summary to `out/report.md`", routed_skills=["repair"],
-        )
-        yield HookPipeline(registry, store), store, session
+    store = SessionStore(tmp_path / "store")
+    session = store.create_session(
+        "fix the bug", "code_repair", repair_workspace,
+        "write the summary to `out/report.md`", routed_skills=["repair"],
+    )
+    return HookPipeline(registry, store), store, session
 
 
 def set_phase(store, session, phase, **extra):
@@ -208,7 +208,6 @@ class TestVisibility:
         session = submit_repair_task(runtime, repair_workspace)
         with pytest.raises(StepBudgetExhausted):
             runtime.run_until_quiescent(1)
-        runtime.store.close()
 
         resolved = []
         real_resolve = repair_module.resolve

@@ -1,7 +1,7 @@
 """Session store: typed history, skill state, and crash-safe persistence."""
 
+import contextlib
 import errno
-import gc
 import io
 import json
 import os
@@ -29,8 +29,7 @@ from skillet.sessions import read_log, snapshot_records
 
 @pytest.fixture
 def store(tmp_path):
-    with SessionStore(tmp_path / "store") as store:
-        yield store
+    return SessionStore(tmp_path / "store")
 
 
 @pytest.fixture
@@ -149,38 +148,37 @@ class TestLiveEqualsReload:
         assert s.skill_state == again.skill_state
         assert s.status is again.status
 
-    def test_dropping_a_store_with_an_open_log_warns(self, tmp_path, ws):
-        # what pyproject.toml turns into a failure of the test that drops it
-        store = SessionStore(tmp_path / "store")
-        make_session(store, ws)
-        with pytest.warns(ResourceWarning):
-            del store
-            gc.collect()
-
 
 class TestDurability:
     @pytest.fixture
     def fsyncs(self, monkeypatch):
-        """The kind ("file" or "dir") of every fsync, in order."""
-        kinds = []
+        """The kind ("file" or "dir") and inode of every fsync, in order."""
+        synced = []
         real_fsync = os.fsync
 
         def fsync(fd):
-            kinds.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            st = os.fstat(fd)
+            synced.append(("dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        return kinds
+        return synced
+
+    @staticmethod
+    def own_log(store, s):
+        """What `fsyncs` records for an fsync of the session's own log."""
+        return ("file", os.stat(store.sessions_dir / f"{s.session_id}.log").st_ino)
 
     def test_new_log_is_synced_once_and_then_its_name(self, store, ws, fsyncs):
         s = make_session(store, ws)
-        assert fsyncs == ["file", "dir"]
+        assert fsyncs == [self.own_log(store, s), ("dir", os.stat(store.sessions_dir).st_ino)]
         again = read_log(store.store_dir, s.session_id)[0]
         assert [(e.seq, e.kind, e.payload) for e in again.history] == \
             [(1, EventKind.USER_MESSAGE, {"text": "task"})]
 
     def test_a_batch_defers_only_its_own_threads_fsyncs(self, store, ws, fsyncs):
         s = make_session(store, ws)
+        log = self.own_log(store, s)
         del fsyncs[:]
         note = {"note": "n"}
         with store.batch(s.session_id):
@@ -192,25 +190,28 @@ class TestDurability:
             other.start()
             other.join(10)
             assert not other.is_alive()
-            assert fsyncs == ["file"]  # another thread's write is durable when it returns
+            assert fsyncs == [log]  # another thread's write is durable when it returns
             store.sync(s.session_id)
-            assert fsyncs == ["file"]  # that fsync covered this thread's writes too
+            # that fsync, through another descriptor of the same file, covered
+            # this thread's writes too
+            assert fsyncs == [log]
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, note)
             store.sync(s.session_id)
-            assert fsyncs == ["file"] * 2
+            assert fsyncs == [log] * 2
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, note)
-        assert fsyncs == ["file"] * 3  # leaving the batch syncs
+        assert fsyncs == [log] * 3  # leaving the batch syncs
         store.append_event(s.session_id, EventKind.SYSTEM_NOTE, note)
-        assert fsyncs == ["file"] * 4  # outside a batch every write syncs
+        assert fsyncs == [log] * 4  # outside a batch every write syncs
 
     def test_closing_a_log_in_a_batch_syncs_it(self, store, ws, fsyncs):
         s = make_session(store, ws)
+        log = self.own_log(store, s)
         del fsyncs[:]
         with store.batch(s.session_id):
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"note": "n"})
             store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
-            assert fsyncs == ["file"]
-        assert fsyncs == ["file"]
+            assert fsyncs == [log]  # completing the session is a durability point
+        assert fsyncs == [log]
 
 
 class TestFailedAppends:
@@ -237,7 +238,6 @@ class TestFailedAppends:
         with pytest.raises(OSError):
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 0})
         assert store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 1}) == 2
-        store.close()
         again = SessionStore(tmp_path / "store").session(s.session_id)
         assert [(e.seq, e.kind, e.payload) for e in again.history] == \
             [(e.seq, e.kind, e.payload) for e in s.history]
@@ -264,7 +264,6 @@ class TestFailedAppends:
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"text": "x" * 100})
         for i in (1, 2):
             store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
-        store.close()
         log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
         assert log.read_bytes().endswith(b"\n")
         again = SessionStore(tmp_path / "store").session(s.session_id)
@@ -276,12 +275,11 @@ class TestFailedAppends:
         with pytest.raises(OSError):
             make_session(store, ws)
         assert store.sessions() == []
-        store.close()
-        with SessionStore(tmp_path / "store") as again:
-            with pytest.raises(NotFound):
-                again.session("s0001")
-            assert again.sessions() == []
-            assert make_session(again, ws).session_id == "s0002"  # ids are never reused
+        again = SessionStore(tmp_path / "store")
+        with pytest.raises(NotFound):
+            again.session("s0001")
+        assert again.sessions() == []
+        assert make_session(again, ws).session_id == "s0002"  # ids are never reused
 
     def test_a_failed_directory_fsync_on_create_leaves_no_session(self, tmp_path, ws, store,
                                                                   monkeypatch):
@@ -297,11 +295,10 @@ class TestFailedAppends:
             make_session(store, ws)
         monkeypatch.setattr(os, "fsync", real_fsync)
         assert store.sessions() == []
-        store.close()
         assert list((tmp_path / "store" / "sessions").iterdir()) == []
-        with SessionStore(tmp_path / "store") as again:
-            assert again.sessions() == []
-            assert make_session(again, ws).session_id == "s0002"
+        again = SessionStore(tmp_path / "store")
+        assert again.sessions() == []
+        assert make_session(again, ws).session_id == "s0002"
 
     def test_a_failed_append_on_create_keeps_no_descriptor_and_warns_no_reopen(
             self, tmp_path, ws, store, monkeypatch, caplog):
@@ -313,11 +310,10 @@ class TestFailedAppends:
             make_session(store, ws)
         assert store._logs == {}  # the new log's descriptor is closed at once
         monkeypatch.undo()
-        store.close()
         caplog.clear()
-        with SessionStore(tmp_path / "store") as again:
-            assert again.sessions() == []
-            assert make_session(again, ws).session_id == "s0002"
+        again = SessionStore(tmp_path / "store")
+        assert again.sessions() == []
+        assert make_session(again, ws).session_id == "s0002"
         assert caplog.records == []  # nothing was left for the reopen to quarantine
 
 
@@ -348,17 +344,17 @@ class TestSkillState:
         with tempfile.TemporaryDirectory() as tmp:
             ws = Path(tmp) / "ws"
             ws.mkdir()
-            with SessionStore(Path(tmp) / "store", fsync=False) as store:
-                s = store.create_session("t", "misc", ws, "")
-                last = {}
-                for skill_id, value in writes:
-                    store.put_skill_state(s.session_id, skill_id, {"value": value})
-                    last[skill_id] = value
-                for skill_id, value in last.items():
-                    assert store.get_skill_state(s.session_id, skill_id) == {"value": value}
-                untouched = {"alpha", "beta"} - set(last)
-                for skill_id in untouched:
-                    assert store.get_skill_state(s.session_id, skill_id) == {}
+            store = SessionStore(Path(tmp) / "store", fsync=False)
+            s = store.create_session("t", "misc", ws, "")
+            last = {}
+            for skill_id, value in writes:
+                store.put_skill_state(s.session_id, skill_id, {"value": value})
+                last[skill_id] = value
+            for skill_id, value in last.items():
+                assert store.get_skill_state(s.session_id, skill_id) == {"value": value}
+            untouched = {"alpha", "beta"} - set(last)
+            for skill_id in untouched:
+                assert store.get_skill_state(s.session_id, skill_id) == {}
 
 
 def event_payloads() -> st.SearchStrategy:
@@ -375,10 +371,10 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as tmp:
             ws = Path(tmp) / "ws"
             ws.mkdir()
-            with SessionStore(Path(tmp) / "store", fsync=False) as store:
-                s = store.create_session("t", "misc", ws, "d")
-                for p in payloads:
-                    store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE, p)
+            store = SessionStore(Path(tmp) / "store", fsync=False)
+            s = store.create_session("t", "misc", ws, "d")
+            for p in payloads:
+                store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE, p)
             reloaded = SessionStore(Path(tmp) / "store").session(s.session_id)
             assert [(e.seq, e.kind, e.payload) for e in reloaded.history] == \
                    [(e.seq, e.kind, e.payload) for e in s.history]
@@ -420,14 +416,14 @@ class TestPersistence:
                                          + b'{"seq": 4, "ki\n'),
         }
         for name, tear in tears.items():
-            with SessionStore(tmp_path / name) as store:
-                s = store.create_session("t", "misc", ws, "")
-                for i in range(3):
-                    store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
+            store = SessionStore(tmp_path / name)
+            s = store.create_session("t", "misc", ws, "")
+            for i in range(3):
+                store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": i})
             log = tmp_path / name / "sessions" / f"{s.session_id}.log"
             log.write_bytes(tear(log.read_bytes()))
-            with SessionStore(tmp_path / name) as reloaded:
-                seq = reloaded.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": "after"})
+            reloaded = SessionStore(tmp_path / name)
+            seq = reloaded.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": "after"})
             assert seq == 4, name
             again = SessionStore(tmp_path / name).session(s.session_id)
             assert [e.payload for e in again.history[1:]] == \
@@ -435,30 +431,55 @@ class TestPersistence:
             assert [e.seq for e in again.history] == [1, 2, 3, 4], name
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    def test_log_descriptors_close_with_their_session_and_the_store(self, tmp_path, ws):
+    def test_a_log_is_open_only_inside_a_batch_from_its_first_write(self, tmp_path, ws):
         def open_fds():
             return len(os.listdir("/proc/self/fd"))
 
         baseline = open_fds()
         store = SessionStore(tmp_path / "store")
         done, failed, waiting = (make_session(store, ws) for _ in range(3))
-        assert open_fds() == baseline + 3  # one append descriptor per written log
+        assert open_fds() == baseline  # a create opens and closes its log
         record_usage(tmp_path / "store", done, (1, 1, 0, 2))
-        assert open_fds() == baseline + 3  # the usage log keeps none
         store.append_event(done.session_id, EventKind.COMPLETION, {"report_text": "r"})
-        store.set_status(done.session_id, SessionStatus.COMPLETED)
         store.set_status(failed.session_id, SessionStatus.FAILED)
-        store.set_status(waiting.session_id, SessionStatus.AWAITING_FOLLOWUP)
-        assert open_fds() == baseline + 1
-        store.close()
-        assert open_fds() == baseline
-        # a later write to a closed log opens it again
+        store.put_skill_state(waiting.session_id, "repair", {"phase": "patch"})
+        assert open_fds() == baseline  # so does every write outside a batch
+        with store.batch(waiting.session_id):
+            assert open_fds() == baseline  # nothing is opened before the first write
+            store.append_event(waiting.session_id, EventKind.SYSTEM_NOTE, {"note": "n"})
+            assert open_fds() == baseline + 1
+            store.set_status(waiting.session_id, SessionStatus.AWAITING_FOLLOWUP)
+            store.sync(waiting.session_id)
+            assert open_fds() == baseline + 1  # the batch's writes share one descriptor
+        assert open_fds() == baseline  # leaving the batch closes it
         store.set_status(failed.session_id, SessionStatus.ACTIVE)
-        store.close()
         assert open_fds() == baseline
         reloaded = SessionStore(tmp_path / "store")
         assert [s.status for s in reloaded.sessions()] == [
             SessionStatus.COMPLETED, SessionStatus.ACTIVE, SessionStatus.AWAITING_FOLLOWUP]
+        assert [e.kind for e in reloaded.session(waiting.session_id).history] == \
+            [EventKind.USER_MESSAGE, EventKind.SYSTEM_NOTE]
+
+    def test_open_sessions_hold_no_descriptors(self, tmp_path, ws):
+        # the child alone runs under a soft limit of 256 descriptors; a store
+        # that kept one per open log would fail with EMFILE past ~250 sessions
+        import subprocess
+        import sys
+        code = (
+            "import resource\n"
+            "from skillet import SessionStore, EventKind\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))\n"
+            f"store = SessionStore({str(tmp_path / 'store')!r}, fsync=False)\n"
+            "for i in range(300):\n"
+            f"    s = store.create_session('t', 'misc', {str(ws)!r}, '')\n"
+            "    store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {'i': i})\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reloaded = SessionStore(tmp_path / "store").sessions()
+        assert len(reloaded) == 300
+        assert all(len(s.history) == 2 for s in reloaded)
 
     def test_mid_file_corruption_raises(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
@@ -585,16 +606,16 @@ class TestPersistence:
             (sessions_dir / f"{first.session_id}.log").read_bytes().splitlines(keepends=True)[1:])
         (sessions_dir / f"{first.session_id}.log").write_bytes(meta_less)
 
-        with SessionStore(tmp_path / "store") as reopened:
-            assert [s.session_id for s in reopened.sessions()] == [second.session_id]
-            assert make_session(reopened, ws, task_text="new").session_id == "s0003"
+        reopened = SessionStore(tmp_path / "store")
+        assert [s.session_id for s in reopened.sessions()] == [second.session_id]
+        assert make_session(reopened, ws, task_text="new").session_id == "s0003"
 
-        with SessionStore(tmp_path / "store") as reloaded:
-            assert [(s.session_id, s.task_text) for s in reloaded.sessions()] == \
-                [(second.session_id, "keep"), ("s0003", "new")]
-            assert (tmp_path / "store" / "quarantine" / f"{first.session_id}.log") \
-                .read_bytes() == meta_less
-            assert make_session(reloaded, ws).session_id == "s0004"
+        reloaded = SessionStore(tmp_path / "store")
+        assert [(s.session_id, s.task_text) for s in reloaded.sessions()] == \
+            [(second.session_id, "keep"), ("s0003", "new")]
+        assert (tmp_path / "store" / "quarantine" / f"{first.session_id}.log") \
+            .read_bytes() == meta_less
+        assert make_session(reloaded, ws).session_id == "s0004"
 
     def test_concurrent_creates_and_status_changes_reload_exactly(self, tmp_path, ws):
         import sys
@@ -606,13 +627,16 @@ class TestPersistence:
         def worker(n: int) -> None:
             own = make_session(store, ws, task_text=f"w{n}")
             for i in range(60):
-                store.set_status(own.session_id, cycle[(n + i) % 3])
-                store.set_status(shared.session_id, cycle[i % 3])
-                try:
-                    store.append_event(shared.session_id, EventKind.SYSTEM_NOTE,
-                                       {"n": n, "i": i})
-                except SessionClosed:  # another worker set FAILED
-                    pass
+                # worker 0 writes to the shared log through batches' descriptors,
+                # the others each through a descriptor of their own
+                with store.batch(shared.session_id) if n == 0 else contextlib.nullcontext():
+                    store.set_status(own.session_id, cycle[(n + i) % 3])
+                    store.set_status(shared.session_id, cycle[i % 3])
+                    try:
+                        store.append_event(shared.session_id, EventKind.SYSTEM_NOTE,
+                                           {"n": n, "i": i})
+                    except SessionClosed:  # another worker set FAILED
+                        pass
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -625,7 +649,6 @@ class TestPersistence:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        store.close()
         reloaded = SessionStore(tmp_path / "store")
         assert sorted(s.task_text for s in reloaded.sessions()) == \
             sorted(["task"] + [f"w{n}" for n in range(8)])
