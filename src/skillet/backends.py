@@ -17,6 +17,7 @@ Script files are a JSON list of steps:
 current phase); `when.tool_visible` requires a tool name in the visible
 set; `when.session` requires the request's session id, so one script can
 serve sessions that run at once. A step with no predicate always matches.
+A malformed step raises ModelBackendError, with its index, at construction.
 The first matching step is consumed per request, picked and removed under
 one lock, so concurrent requests never share a step. Synthetic usage is
 character-count based and includes the serialized tool surface, so narrower
@@ -78,11 +79,35 @@ def _tool_surface_chars(tools: list[ActionSchema]) -> int:
     return sum(t.public_json_chars for t in tools) + 2 * max(len(tools) - 1, 0) + 2
 
 
+_WHEN_KEYS = {"phase_contains", "session", "tool_visible"}
+
+
+def _step_problem(step) -> str | None:
+    """Why the matcher would misread a script step, or None; `args` may be any value."""
+    if not isinstance(step, dict) or not step.keys() <= {"when", "respond"}:
+        return 'a step must be an object with no keys but "when" and "respond"'
+    when, respond = step.get("when", {}), step.get("respond", {})
+    if not (isinstance(when, dict) and when.keys() <= _WHEN_KEYS
+            and all(isinstance(v, str) for v in when.values())):
+        return f'"when" must map only {", ".join(sorted(_WHEN_KEYS))} to strings'
+    if not isinstance(respond, dict):
+        return '"respond" must be an object'
+    if not isinstance(respond.get("text", ""), str):
+        return '"text" must be a string'
+    call = respond.get("tool_call", {"name": ""})
+    if not (isinstance(call, dict) and isinstance(call.get("name"), str)):
+        return '"tool_call" must be an object with a string "name"'
+    return None
+
+
 class ScriptedBackend:
     provider = "scripted"
     response_model = "scripted-v1"
 
     def __init__(self, steps: list[dict]):
+        for index, step in enumerate(steps):
+            if (problem := _step_problem(step)) is not None:
+                raise ModelBackendError(f"script step {index}: {problem}")
         self._steps = [dict(s) for s in steps]
         self._lock = threading.Lock()
 
@@ -129,7 +154,7 @@ class ScriptedBackend:
         last_text = request.messages[-1][1] if request.messages else ""
         visible = {t.name for t in request.tools}
         for i, step in enumerate(self._steps):
-            when = step.get("when") or {}
+            when = step.get("when", {})
             if "phase_contains" in when and when["phase_contains"] not in last_text:
                 continue
             if "tool_visible" in when and when["tool_visible"] not in visible:

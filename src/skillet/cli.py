@@ -73,8 +73,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     registry = SkillRegistry()
     registry.load_all(skills_dir)
+    try:
+        store = SessionStore(args.store)
+    except OSError as exc:  # such as a --store that names a regular file
+        print(f"error: cannot open store {args.store}: {exc}", file=sys.stderr)
+        return 1
     usage_log = UsageLog(Path(args.store) / "requests.jsonl")
-    runtime = Runtime(registry, SessionStore(args.store), backend, usage_log, config)
+    runtime = Runtime(registry, store, backend, usage_log, config)
     root = runtime.submit_task(DelegatedTask(
         task_text=args.task,
         task_type=args.task_type,

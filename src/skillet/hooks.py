@@ -3,31 +3,33 @@
 Hook programs are small deterministic boundary functions registered in the
 binding table; a manifest attaches them to stages with a total order. At
 each boundary the pipeline runs the routed skills' programs (routed order,
-then declaration order) and composes their HookDecisions into one effect:
+then declaration order) and composes their HookDecisions by these rules:
 
-  before_llm_call    -> visible tool set (filter intersection) + injected guidance
-  after_llm_response -> a single ContinuationDecision (first non-proceed wins)
-  before_tool_call   -> Allow (possibly rewritten args) or first Reject
-  after_tool_call    -> persisted state updates + follow-up request
+  before_llm_call    -> visible tools + injected guidance. A skill's filter
+                        governs its own tools and those no routed skill owns,
+                        such as the runtime's; other skills' tools pass it
+  after_llm_response -> the first forced action, which must be visible
+  before_tool_call   -> allow, or the first Reject; the hooks share one copy
+                        of the validated arguments, so editing it does nothing
+  after_tool_call    -> state updates
 
-Hooks never decide completion: that is the registered completion gate's
-job (`bindings.COMPLETION_GATES`), which the planner consults.
-
-A hook may write only its own skill's state, and only by returning
-`state_update`; the pipeline persists it through the store so snapshots land
-in the log in composition order. An update equal to the state the hook was
-given is not written, so a step that changes no state adds no snapshot. A
-raising hook program becomes HookFault: the wakeup aborts with a
-system_note, the session stays usable.
+At every stage a hook may return `state_update`, its only way to write its
+own skill's state; the pipeline persists it through the store, so snapshots
+land in the log in hook order, and an update equal to the state the hook
+was given writes none. A raising program, a field its stage does not take
+or a forced tool the request does not offer becomes HookFault: the wakeup
+aborts with a system_note, the session stays usable. Hooks never decide
+completion: every routed skill's completion gate (`bindings.COMPLETION_GATES`)
+must pass, and every routed skill's protected paths hold for every writer.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import HookFault
 from .registry import SkillManifest, SkillRegistry
@@ -71,9 +73,7 @@ class HookDecision:
     injected_messages: list[str] = field(default_factory=list)
     reject: Reject | None = None
     force_action: str | None = None
-    schedule_followup: bool = False
     state_update: dict | None = None
-    rewrite_args: dict | None = None
 
 
 # a decision field counts as used when it differs from its declared default
@@ -81,24 +81,15 @@ _FIELD_DEFAULTS = {f.name: getattr(HookDecision(), f.name) for f in fields(HookD
 
 _STAGE_FIELDS = {
     BEFORE_LLM: {"tool_filter", "injected_messages", "state_update"},
-    AFTER_LLM: {"force_action", "schedule_followup", "state_update"},
-    BEFORE_TOOL: {"reject", "rewrite_args", "state_update"},
-    AFTER_TOOL: {"schedule_followup", "state_update"},
+    AFTER_LLM: {"force_action", "state_update"},
+    BEFORE_TOOL: {"reject", "state_update"},
+    AFTER_TOOL: {"state_update"},
 }
 
 
-class ContinuationKind(str, Enum):
-    PROCEED_TO_TOOL = "proceed_to_tool"
-    FORCE_ACTION = "force_action"
-    SCHEDULE_FOLLOWUP = "schedule_followup"
-    ALLOW_FINISH = "allow_finish"
-
-
-@dataclass
-class ContinuationDecision:
-    kind: ContinuationKind
-    tool_name: str | None = None
-    skill_id: str | None = None
+class ForcedAction(NamedTuple):
+    tool_name: str
+    skill_id: str
 
 
 @dataclass
@@ -110,15 +101,9 @@ class BeforeLlmOutcome:
 @dataclass
 class BeforeToolOutcome:
     allowed: bool
-    args: dict
     reason: str = ""
     redirect_hint: str = ""
     rejecting_skill: str | None = None
-
-
-@dataclass
-class AfterToolOutcome:
-    followup_needed: bool = False
 
 
 class HookPipeline:
@@ -178,70 +163,53 @@ class HookPipeline:
                        candidate_tools: list[ActionSchema]) -> BeforeLlmOutcome:
         visible = list(candidate_tools)
         injections: list[tuple[str, str]] = []
+        routed = set(session.routed_skills)
         for manifest, program_id in self.hooks_for(session, BEFORE_LLM):
             decision = self._invoke(manifest, program_id, session, BEFORE_LLM,
                                     {"candidate_tools": visible})
             if decision.tool_filter is not None and self.apply_tool_filters:
-                visible = [t for t in visible if t.name in decision.tool_filter]
+                # the filter governs its own skill's tools and the unowned
+                # ones; another routed skill's tools pass through it
+                keep, others = decision.tool_filter, routed - {manifest.skill_id}
+                visible = [t for t in visible if t.name in keep
+                           or self.registry.owner(t.name) in others]
             for text in decision.injected_messages:
                 injections.append((manifest.skill_id, text))
         return BeforeLlmOutcome(visible_tools=visible, injections=injections)
 
-    def run_after_llm(self, session: Session, response: "ModelResponse") -> ContinuationDecision:
-        default = (
-            ContinuationDecision(ContinuationKind.PROCEED_TO_TOOL)
-            if response.tool_call is not None
-            else ContinuationDecision(ContinuationKind.ALLOW_FINISH)
-        )
-        winner: ContinuationDecision | None = None
+    def run_after_llm(self, session: Session, response: "ModelResponse",
+                      visible: list[ActionSchema]) -> ForcedAction | None:
+        winner: ForcedAction | None = None
         for manifest, program_id in self.hooks_for(session, AFTER_LLM):
             decision = self._invoke(manifest, program_id, session, AFTER_LLM, response)
-            candidate: ContinuationDecision | None = None
-            if decision.force_action is not None:
-                candidate = ContinuationDecision(
-                    ContinuationKind.FORCE_ACTION,
-                    tool_name=decision.force_action,
-                    skill_id=manifest.skill_id,
-                )
-            elif decision.schedule_followup:
-                candidate = ContinuationDecision(
-                    ContinuationKind.SCHEDULE_FOLLOWUP, skill_id=manifest.skill_id
-                )
-            if candidate is None:
+            name = decision.force_action
+            if name is None:
                 continue
+            if not any(t.name == name for t in visible):
+                raise HookFault(manifest.skill_id, program_id,
+                                ValueError(f"force_action {name!r} is not a visible tool"))
             if winner is None:
-                winner = candidate
-            elif (winner.kind, winner.tool_name) != (candidate.kind, candidate.tool_name):
-                log.warning(
-                    "after_llm conflict in %s: %s kept %s, %s wanted %s",
-                    session.session_id, winner.skill_id, winner.kind.value,
-                    manifest.skill_id, candidate.kind.value,
-                )
-        return winner or default
+                winner = ForcedAction(name, manifest.skill_id)
+            elif winner.tool_name != name:
+                log.warning("after_llm conflict in %s: %s forced %s, %s wanted %s",
+                            session.session_id, winner.skill_id, winner.tool_name,
+                            manifest.skill_id, name)
+        return winner
 
     def run_before_tool(self, session: Session, pending_call: dict) -> BeforeToolOutcome:
-        args = pending_call["args"]
+        payload = {**pending_call, "args": copy.deepcopy(pending_call["args"])}
         for manifest, program_id in self.hooks_for(session, BEFORE_TOOL):
-            payload = {"name": pending_call["name"], "args": args,
-                       "call_id": pending_call["call_id"]}
             decision = self._invoke(manifest, program_id, session, BEFORE_TOOL, payload)
             if decision.reject is not None:
                 # first refusal wins; later hooks never see the call
                 return BeforeToolOutcome(
                     allowed=False,
-                    args=args,
                     reason=decision.reject.reason,
                     redirect_hint=decision.reject.redirect_hint,
                     rejecting_skill=manifest.skill_id,
                 )
-            if decision.rewrite_args is not None:
-                args = decision.rewrite_args
-        return BeforeToolOutcome(allowed=True, args=args)
+        return BeforeToolOutcome(allowed=True)
 
-    def run_after_tool(self, session: Session, tool_record: dict) -> AfterToolOutcome:
-        outcome = AfterToolOutcome()
+    def run_after_tool(self, session: Session, tool_record: dict) -> None:
         for manifest, program_id in self.hooks_for(session, AFTER_TOOL):
-            decision = self._invoke(manifest, program_id, session, AFTER_TOOL, tool_record)
-            if decision.schedule_followup:
-                outcome.followup_needed = True
-        return outcome
+            self._invoke(manifest, program_id, session, AFTER_TOOL, tool_record)

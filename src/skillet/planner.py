@@ -1,7 +1,9 @@
 """The event-driven single-step planner loop.
 
 One wakeup = at most one model decision plus its tool effects, which return
-the (cause, attempt) of the follow-up the session needs, or None.
+the (cause, attempt) of the follow-up the session needs, or None: a forced
+action first, else the tool call on its validated arguments (a successful
+`delegate_subtask` parks the session), else finishing once every gate passes.
 `run_wakeup` is the one exit: it turns a hook fault from any stage into a
 `hook_fault` note plus a follow-up, enqueues the follow-up (after any child's
 `initial` or parent's `child_report` the wakeup enqueued), and rests a
@@ -39,13 +41,12 @@ from .errors import (
     CompletionBlocked,
     HookFault,
     ModelBackendError,
-    NotFound,
     SkilletError,
     StepBudgetExhausted,
     ToolError,
 )
 from .execution import ExecutionContext
-from .hooks import ContinuationKind, HookPipeline
+from .hooks import HookPipeline
 from .registry import PolicyConfig, SkillRegistry
 from .router import DelegatedTask, RoutedSkillSet, route
 from .schema import ActionSchema, validate_action_args
@@ -294,18 +295,16 @@ class Runtime:
             ),
         })
 
-        decision = self.pipeline.run_after_llm(session, response)
-        if decision.kind is ContinuationKind.PROCEED_TO_TOOL:
-            return self._run_tool(session, response, outcome.visible_tools)
-        if decision.kind is ContinuationKind.FORCE_ACTION:
+        forced = self.pipeline.run_after_llm(session, response, outcome.visible_tools)
+        if forced is not None:
             self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION, {
-                "skill_id": decision.skill_id or "runtime",
-                "text": f"You must now call `{decision.tool_name}`.",
+                "skill_id": forced.skill_id,
+                "text": f"You must now call `{forced.tool_name}`.",
             })
             return "forced_action", 0
-        if decision.kind is ContinuationKind.SCHEDULE_FOLLOWUP:
-            return FOLLOWUP
-        gate_pairs = self._gate_reasons(session)  # allow_finish
+        if response.tool_call is not None:
+            return self._run_tool(session, response, outcome.visible_tools)
+        gate_pairs = self._gate_reasons(session)  # a plain-text reply asks to finish
         if gate_pairs:
             self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION, {
                 "skill_id": gate_pairs[0][0],
@@ -349,10 +348,10 @@ class Runtime:
                            "rejected_by": pre.rejecting_skill})
 
         self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
-            "name": call.name, "args": pre.args, "call_id": call_id, "accepted": True,
+            "name": call.name, "args": validation.value, "call_id": call_id, "accepted": True,
         })
         self.store.sync(session.session_id)  # the call is durable before its effect
-        ok, output = self._execute(schema, pre.args, session)
+        ok, output = self._execute(schema, validation.value, session)
         seq = self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
             "call_id": call_id, "name": call.name, "ok": ok, "output": output,
         })
@@ -360,20 +359,17 @@ class Runtime:
             # a successful finish: gates were checked inside the executor
             self._complete(session, output["report_text"])
             return None
-        after = self.pipeline.run_after_tool(session, {
-            "name": call.name, "ok": ok, "args": pre.args, "result": output, "seq": seq,
+        self.pipeline.run_after_tool(session, {
+            "name": call.name, "ok": ok, "args": validation.value, "result": output, "seq": seq,
         })
         # a successful delegation parks the parent until the child reports;
         # every other executed tool needs a turn for the model to see its result
-        paused = ok and schema.executor_id == "core.delegate_subtask"
-        return FOLLOWUP if after.followup_needed or not paused else None
+        return None if ok and schema.executor_id == "core.delegate_subtask" else FOLLOWUP
 
     def _execute(self, schema: ActionSchema, args: dict,
                  session: Session) -> tuple[bool, dict]:
-        try:
-            policy = self.registry.lookup(schema.name).policy
-        except NotFound:
-            policy = PolicyConfig()  # an orchestration tool: no skill policy of its own
+        owner = self.registry.owner(schema.name)  # None: the runtime's own tool
+        policy = self.registry.lookup(owner).policy if owner else PolicyConfig()
         allowlist = list(self.config.workspace.command_allowlist)
         allowlist.extend(a for a in policy.command_allowlist if a not in allowlist)
         # every routed skill's protected paths hold for every tool, visible or not

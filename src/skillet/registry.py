@@ -328,6 +328,10 @@ class SkillRegistry:
             return self._skills[owner]
         raise NotFound(f"no skill or tool named {key!r}")
 
+    def owner(self, tool_name: str) -> str | None:
+        """The skill_id that declares tool_name; None for the runtime's tools."""
+        return self._by_tool.get(tool_name)
+
     def manifests(self) -> list[SkillManifest]:
         return sorted(self._skills.values(), key=lambda m: m.skill_id)
 

@@ -68,10 +68,11 @@ its first write, its writes share that descriptor, and leaving the batch
 syncs and closes it. Any other write opens the log, appends, fsyncs and
 closes it in one call, as `UsageLog` does for `requests.jsonl`. So the store
 holds no descriptor between calls and needs no closing. `set_status` writes
-a status record only when the status changes. Usage totals are rebuilt on
-load from one scan of `<store>/requests.jsonl`, the per-request log that
-`UsageLog` appends to; its torn last line is skipped there, and cut only by
-`UsageLog` before it appends.
+a status record only when the status changes, and a COMPLETED or FAILED
+session stays closed: it takes no other status and no record. Usage totals
+are rebuilt on load from one scan of `<store>/requests.jsonl`, the
+per-request log that `UsageLog` appends to; its torn last line is skipped
+there, and cut only by `UsageLog` before it appends.
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ class Session:
     # kept by apply_record as events are folded in
     tool_calls: int = 0
     tool_call_ids: set[str] = field(default_factory=set)
-    has_completion: bool = False
     # the chat messages the history renders to (stubs and None where stale)
     # and what stands under each supersede key: in memory only
     rendered: list[Message | None] = field(default_factory=list, repr=False)
@@ -303,7 +303,6 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
             session.tool_calls += 1
             session.tool_call_ids.add(event.payload.get("call_id"))
         elif event.kind is EventKind.COMPLETION:
-            session.has_completion = True
             session.status = SessionStatus.COMPLETED
     return session
 
@@ -489,8 +488,6 @@ class SessionStore:
                 call_id = payload.get("call_id")
                 if call_id not in session.tool_call_ids:
                     raise OrphanToolResult(f"no tool_call with call_id {call_id!r}")
-            if kind is EventKind.COMPLETION and session.has_completion:
-                raise SessionClosed(f"session {session_id} already has a completion event")
             seq = session.next_seq
             self._commit(session, {"seq": seq, "kind": kind.value, "payload": payload})
             return seq
@@ -517,6 +514,8 @@ class SessionStore:
         with self._locks[session_id]:
             if status is session.status:
                 return
+            if session.status not in OPEN_STATUSES:  # a closed session stays closed
+                raise SessionClosed(f"session {session_id} is {session.status.value}")
             self._commit(session, {
                 "seq": session.history[-1].seq if session.history else 0,
                 "kind": _STATUS_KIND,

@@ -87,6 +87,36 @@ class TestRun:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "store").exists()  # refused before anything runs
 
+    @pytest.mark.parametrize("step", [
+        5,
+        {"respond": {"text": "x"}, "wen": {}},
+        {"when": "phase: patch", "respond": {"text": "x"}},
+        {"when": {"phase_contain": "phase: patch"}, "respond": {"text": "x"}},
+        {"when": {"tool_visible": 5}, "respond": {"text": "x"}},
+        {"respond": 5},
+        {"respond": {"text": 5}},
+        {"respond": {"tool_call": {"args": {}}}},
+    ], ids=["step_not_object", "unknown_step_key", "when_not_object", "unknown_when_key",
+            "when_value_not_string", "respond_not_object", "text_not_string",
+            "tool_call_without_name"])
+    def test_malformed_script_steps_are_errors_not_tracebacks(
+            self, repair_workspace, tmp_path, script_file, config_file, step, capsys):
+        script_file.write_text(json.dumps([repair_script()[0], step]))
+        code = main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: script step 1: ") and "Traceback" not in err
+        assert not (tmp_path / "store").exists()  # refused before anything runs
+
+    def test_store_that_is_a_file_is_an_error(self, repair_workspace, tmp_path,
+                                              script_file, config_file, capsys):
+        (tmp_path / "store").write_text("not a directory\n")
+        code = main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "store" in err and "Traceback" not in err
+        assert (tmp_path / "store").read_text() == "not a directory\n"
+
     def test_failed_root_exits_one(self, guarded_workspace, tmp_path, config_file, capsys):
         script = tmp_path / "empty_script.json"
         script.write_text("[]")

@@ -12,7 +12,7 @@ from skillet import SessionStore, SkillRegistry
 from skillet.backends import ModelResponse, ToolCallRequest
 from skillet.bindings import HOOK_PROGRAMS
 from skillet.errors import HookFault
-from skillet.hooks import ContinuationKind, HookDecision, HookPipeline, Reject
+from skillet.hooks import ForcedAction, HookDecision, HookPipeline, Reject
 from skillet.schema import ActionSchema, object_spec
 from skillet.sessions import read_log, snapshot_records
 
@@ -132,29 +132,26 @@ class TestAfterLlm:
     def test_default_proceed_when_tool_call(self, rig):
         pipeline, _, session = rig
         response = ModelResponse(text="", tool_call=ToolCallRequest("t_a", {}))
-        assert pipeline.run_after_llm(session, response).kind is ContinuationKind.PROCEED_TO_TOOL
+        assert pipeline.run_after_llm(session, response, CANDIDATES) is None
 
     def test_default_allow_finish_on_plain_text(self, rig):
         pipeline, _, session = rig
-        decision = pipeline.run_after_llm(session, ModelResponse(text="done"))
-        assert decision.kind is ContinuationKind.ALLOW_FINISH
+        assert pipeline.run_after_llm(session, ModelResponse(text="done"), CANDIDATES) is None
 
     def test_first_non_proceed_wins(self, rig):
         pipeline, _, session = rig
         BEHAVIOR["t.alpha_after_llm"] = HookDecision(force_action="t_a")
         BEHAVIOR["t.beta_after_llm"] = HookDecision(force_action="t_b")
-        decision = pipeline.run_after_llm(session, ModelResponse(text=""))
-        assert decision.kind is ContinuationKind.FORCE_ACTION
-        assert decision.tool_name == "t_a"
-        assert decision.skill_id == "alpha"
+        forced = pipeline.run_after_llm(session, ModelResponse(text=""), CANDIDATES)
+        assert forced == ForcedAction(tool_name="t_a", skill_id="alpha")
         # the loser still ran (decisions are composed, conflict logged)
         assert "t.beta_after_llm" in CALLS
 
-    def test_schedule_followup(self, rig):
+    def test_forcing_a_hidden_tool_is_a_fault(self, rig):
         pipeline, _, session = rig
-        BEHAVIOR["t.beta_after_llm"] = HookDecision(schedule_followup=True)
-        decision = pipeline.run_after_llm(session, ModelResponse(text="hm"))
-        assert decision.kind is ContinuationKind.SCHEDULE_FOLLOWUP
+        BEHAVIOR["t.beta_after_llm"] = HookDecision(force_action="t_c")
+        with pytest.raises(HookFault, match="t_c"):
+            pipeline.run_after_llm(session, ModelResponse(text=""), CANDIDATES[:2])
 
 
 class TestBeforeTool:
@@ -162,9 +159,9 @@ class TestBeforeTool:
 
     def test_allow_unchanged_with_no_deciding_hooks(self, rig):
         pipeline, _, session = rig
-        outcome = pipeline.run_before_tool(session, dict(self.PENDING))
-        assert outcome.allowed
-        assert outcome.args == {"x": 1}
+        pending = dict(self.PENDING)
+        assert pipeline.run_before_tool(session, pending).allowed
+        assert pending == self.PENDING
 
     def test_reject_short_circuits(self, rig):
         pipeline, _, session = rig
@@ -176,18 +173,19 @@ class TestBeforeTool:
         assert outcome.rejecting_skill == "alpha"
         assert "t.beta_before_tool" not in CALLS
 
-    def test_rewrite_threads_through(self, rig):
+    def test_hooks_share_one_copy_of_the_args(self, rig):
         pipeline, _, session = rig
-        BEHAVIOR["t.alpha_before_tool"] = HookDecision(rewrite_args={"x": 2})
-        seen = {}
-        def beta(ctx):
-            seen["args"] = ctx.payload["args"]
-            return None
-        BEHAVIOR["t.beta_before_tool"] = beta
-        outcome = pipeline.run_before_tool(session, dict(self.PENDING))
-        assert outcome.allowed
-        assert outcome.args == {"x": 2}
-        assert seen["args"] == {"x": 2}
+        seen = []
+
+        def edit(ctx):
+            seen.append(dict(ctx.payload["args"]))
+            ctx.payload["args"]["x"] += 1
+
+        BEHAVIOR["t.alpha_before_tool"] = BEHAVIOR["t.beta_before_tool"] = edit
+        pending = {"name": "t_a", "args": {"x": 1}, "call_id": "call-1"}
+        assert pipeline.run_before_tool(session, pending).allowed
+        assert seen == [{"x": 1}, {"x": 2}]
+        assert pending["args"] == {"x": 1}
 
 
 class TestAfterTool:
@@ -199,14 +197,8 @@ class TestAfterTool:
         ws.mkdir()
         store = SessionStore(tmp_path / "store")
         session = store.create_session("t", "misc", ws, "")
-        outcome = HookPipeline(registry, store).run_after_tool(session, dict(self.RECORD))
-        assert not outcome.followup_needed
-
-    def test_schedule_followup_sets_followup_needed(self, rig):
-        pipeline, _, session = rig
-        BEHAVIOR["t.beta_after_tool"] = HookDecision(schedule_followup=True)
-        outcome = pipeline.run_after_tool(session, dict(self.RECORD))
-        assert outcome.followup_needed
+        HookPipeline(registry, store).run_after_tool(session, dict(self.RECORD))
+        assert snapshot_records(read_log(store.store_dir, session.session_id)[1]) == []
 
     def test_state_updates_applied_in_order(self, rig):
         pipeline, store, session = rig
@@ -236,9 +228,9 @@ class TestAfterTool:
 # the decision fields each stage may set
 LEGAL_FIELDS = {
     "before_llm": {"tool_filter", "injected_messages", "state_update"},
-    "after_llm": {"force_action", "schedule_followup", "state_update"},
-    "before_tool": {"reject", "rewrite_args", "state_update"},
-    "after_tool": {"schedule_followup", "state_update"},
+    "after_llm": {"force_action", "state_update"},
+    "before_tool": {"reject", "state_update"},
+    "after_tool": {"state_update"},
 }
 # a value other than its default for every HookDecision field
 SET_VALUES = {
@@ -246,13 +238,11 @@ SET_VALUES = {
     "injected_messages": ["m"],
     "reject": Reject("no"),
     "force_action": "t_a",
-    "schedule_followup": True,
     "state_update": {"k": 1},
-    "rewrite_args": {"x": 2},
 }
 RUN_STAGE = {
     "before_llm": lambda p, s: p.run_before_llm(s, CANDIDATES),
-    "after_llm": lambda p, s: p.run_after_llm(s, ModelResponse(text="")),
+    "after_llm": lambda p, s: p.run_after_llm(s, ModelResponse(text=""), CANDIDATES),
     "before_tool": lambda p, s: p.run_before_tool(s, dict(TestBeforeTool.PENDING)),
     "after_tool": lambda p, s: p.run_after_tool(s, dict(TestAfterTool.RECORD)),
 }

@@ -209,7 +209,6 @@ class TestContinuationPaths:
         submit_repair_task(runtime, repair_workspace)
         runtime.run_until_quiescent(6)
         session = runtime.store.session("s0001")
-        assert not session.has_completion
         assert session.status is not SessionStatus.COMPLETED
         history = session.history
         reply = next(i for i, e in enumerate(history)
@@ -295,7 +294,6 @@ class TestBudget:
             runtime.run_until_quiescent(6)
         session = runtime.store.session("s0001")
         assert session.status is SessionStatus.AWAITING_FOLLOWUP
-        assert not session.has_completion
 
     def test_empty_queue_returns_normally(self, registry, guarded_workspace, tmp_path):
         runtime = make_runtime(registry, guarded_workspace, tmp_path / "store", [])
@@ -646,22 +644,23 @@ class TestHookFaultHandling:
             assert summary.steps_used == 2, stage
             assert session.status is SessionStatus.COMPLETED, stage
 
-    def test_after_llm_schedule_followup_runs_no_tool(self, tmp_path, guarded_workspace):
-        from skillet.hooks import HookDecision
+    def test_before_tool_edit_of_its_args_reaches_neither_record_nor_executor(
+            self, tmp_path, guarded_workspace):
+        (guarded_workspace / "notes.txt").write_text("the notes\n")
+        (guarded_workspace / "other.txt").write_text("another file\n")
 
-        decisions = [HookDecision(schedule_followup=True)]
-        session, summary = self.run_alpha(
-            tmp_path, guarded_workspace,
-            {"t.alpha_after_llm": lambda ctx: decisions.pop() if decisions else None},
-            [{"respond": {"tool_call": {"name": "fs_read", "args": {"path": "in/calc.py"}}}},
+        def edit(ctx):
+            ctx.payload["args"]["path"] = "other.txt"
+
+        session, _ = self.run_alpha(
+            tmp_path, guarded_workspace, {"t.alpha_before_tool": edit},
+            [{"respond": {"tool_call": {"name": "fs_read", "args": {"path": "notes.txt"}}}},
              {"respond": {"text": "done"}}])
-        # the call was neither recorded nor run, and a follow-up took its place
-        assert [e.kind for e in session.history] == [
-            EventKind.USER_MESSAGE, EventKind.ASSISTANT_MESSAGE,
-            EventKind.ASSISTANT_MESSAGE, EventKind.COMPLETION]
-        assert session.history[1].payload["tool_call"]["name"] == "fs_read"
-        assert session.tool_calls == 0
-        assert summary.steps_used == 2
+        call, result = (e.payload for e in session.history
+                        if e.kind in (EventKind.TOOL_CALL, EventKind.TOOL_RESULT))
+        assert call["args"] == {"path": "notes.txt"}
+        assert result["ok"] and "the notes" in json.dumps(result["output"])
+        assert "another file" not in json.dumps(result["output"])
         assert session.status is SessionStatus.COMPLETED
 
 

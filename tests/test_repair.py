@@ -17,7 +17,7 @@ from skillet.errors import (
     ToolError,
 )
 from skillet.execution import ExecutionContext
-from skillet.hooks import ContinuationKind, HookPipeline
+from skillet.hooks import ForcedAction, HookPipeline
 from skillet.registry import PolicyConfig
 from skillet.repair import (
     DIAGNOSE,
@@ -235,41 +235,44 @@ class TestVisibility:
 
 
 class TestAfterLlmForcing:
+    @staticmethod
+    def after_llm(rig, response):
+        """run_after_llm over the tools the phase's request offers."""
+        pipeline, _, session = rig
+        outcome = pipeline.run_before_llm(session, candidate_tools(pipeline.registry))
+        return pipeline.run_after_llm(session, response, outcome.visible_tools)
+
     def force_kind(self, rig, registry, phase, **extra):
-        pipeline, store, session = rig
+        _, store, session = rig
         set_phase(store, session, phase, **extra)
-        return pipeline.run_after_llm(session, ModelResponse(text="thinking out loud"))
+        return self.after_llm(rig, ModelResponse(text="thinking out loud"))
 
     def test_reproduce_forces_evidence(self, rig, registry):
-        decision = self.force_kind(rig, registry, REPRODUCE)
-        assert decision.kind is ContinuationKind.FORCE_ACTION
-        assert decision.tool_name == "repair_collect_evidence"
+        forced = self.force_kind(rig, registry, REPRODUCE)
+        assert forced == ForcedAction("repair_collect_evidence", "repair")
 
     def test_verify_forces_verification(self, rig, registry):
-        decision = self.force_kind(rig, registry, VERIFY)
-        assert decision.kind is ContinuationKind.FORCE_ACTION
-        assert decision.tool_name == "repair_run_verification"
+        forced = self.force_kind(rig, registry, VERIFY)
+        assert forced == ForcedAction("repair_run_verification", "repair")
 
     @pytest.mark.parametrize("phase", [DIAGNOSE, PATCH, REPORT])
     def test_open_gates_left_to_the_completion_gate(self, rig, registry, phase):
         # gates are open (nothing verified, no artifact); the planner, not
         # the hook, consults the gate and blocks the finish
-        decision = self.force_kind(rig, registry, phase)
-        assert decision.kind is ContinuationKind.ALLOW_FINISH
+        assert self.force_kind(rig, registry, phase) is None
 
     def test_tool_call_proceeds_untouched(self, rig, registry):
-        pipeline, store, session = rig
+        _, store, session = rig
         set_phase(store, session, REPRODUCE)
         response = ModelResponse(tool_call=ToolCallRequest("repair_collect_evidence", {}))
-        assert pipeline.run_after_llm(session, response).kind is ContinuationKind.PROCEED_TO_TOOL
+        assert self.after_llm(rig, response) is None
 
     def test_closed_gates_allow_finish(self, rig, registry, repair_workspace):
-        pipeline, store, session = rig
+        _, store, session = rig
         (repair_workspace / "out").mkdir()
         (repair_workspace / "out" / "report.md").write_text("done")
         set_phase(store, session, REPORT, verification_passed=True)
-        decision = pipeline.run_after_llm(session, ModelResponse(text="all done"))
-        assert decision.kind is ContinuationKind.ALLOW_FINISH
+        assert self.after_llm(rig, ModelResponse(text="all done")) is None
 
 
 class TestGuards:

@@ -116,6 +116,24 @@ class TestAppend:
         with pytest.raises(SessionClosed):
             store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "b"})
 
+    @pytest.mark.parametrize("closed", [SessionStatus.COMPLETED, SessionStatus.FAILED])
+    def test_a_closed_session_stays_closed(self, tmp_path, store, ws, closed):
+        s = make_session(store, ws)
+        if closed is SessionStatus.COMPLETED:
+            store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "a"})
+        else:
+            store.set_status(s.session_id, closed)
+        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
+        before = log.read_bytes()
+        for status in SessionStatus:
+            if status is not closed:
+                with pytest.raises(SessionClosed):
+                    store.set_status(s.session_id, status)
+        with pytest.raises(SessionClosed):
+            store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "b"})
+        assert log.read_bytes() == before
+        assert SessionStore(tmp_path / "store").session(s.session_id).status is closed
+
     def test_unknown_session(self, store):
         with pytest.raises(NotFound):
             store.append_event("s0404", EventKind.SYSTEM_NOTE, {})
@@ -452,11 +470,11 @@ class TestPersistence:
             store.sync(waiting.session_id)
             assert open_fds() == baseline + 1  # the batch's writes share one descriptor
         assert open_fds() == baseline  # leaving the batch closes it
-        store.set_status(failed.session_id, SessionStatus.ACTIVE)
+        store.set_status(waiting.session_id, SessionStatus.ACTIVE)
         assert open_fds() == baseline
         reloaded = SessionStore(tmp_path / "store")
         assert [s.status for s in reloaded.sessions()] == [
-            SessionStatus.COMPLETED, SessionStatus.ACTIVE, SessionStatus.AWAITING_FOLLOWUP]
+            SessionStatus.COMPLETED, SessionStatus.FAILED, SessionStatus.ACTIVE]
         assert [e.kind for e in reloaded.session(waiting.session_id).history] == \
             [EventKind.USER_MESSAGE, EventKind.SYSTEM_NOTE]
 
@@ -622,7 +640,7 @@ class TestPersistence:
         import threading
         store = SessionStore(tmp_path / "store", fsync=False)
         shared = make_session(store, ws)
-        cycle = [SessionStatus.AWAITING_FOLLOWUP, SessionStatus.ACTIVE, SessionStatus.FAILED]
+        cycle = [SessionStatus.AWAITING_FOLLOWUP, SessionStatus.ACTIVE]
 
         def worker(n: int) -> None:
             own = make_session(store, ws, task_text=f"w{n}")
@@ -630,13 +648,15 @@ class TestPersistence:
                 # worker 0 writes to the shared log through batches' descriptors,
                 # the others each through a descriptor of their own
                 with store.batch(shared.session_id) if n == 0 else contextlib.nullcontext():
-                    store.set_status(own.session_id, cycle[(n + i) % 3])
-                    store.set_status(shared.session_id, cycle[i % 3])
+                    store.set_status(own.session_id, cycle[(n + i) % 2])
                     try:
+                        store.set_status(shared.session_id, cycle[i % 2])
                         store.append_event(shared.session_id, EventKind.SYSTEM_NOTE,
                                            {"n": n, "i": i})
                     except SessionClosed:  # another worker set FAILED
                         pass
+            store.set_status(own.session_id, SessionStatus.FAILED)
+            store.set_status(shared.session_id, SessionStatus.FAILED)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
