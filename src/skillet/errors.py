@@ -17,10 +17,6 @@ class UnresolvedBinding(SkilletError):
     """An executor_id or program_id did not resolve against the binding table."""
 
 
-class DuplicateSkill(SkilletError):
-    """Same skill_id and version loaded twice with different content."""
-
-
 class NotFound(SkilletError):
     pass
 
@@ -50,7 +46,8 @@ class CorruptStore(SkilletError):
 # -- hook pipeline -----------------------------------------------------------
 
 class HookFault(SkilletError):
-    """A hook program raised; the wakeup is aborted, the session survives."""
+    """A hook program raised or returned a decision the pipeline refuses; the
+    wakeup is aborted, the session survives."""
 
     def __init__(self, skill_id: str, program_id: str, cause: BaseException):
         super().__init__(f"hook {program_id} of skill {skill_id} raised: {cause!r}")

@@ -16,11 +16,13 @@ then declaration order) and composes their HookDecisions by these rules:
 At every stage a hook may return `state_update`, its only way to write its
 own skill's state; the pipeline persists it through the store, so snapshots
 land in the log in hook order, and an update equal to the state the hook
-was given writes none. A raising program, a field its stage does not take
-or a forced tool the request does not offer becomes HookFault: the wakeup
-aborts with a system_note, the session stays usable. Hooks never decide
-completion: every routed skill's completion gate (`bindings.COMPLETION_GATES`)
-must pass, and every routed skill's protected paths hold for every writer.
+was given writes none. A raising program, a return value that is neither a
+HookDecision nor None, a field its stage does not take or a forced tool the
+request does not offer becomes HookFault: the wakeup aborts with a
+system_note, the session stays usable. Hooks never decide completion: every
+routed skill's completion gate (`bindings.COMPLETION_GATES`) must pass, and
+every routed skill's protected paths hold for every writer and every hook
+(`HookContext.protected_globs`).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ class HookContext:
     config: dict                # the owning skill's config.json map
     done_when: str
     workspace_root: Path
+    protected_globs: list[str]  # every routed skill's protected_path_globs
 
 
 @dataclass
@@ -135,6 +138,7 @@ class HookPipeline:
             config=manifest.config,
             done_when=session.done_when,
             workspace_root=session.workspace_root,
+            protected_globs=self.registry.protected_globs(session.routed_skills),
         )
         program = self.registry.hook_programs[program_id]
         try:
@@ -143,6 +147,9 @@ class HookPipeline:
             raise HookFault(manifest.skill_id, program_id, exc) from exc
         if decision is None:
             decision = HookDecision()
+        elif not isinstance(decision, HookDecision):
+            raise HookFault(manifest.skill_id, program_id, TypeError(
+                f"returned {type(decision).__name__}, not a HookDecision or None"))
         illegal = sorted(name for name, default in _FIELD_DEFAULTS.items()
                          if name not in _STAGE_FIELDS[stage]
                          and getattr(decision, name) != default)

@@ -372,15 +372,13 @@ class Runtime:
         policy = self.registry.lookup(owner).policy if owner else PolicyConfig()
         allowlist = list(self.config.workspace.command_allowlist)
         allowlist.extend(a for a in policy.command_allowlist if a not in allowlist)
-        # every routed skill's protected paths hold for every tool, visible or not
-        protected = [glob for skill_id in session.routed_skills if skill_id in self.registry
-                     for glob in self.registry.lookup(skill_id).policy.protected_path_globs]
         ctx = ExecutionContext(
             workspace_root=session.workspace_root,
             command_allowlist=allowlist,
             command_timeout_s=self.config.workspace.command_timeout_s,
             output_truncate_bytes=self.config.workspace.output_truncate_bytes,
-            protected_globs=protected,
+            # every routed skill's protected paths hold for every tool, visible or not
+            protected_globs=self.registry.protected_globs(session.routed_skills),
             artifact_dir=policy.artifact_dir,
         )
         try:  # the planner runs finish and delegate_subtask itself

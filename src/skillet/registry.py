@@ -6,13 +6,13 @@ map of the skill's own parameters; a policy field there is refused, so the
 manifest's policy block is the policy's one source). Bindings are string ids resolved
 at load time against the in-process tables in `bindings`.
 
-The registry is built once at startup and read-only afterwards; reloading a
-package replaces the prior version atomically.
+The registry is built once at startup and read-only afterwards: each skill
+id loads once, and a second package with the same id is refused. Skills are
+looked up by id; a tool's skill comes from `owner`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import bindings
-from .errors import DuplicateSkill, MalformedManifest, NotFound, UnresolvedBinding
+from .errors import MalformedManifest, NotFound, UnresolvedBinding
 from .schema import ActionSchema, parse_param_spec
 from .workspace import orchestration_schemas
 
@@ -78,7 +78,6 @@ class SkillManifest:
     hooks: list[HookDeclaration]
     policy: PolicyConfig
     config: dict
-    fingerprint: str = ""
 
     def hooks_for(self, stage: str) -> list[HookDeclaration]:
         return sorted((h for h in self.hooks if h.stage == stage), key=lambda h: h.order)
@@ -185,21 +184,11 @@ class SkillRegistry:
 
         manifest = self._parse_manifest(manifest_raw, config_raw, package_dir)
 
-        prior = self._skills.get(manifest.skill_id)
-        if prior is not None:
-            if prior.version == manifest.version and prior.fingerprint != manifest.fingerprint:
-                raise DuplicateSkill(
-                    f"skill {manifest.skill_id} v{manifest.version} already loaded with different content"
-                )
-            # replace atomically: drop the old tool index entries, then swap
-            for name in prior.tool_names():
-                self._by_tool.pop(name, None)
+        _expect(manifest.skill_id not in self._skills,
+                f"{package_dir.name}: skill {manifest.skill_id!r} is already loaded")
         for name in manifest.tool_names():
             owner = self._by_tool.get(name)
-            if owner is not None and owner != manifest.skill_id:
-                raise MalformedManifest(
-                    f"tool {name!r} already owned by skill {owner!r}"
-                )
+            _expect(owner is None, f"tool {name!r} already owned by skill {owner!r}")
         self._skills[manifest.skill_id] = manifest
         for name in manifest.tool_names():
             self._by_tool[name] = manifest.skill_id
@@ -300,10 +289,6 @@ class SkillRegistry:
         policy = _parse_policy(raw["policy"], where)
         config = _parse_config(config_raw, where)
 
-        fingerprint = hashlib.sha256(
-            json.dumps({"manifest": raw, "config": config_raw}, sort_keys=True).encode()
-        ).hexdigest()
-
         return SkillManifest(
             skill_id=skill_id,
             version=version,
@@ -314,23 +299,25 @@ class SkillRegistry:
             hooks=hooks,
             policy=policy,
             config=config,
-            fingerprint=fingerprint,
         )
 
     # -- lookup ----------------------------------------------------------
 
-    def lookup(self, key: str) -> SkillManifest:
-        """Resolve a skill_id or a tool name to the owning manifest."""
-        if key in self._skills:
-            return self._skills[key]
-        owner = self._by_tool.get(key)
-        if owner is not None:
-            return self._skills[owner]
-        raise NotFound(f"no skill or tool named {key!r}")
+    def lookup(self, skill_id: str) -> SkillManifest:
+        try:
+            return self._skills[skill_id]
+        except KeyError:
+            raise NotFound(f"no skill named {skill_id!r}") from None
 
     def owner(self, tool_name: str) -> str | None:
         """The skill_id that declares tool_name; None for the runtime's tools."""
         return self._by_tool.get(tool_name)
+
+    def protected_globs(self, skill_ids: list[str]) -> list[str]:
+        """The paths a session routed to skill_ids protects: the union of
+        those skills' protected_path_globs, for every writer and hook."""
+        return [glob for skill_id in skill_ids if skill_id in self._skills
+                for glob in self._skills[skill_id].policy.protected_path_globs]
 
     def manifests(self) -> list[SkillManifest]:
         return sorted(self._skills.values(), key=lambda m: m.skill_id)

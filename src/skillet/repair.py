@@ -9,14 +9,11 @@ artifact directory), verification is a structured check list, and the
 registered completion gate keeps completion blocked until verification has
 passed and the artifacts named by done_when exist on disk.
 
-Phase transitions (the only legal edges):
-
-    reproduce -> patch          evidence captured (default route)
-    reproduce -> diagnose       evidence captured, contextual_diagnosis set
-    diagnose  -> patch          contextual patch applied, rejoining the main flow
-    patch     -> verify         patch applied
-    verify    -> report         every check passed
-    verify    -> patch          any check failed
+The workflow is two tables: `PHASES` gives each phase's visible repair
+tools and the tool forced when the model replies without a call, and
+`TRANSITIONS` maps a successful tool call in a phase, with its outcome, to
+the next phase. The four hook programs read them; `PHASE_EDGES`, the only
+legal phase changes, is computed from `TRANSITIONS`.
 
 The skill state lives in the session's skill-local store. The before_llm
 hook is the one place that infers the required artifacts from done_when, at
@@ -24,10 +21,9 @@ the session's first wakeup (done_when and the root never change); it stores
 them in the state, where the completion gate reads them. Its workflow
 message is standing guidance: the planner marks it with its stage's
 `standing` block id, so each request carries only the latest one, as its
-last message. The after_llm hook forces the phase action in reproduce and
-verify, the after_tool hook only advances the state (a step that changes
-none writes no snapshot), and whether the session may complete is decided
-by the gate alone.
+last message. The after_tool hook only advances the state (a step that
+changes none writes no snapshot), and whether the session may complete is
+decided by the gate alone.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .bindings import completion_gate, executor, hook_program
 from .errors import (
@@ -65,23 +62,35 @@ PATCH = "patch"
 VERIFY = "verify"
 REPORT = "report"
 
-# visible repair actions per phase; finish and fs_read stay visible on top
-PHASE_ACTIONS: dict[str, tuple[str, ...]] = {
-    REPRODUCE: ("repair_collect_evidence",),
-    DIAGNOSE: ("repair_collect_evidence", "repair_apply_unified_patch"),
-    PATCH: ("repair_collect_evidence", "repair_apply_unified_patch"),
-    VERIFY: ("repair_run_verification",),
-    REPORT: ("repair_write_artifact",),
+
+class Phase(NamedTuple):
+    tools: tuple[str, ...]  # visible repair tools; finish and fs_read stay visible on top
+    force: str | None       # forced when the model replies without a tool call
+
+
+PHASES: dict[str, Phase] = {
+    REPRODUCE: Phase(("repair_collect_evidence",), "repair_collect_evidence"),
+    DIAGNOSE: Phase(("repair_collect_evidence", "repair_apply_unified_patch"), None),
+    PATCH: Phase(("repair_collect_evidence", "repair_apply_unified_patch"), None),
+    VERIFY: Phase(("repair_run_verification",), "repair_run_verification"),
+    REPORT: Phase(("repair_write_artifact",), None),
 }
 
-PHASE_EDGES = frozenset({
-    (REPRODUCE, PATCH),
-    (REPRODUCE, DIAGNOSE),
-    (DIAGNOSE, PATCH),
-    (PATCH, VERIFY),
-    (VERIFY, REPORT),
-    (VERIFY, PATCH),
-})
+# (phase, tool that succeeded, outcome) -> next phase. The outcome is the
+# contextual_diagnosis config key for evidence, whether every check passed
+# for verification, and None for a patch.
+TRANSITIONS: dict[tuple[str, str, bool | None], str] = {
+    (REPRODUCE, "repair_collect_evidence", False): PATCH,
+    (REPRODUCE, "repair_collect_evidence", True): DIAGNOSE,
+    # contextual patching rejoins the main flow; only the patch-phase patch
+    # advances to verification
+    (DIAGNOSE, "repair_apply_unified_patch", None): PATCH,
+    (PATCH, "repair_apply_unified_patch", None): VERIFY,
+    (VERIFY, "repair_run_verification", True): REPORT,
+    (VERIFY, "repair_run_verification", False): PATCH,
+}
+
+PHASE_EDGES = frozenset((phase, to) for (phase, _, _), to in TRANSITIONS.items())
 
 ARTIFACT_EXTENSIONS = (".md", ".txt", ".json", ".patch")
 
@@ -200,7 +209,7 @@ def before_llm(ctx: HookContext) -> HookDecision:
     inferring = state.required_artifacts is None
     if inferring:  # once per session: the result is kept in the skill state
         state.required_artifacts = infer_required_artifacts(ctx.done_when, ctx.workspace_root)
-    visible = set(PHASE_ACTIONS[state.phase]) | {"fs_read", "finish"}
+    visible = set(PHASES[state.phase].tools) | {"fs_read", "finish"}
     return HookDecision(
         tool_filter=visible,
         injected_messages=[workflow_message(state, sorted(visible),
@@ -211,50 +220,34 @@ def before_llm(ctx: HookContext) -> HookDecision:
 
 @hook_program("repair.after_llm")
 def after_llm(ctx: HookContext) -> HookDecision | None:
-    response = ctx.payload
-    if response.tool_call is not None:
+    if ctx.payload.tool_call is not None:
         return None
-    state = RepairState.from_doc(ctx.state)
-    if state.phase == REPRODUCE:
-        return HookDecision(force_action="repair_collect_evidence")
-    if state.phase == VERIFY:
-        return HookDecision(force_action="repair_run_verification")
-    return None
+    return HookDecision(force_action=PHASES[RepairState.from_doc(ctx.state).phase].force)
 
 
 @hook_program("repair.before_tool")
 def before_tool(ctx: HookContext) -> HookDecision | None:
-    call = ctx.payload
-    name, args = call["name"], call["args"]
-    state = RepairState.from_doc(ctx.state)
-
-    if name.startswith("repair_") and name not in PHASE_ACTIONS[state.phase]:
+    name, args = ctx.payload["name"], ctx.payload["args"]
+    phase = RepairState.from_doc(ctx.state).phase
+    allowed = PHASES[phase].tools
+    if name.startswith("repair_") and name not in allowed:
         return HookDecision(reject=Reject(
-            reason=f"{name} is not available in phase {state.phase}",
-            redirect_hint=f"allowed now: {', '.join(PHASE_ACTIONS[state.phase])}",
+            reason=f"{name} is not available in phase {phase}",
+            redirect_hint=f"allowed now: {', '.join(allowed)}",
         ))
-
     if name == "repair_apply_unified_patch":
-        return _guard_patch(ctx, state, args)
-
-    if name == "repair_run_verification":
-        checks = args.get("checks") or []
-        if not checks:
-            return HookDecision(reject=Reject(
-                reason="verification requires a non-empty check list",
-                redirect_hint='pass checks as [{"name", "type", "args"}, ...]',
-            ))
+        return _guard_patch(ctx, args)
     return None
 
 
-def _guard_patch(ctx: HookContext, state: RepairState, args: dict) -> HookDecision | None:
+def _guard_patch(ctx: HookContext, args: dict) -> HookDecision | None:
     target = args.get("target", "")
     try:
         scoped = resolve(ctx.workspace_root, target)
     except PathEscape:
         return HookDecision(reject=Reject(
             reason=f"patch target {target!r} escapes the workspace"))
-    if glob_match(scoped.relative, ctx.policy.protected_path_globs):
+    if glob_match(scoped.relative, ctx.protected_globs):
         return HookDecision(reject=Reject(
             reason=f"patch target {scoped.relative!r} matches a protected path",
             redirect_hint="do not edit protected files; record the proposed change "
@@ -292,28 +285,14 @@ def after_tool(ctx: HookContext) -> HookDecision:
     name, ok, result = record["name"], record["ok"], record["result"]
     state = RepairState.from_doc(ctx.state)
 
-    if ok and name == "repair_collect_evidence":
-        signature = result.get("signature")
-        if signature:
-            state.failure_signature = signature
-        if state.phase == REPRODUCE:
-            state.phase = DIAGNOSE if ctx.config.get("contextual_diagnosis") else PATCH
-    elif ok and name == "repair_apply_unified_patch":
-        if state.phase == PATCH:
-            state.phase = VERIFY
-        elif state.phase == DIAGNOSE:
-            # contextual patching rejoins the main flow; only the patch-phase
-            # patch advances to verification
-            state.phase = PATCH
-    elif ok and name == "repair_run_verification":
-        if result.get("passed"):
-            state.verification_passed = True
-            if state.phase == VERIFY:
-                state.phase = REPORT
-        else:
-            state.verification_passed = False
-            if state.phase == VERIFY:
-                state.phase = PATCH
+    if ok:
+        outcome = None
+        if name == "repair_collect_evidence":
+            state.failure_signature = result.get("signature") or state.failure_signature
+            outcome = bool(ctx.config.get("contextual_diagnosis"))
+        elif name == "repair_run_verification":
+            state.verification_passed = outcome = bool(result.get("passed"))
+        state.phase = TRANSITIONS.get((state.phase, name, outcome), state.phase)
     return HookDecision(state_update=state.to_doc())
 
 

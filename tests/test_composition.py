@@ -2,8 +2,9 @@
 skill (`tests/skills/docs`), which has a phase tool, a protected path and a
 completion gate of its own. Each skill's tool filter governs its own tools,
 so both skills' phase tools are visible; the session completes only once
-both gates pass; both skills' protected paths hold for every writer; and a
-forced action must name a tool the request offers."""
+both gates pass; both skills' protected paths hold for every writer and
+for repair's patch guard; and a forced action must name a tool the request
+offers."""
 
 from pathlib import Path
 
@@ -166,6 +167,23 @@ def test_both_protected_paths_hold_for_every_writer(two_skills, repair_workspace
         ("fs_write", False), ("repair_apply_unified_patch", False)] * 2
     for path, text in protected.items():
         assert (repair_workspace / path).read_text() == text
+
+
+def test_the_patch_guard_refuses_every_routed_skills_protected_paths(
+        two_skills, repair_workspace, tmp_path):
+    locked = repair_workspace / "docs" / "locked" / "a.md"
+    locked.parent.mkdir(parents=True)
+    locked.write_text("x = 1\n")
+    script = [evidence_step(log_path="in/fail.log"),
+              patch_step(target="docs/locked/a.md", body="@@ -1,1 +1,1 @@\n-x = 1\n+x = 2\n")]
+    session = run_both(two_skills, repair_workspace, tmp_path / "store", script)
+    call = next(e.payload for e in session.history if e.kind is EventKind.TOOL_CALL
+                and e.payload["name"] == "repair_apply_unified_patch")
+    assert call["accepted"] is False
+    result = next(r for r in results(session) if r["name"] == "repair_apply_unified_patch")
+    assert (result["output"]["error"], result["output"]["rejected_by"]) == ("rejected", "repair")
+    assert "protected" in result["output"]["reason"]
+    assert locked.read_text() == "x = 1\n"
 
 
 @pytest.mark.parametrize("tool,fault", [

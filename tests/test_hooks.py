@@ -257,6 +257,13 @@ class TestFaultsAndOrdering:
         with pytest.raises(HookFault, match="alpha"):
             pipeline.run_before_llm(session, CANDIDATES)
 
+    def test_a_return_that_is_no_decision_is_a_fault(self, rig):
+        pipeline, store, session = rig
+        BEHAVIOR["t.alpha_before_llm"] = {"tool_filter": ["t_a"]}
+        with pytest.raises(HookFault, match="returned dict"):
+            pipeline.run_before_llm(session, CANDIDATES)
+        assert store.get_skill_state(session.session_id, "alpha") == {}
+
     def test_stage_illegal_field_is_a_fault(self, rig):
         pipeline, _, session = rig
         BEHAVIOR["t.alpha_before_llm"] = HookDecision(force_action="t_a")

@@ -644,6 +644,24 @@ class TestHookFaultHandling:
             assert summary.steps_used == 2, stage
             assert session.status is SessionStatus.COMPLETED, stage
 
+    def test_a_return_that_is_no_decision_is_a_fault_the_run_survives(
+            self, tmp_path, guarded_workspace):
+        calls = {"n": 0}
+
+        def dict_once(ctx):
+            calls["n"] += 1
+            return {"tool_filter": ["fs_read"]} if calls["n"] == 1 else None
+
+        session, summary = self.run_alpha(
+            tmp_path, guarded_workspace, {"t.alpha_before_llm": dict_once},
+            [{"respond": {"text": "fine"}}])
+        notes = [e.payload for e in session.history if e.kind is EventKind.SYSTEM_NOTE]
+        assert [(n["note"], n["program_id"]) for n in notes] == \
+            [("hook_fault", "t.alpha_before_llm")]
+        assert "returned dict" in notes[0]["detail"]
+        assert summary.steps_used == 2
+        assert session.status is SessionStatus.COMPLETED
+
     def test_before_tool_edit_of_its_args_reaches_neither_record_nor_executor(
             self, tmp_path, guarded_workspace):
         (guarded_workspace / "notes.txt").write_text("the notes\n")
