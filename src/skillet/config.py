@@ -17,7 +17,7 @@ class PlannerConfig:
     max_steps: int = 100
     backend_retries: int = 3
     single_worker: bool = True
-    # ablation switch: when False, hook tool filters are computed but not applied
+    # ablation switch: when False, workflow phases hide no tool but still refuse calls
     apply_tool_filters: bool = True
 
 

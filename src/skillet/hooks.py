@@ -5,24 +5,30 @@ binding table; a manifest attaches them to stages with a total order. At
 each boundary the pipeline runs the routed skills' programs (routed order,
 then declaration order) and composes their HookDecisions by these rules:
 
-  before_llm_call    -> visible tools + injected guidance. A skill's filter
-                        governs its own tools and those no routed skill owns,
-                        such as the runtime's; other skills' tools pass it
+  before_llm_call    -> injected guidance, in hook order
   after_llm_response -> the first forced action, which must be visible
   before_tool_call   -> allow, or the first Reject; the hooks share one copy
                         of the validated arguments, so editing it does nothing
   after_tool_call    -> state updates
 
+A skill's manifest `workflow` is run by the pipeline against the `phase`
+field of the skill's state (the workflow's `initial` until it has one). The
+phase shows its skill's own tools and the ones no routed skill owns, such as
+the runtime's, unless `apply_tool_filters` is off; it refuses a call of its
+skill's own tool that it does not show, before any hook; and a successful
+call takes its first matching transition, in the one snapshot that the
+skill's after_tool hooks write (they are handed the moved state).
+
 At every stage a hook may return `state_update`, its only way to write its
 own skill's state; the pipeline persists it through the store, so snapshots
 land in the log in hook order, and an update equal to the state the hook
 was given writes none. A raising program, a return value that is neither a
-HookDecision nor None, a field its stage does not take or a forced tool the
-request does not offer becomes HookFault: the wakeup aborts with a
-system_note, the session stays usable. Hooks never decide completion: every
-routed skill's completion gate (`bindings.COMPLETION_GATES`) must pass, and
-every routed skill's protected paths hold for every writer and every hook
-(`HookContext.protected_globs`).
+HookDecision nor None, a field its stage does not take, a forced tool the
+request does not offer or a phase the workflow lacks becomes HookFault: the
+wakeup aborts with a system_note, the session stays usable. Hooks never
+decide completion: every routed skill's completion gate
+(`bindings.COMPLETION_GATES`) must pass, and every routed skill's protected
+paths hold for every writer and every hook (`HookContext.protected_globs`).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import HookFault
-from .registry import SkillManifest, SkillRegistry
+from .registry import Phase, SkillManifest, SkillRegistry, Workflow
 from .schema import ActionSchema
 from .sessions import Session, SessionStore
 
@@ -53,12 +59,12 @@ AFTER_TOOL = "after_tool_call"
 class HookContext:
     """Read view handed to a hook program for one boundary."""
 
-    session: Session
     skill_id: str
     state: dict                 # the hook's own skill state (a copy)
-    payload: object             # stage payload: draft request / response / call / result
+    payload: object             # stage payload: None / response / call / result
     policy: object              # the owning skill's PolicyConfig
     config: dict                # the owning skill's config.json map
+    workflow: Workflow | None   # the owning skill's manifest workflow
     done_when: str
     workspace_root: Path
     protected_globs: list[str]  # every routed skill's protected_path_globs
@@ -72,7 +78,6 @@ class Reject:
 
 @dataclass
 class HookDecision:
-    tool_filter: set[str] | None = None
     injected_messages: list[str] = field(default_factory=list)
     reject: Reject | None = None
     force_action: str | None = None
@@ -83,7 +88,7 @@ class HookDecision:
 _FIELD_DEFAULTS = {f.name: getattr(HookDecision(), f.name) for f in fields(HookDecision)}
 
 _STAGE_FIELDS = {
-    BEFORE_LLM: {"tool_filter", "injected_messages", "state_update"},
+    BEFORE_LLM: {"injected_messages", "state_update"},
     AFTER_LLM: {"force_action", "state_update"},
     BEFORE_TOOL: {"reject", "state_update"},
     AFTER_TOOL: {"state_update"},
@@ -116,26 +121,33 @@ class HookPipeline:
         self.store = store
         self.apply_tool_filters = apply_tool_filters
 
+    def _routed(self, session: Session) -> list[SkillManifest]:
+        return [self.registry.lookup(skill_id) for skill_id in session.routed_skills
+                if skill_id in self.registry]
+
     def hooks_for(self, session: Session, stage: str) -> list[tuple[SkillManifest, str]]:
         """(manifest, program_id) pairs in routed-skill order, then hook order."""
-        out = []
-        for skill_id in session.routed_skills:
-            if skill_id not in self.registry:
-                continue
-            manifest = self.registry.lookup(skill_id)
-            for decl in manifest.hooks_for(stage):
-                out.append((manifest, decl.program_id))
-        return out
+        return [(manifest, decl.program_id) for manifest in self._routed(session)
+                for decl in manifest.hooks_for(stage)]
 
-    def _invoke(self, manifest: SkillManifest, program_id: str,
-                session: Session, stage: str, payload: object) -> HookDecision:
+    def _phase(self, manifest: SkillManifest, session: Session) -> tuple[str, Phase]:
+        """The name and the workflow entry of the skill's current phase."""
+        workflow = manifest.workflow
+        name = session.skill_state.get(manifest.skill_id, {}).get("phase", workflow.initial)
+        if name not in workflow.phases:
+            raise HookFault(manifest.skill_id, "workflow", ValueError(f"unknown phase {name!r}"))
+        return name, workflow.phases[name]
+
+    def _invoke(self, manifest: SkillManifest, program_id: str, session: Session,
+                stage: str, payload: object, state: dict | None = None) -> HookDecision:
         ctx = HookContext(
-            session=session,
             skill_id=manifest.skill_id,
-            state=self.store.get_skill_state(session.session_id, manifest.skill_id),
+            state=(copy.deepcopy(state) if state is not None
+                   else self.store.get_skill_state(session.session_id, manifest.skill_id)),
             payload=payload,
             policy=manifest.policy,
             config=manifest.config,
+            workflow=manifest.workflow,
             done_when=session.done_when,
             workspace_root=session.workspace_root,
             protected_globs=self.registry.protected_globs(session.routed_skills),
@@ -168,20 +180,19 @@ class HookPipeline:
 
     def run_before_llm(self, session: Session,
                        candidate_tools: list[ActionSchema]) -> BeforeLlmOutcome:
-        visible = list(candidate_tools)
         injections: list[tuple[str, str]] = []
-        routed = set(session.routed_skills)
         for manifest, program_id in self.hooks_for(session, BEFORE_LLM):
-            decision = self._invoke(manifest, program_id, session, BEFORE_LLM,
-                                    {"candidate_tools": visible})
-            if decision.tool_filter is not None and self.apply_tool_filters:
-                # the filter governs its own skill's tools and the unowned
+            decision = self._invoke(manifest, program_id, session, BEFORE_LLM, None)
+            injections.extend((manifest.skill_id, text) for text in decision.injected_messages)
+        visible = list(candidate_tools)
+        for manifest in self._routed(session) if self.apply_tool_filters else []:
+            if manifest.workflow is not None:
+                # the phase governs its own skill's tools and the unowned
                 # ones; another routed skill's tools pass through it
-                keep, others = decision.tool_filter, routed - {manifest.skill_id}
+                keep = self._phase(manifest, session)[1].tools
+                others = set(session.routed_skills) - {manifest.skill_id}
                 visible = [t for t in visible if t.name in keep
                            or self.registry.owner(t.name) in others]
-            for text in decision.injected_messages:
-                injections.append((manifest.skill_id, text))
         return BeforeLlmOutcome(visible_tools=visible, injections=injections)
 
     def run_after_llm(self, session: Session, response: "ModelResponse",
@@ -204,6 +215,15 @@ class HookPipeline:
         return winner
 
     def run_before_tool(self, session: Session, pending_call: dict) -> BeforeToolOutcome:
+        name = pending_call["name"]
+        owner = self.registry.owner(name)
+        manifest = self.registry.lookup(owner) if owner in session.routed_skills else None
+        if manifest is not None and manifest.workflow is not None:
+            phase_name, phase = self._phase(manifest, session)
+            if name not in phase.tools:
+                own = [t for t in phase.tools if self.registry.owner(t) == owner]
+                return BeforeToolOutcome(False, f"{name} is not available in phase {phase_name}",
+                                         f"allowed now: {', '.join(own)}", owner)
         payload = {**pending_call, "args": copy.deepcopy(pending_call["args"])}
         for manifest, program_id in self.hooks_for(session, BEFORE_TOOL):
             decision = self._invoke(manifest, program_id, session, BEFORE_TOOL, payload)
@@ -218,5 +238,17 @@ class HookPipeline:
         return BeforeToolOutcome(allowed=True)
 
     def run_after_tool(self, session: Session, tool_record: dict) -> None:
-        for manifest, program_id in self.hooks_for(session, AFTER_TOOL):
-            self._invoke(manifest, program_id, session, AFTER_TOOL, tool_record)
+        for manifest in self._routed(session):
+            moved = None  # the state with the phase the call moved it to
+            if manifest.workflow is not None and tool_record["ok"]:
+                phase_name, _ = self._phase(manifest, session)
+                to = manifest.workflow.next_phase(phase_name, tool_record, manifest.config)
+                if to is not None and to != phase_name:
+                    moved = {**session.skill_state.get(manifest.skill_id, {}), "phase": to}
+            for decl in manifest.hooks_for(AFTER_TOOL):
+                decision = self._invoke(manifest, decl.program_id, session, AFTER_TOOL,
+                                        tool_record, moved)
+                if decision.state_update is not None:
+                    moved = None  # the hook's own update stands in for it
+            if moved is not None:
+                self.store.put_skill_state(session.session_id, manifest.skill_id, moved)

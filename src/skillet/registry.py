@@ -1,10 +1,12 @@
 """Skill package loading, validation, and lookup.
 
 A skill package is a directory holding `manifest.json` (identity, triggers,
-tool schemas, hook declarations, policy) and `config.json` (a flat scalar
-map of the skill's own parameters; a policy field there is refused, so the
-manifest's policy block is the policy's one source). Bindings are string ids resolved
-at load time against the in-process tables in `bindings`.
+tool schemas, hook declarations, policy, and an optional `workflow`: the
+skill's phases, which the hook pipeline runs, checked whole at load) and
+`config.json` (a flat scalar map of the skill's own parameters; a policy
+field there is refused, so the manifest's policy block is the policy's one
+source). Bindings are string ids resolved at load time against the
+in-process tables in `bindings`.
 
 The registry is built once at startup and read-only afterwards: each skill
 id loads once, and a second package with the same id is refused. Skills are
@@ -18,7 +20,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bindings
 from .errors import MalformedManifest, NotFound, UnresolvedBinding
@@ -41,7 +43,7 @@ _SEMVER_RE = re.compile(r"^\d+\.\d+\.\d+(?:[-+][0-9A-Za-z.-]+)?$")
 
 _MANIFEST_KEYS = {
     "skill_id", "version", "description", "task_types", "trigger_keywords",
-    "tools", "hooks", "policy", "namespace",
+    "tools", "hooks", "policy", "namespace", "workflow",
 }
 _POLICY_KEYS = {
     "protected_path_globs", "command_allowlist", "max_patch_lines",
@@ -49,6 +51,10 @@ _POLICY_KEYS = {
 }
 _TOOL_KEYS = {"name", "description", "params", "executor_id"}
 _HOOK_KEYS = {"stage", "program_id", "order"}
+_WORKFLOW_KEYS = {"initial", "phases"}
+_PHASE_KEYS = {"tools", "force", "next"}
+_TRANSITION_KEYS = {"tool", "when", "to"}
+_WHEN_KEYS = {"config", "result"}
 
 
 @dataclass
@@ -67,6 +73,31 @@ class PolicyConfig:
     requires_writable_workspace: bool = False
 
 
+class Transition(NamedTuple):
+    tool: str
+    to: str
+    when: tuple[str, str] | None  # ("config" or "result", key): fires only if it is truthy
+
+
+class Phase(NamedTuple):
+    tools: tuple[str, ...]          # every tool visible in the phase
+    force: str | None               # forced when the model replies without a call
+    next: tuple[Transition, ...]    # the first match wins
+
+
+class Workflow(NamedTuple):
+    initial: str
+    phases: dict[str, Phase]
+
+    def next_phase(self, phase: str, record: dict, config: dict) -> str | None:
+        """The phase a successful call's record moves `phase` to, or None."""
+        sources = {"config": config, "result": record["result"]}
+        for t in self.phases[phase].next:
+            if t.tool == record["name"] and (t.when is None or sources[t.when[0]].get(t.when[1])):
+                return t.to
+        return None
+
+
 @dataclass
 class SkillManifest:
     skill_id: str
@@ -78,6 +109,7 @@ class SkillManifest:
     hooks: list[HookDeclaration]
     policy: PolicyConfig
     config: dict
+    workflow: Workflow | None = None
 
     def hooks_for(self, stage: str) -> list[HookDeclaration]:
         return sorted((h for h in self.hooks if h.stage == stage), key=lambda h: h.order)
@@ -89,6 +121,16 @@ class SkillManifest:
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise MalformedManifest(message)
+
+
+def _expect_keys(raw, allowed: set[str], where: str, required: set[str] = frozenset()) -> None:
+    # only a failure formats a message (so in _parse_workflow): every run loads
+    if not isinstance(raw, dict):
+        raise MalformedManifest(f"{where}: must be an object")
+    if unknown := set(raw) - allowed:
+        raise MalformedManifest(f"{where}: unknown keys {sorted(unknown)}")
+    if missing := required - set(raw):
+        raise MalformedManifest(f"{where}: missing keys {sorted(missing)}")
 
 
 def _read_json(path: Path, what: str) -> dict:
@@ -120,14 +162,9 @@ def _parse_policy(raw, where: str) -> PolicyConfig:
     unknown = set(raw) - _POLICY_KEYS
     _expect(not unknown, f"{where}: unknown policy keys {sorted(unknown)}")
     policy = PolicyConfig()
-    if "protected_path_globs" in raw:
-        policy.protected_path_globs = sorted(
-            _parse_string_set(raw["protected_path_globs"], f"{where}.protected_path_globs")
-        )
-    if "command_allowlist" in raw:
-        policy.command_allowlist = sorted(
-            _parse_string_set(raw["command_allowlist"], f"{where}.command_allowlist")
-        )
+    for key in ("protected_path_globs", "command_allowlist"):
+        if key in raw:
+            setattr(policy, key, sorted(_parse_string_set(raw[key], f"{where}.{key}")))
     if "max_patch_lines" in raw:
         v = raw["max_patch_lines"]
         _expect(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
@@ -154,6 +191,51 @@ def _parse_config(raw: dict, where: str) -> dict:
             f"{where}: config value for {key!r} must be a scalar",
         )
     return dict(raw)
+
+
+def _parse_workflow(raw, where: str, own_tools: set[str]) -> Workflow:
+    _expect_keys(raw, _WORKFLOW_KEYS, where, required=_WORKFLOW_KEYS)
+    names = raw["phases"]
+    _expect(isinstance(names, dict) and names, f"{where}.phases must be a non-empty object")
+    phases: dict[str, Phase] = {}
+    for name, phase_raw in names.items():
+        pwhere = f"{where}.phases.{name}"
+        _expect_keys(phase_raw, _PHASE_KEYS, pwhere, required={"tools"})
+        tools, next_raw = phase_raw["tools"], phase_raw.get("next", [])
+        force = phase_raw.get("force")
+        if not isinstance(tools, list) or not isinstance(next_raw, list):
+            raise MalformedManifest(f"{pwhere}: tools and next must be lists")
+        for tool in tools:
+            if not (isinstance(tool, str) and (tool in own_tools or tool in RESERVED_TOOL_NAMES)):
+                raise MalformedManifest(f"{pwhere}: unknown tool {tool!r}")
+        if force is not None and force not in tools:
+            raise MalformedManifest(f"{pwhere}: force tool {force!r} is not visible in the phase")
+        transitions = []
+        for i, t in enumerate(next_raw):
+            _expect_keys(t, _TRANSITION_KEYS, f"{pwhere}.next[{i}]", required={"tool", "to"})
+            if t["tool"] not in tools:
+                raise MalformedManifest(f"{pwhere}.next[{i}]: transition tool {t['tool']!r} "
+                                        f"is not visible in phase {name!r}")
+            if not (isinstance(t["to"], str) and t["to"] in names):
+                raise MalformedManifest(f"{pwhere}.next[{i}]: to {t['to']!r} names no phase")
+            when = t.get("when")
+            if when is not None:
+                _expect_keys(when, _WHEN_KEYS, f"{pwhere}.next[{i}].when")
+                if len(when) != 1 or not all(isinstance(k, str) for k in when.values()):
+                    raise MalformedManifest(f"{pwhere}.next[{i}].when must test one config "
+                                            "key or one result field")
+                (when,) = when.items()
+            transitions.append(Transition(t["tool"], t["to"], when))
+        phases[name] = Phase(tuple(tools), force, tuple(transitions))
+    initial = raw["initial"]
+    if not (isinstance(initial, str) and initial in phases):
+        raise MalformedManifest(f"{where}: initial {initial!r} names no phase")
+    reached = {initial}
+    for _ in phases:  # a path to a reachable phase takes at most len(phases) steps
+        reached |= {t.to for name in reached for t in phases[name].next}
+    if unreachable := set(phases) - reached:
+        raise MalformedManifest(f"{where}: unreachable phases {sorted(unreachable)}")
+    return Workflow(initial, phases)
 
 
 class SkillRegistry:
@@ -213,7 +295,7 @@ class SkillRegistry:
         where = package_dir.name
         unknown = set(raw) - _MANIFEST_KEYS
         _expect(not unknown, f"{where}: unknown manifest keys {sorted(unknown)}")
-        missing = _MANIFEST_KEYS - {"namespace"} - set(raw)
+        missing = _MANIFEST_KEYS - {"namespace", "workflow"} - set(raw)
         _expect(not missing, f"{where}: missing manifest keys {sorted(missing)}")
 
         skill_id = raw["skill_id"]
@@ -241,11 +323,7 @@ class SkillRegistry:
         seen_names: set[str] = set()
         for i, tool_raw in enumerate(raw["tools"]):
             twhere = f"{where}.tools[{i}]"
-            _expect(isinstance(tool_raw, dict), f"{twhere}: must be an object")
-            unknown = set(tool_raw) - _TOOL_KEYS
-            _expect(not unknown, f"{twhere}: unknown keys {sorted(unknown)}")
-            missing = _TOOL_KEYS - set(tool_raw)
-            _expect(not missing, f"{twhere}: missing keys {sorted(missing)}")
+            _expect_keys(tool_raw, _TOOL_KEYS, twhere, required=_TOOL_KEYS)
             name = tool_raw["name"]
             _expect(isinstance(name, str) and name.startswith(prefix),
                     f"{twhere}: tool name {name!r} must start with {prefix!r}")
@@ -268,11 +346,7 @@ class SkillRegistry:
         orders_seen: set[tuple[str, int]] = set()
         for i, hook_raw in enumerate(raw["hooks"]):
             hwhere = f"{where}.hooks[{i}]"
-            _expect(isinstance(hook_raw, dict), f"{hwhere}: must be an object")
-            unknown = set(hook_raw) - _HOOK_KEYS
-            _expect(not unknown, f"{hwhere}: unknown keys {sorted(unknown)}")
-            missing = _HOOK_KEYS - set(hook_raw)
-            _expect(not missing, f"{hwhere}: missing keys {sorted(missing)}")
+            _expect_keys(hook_raw, _HOOK_KEYS, hwhere, required=_HOOK_KEYS)
             stage = hook_raw["stage"]
             _expect(stage in HOOK_STAGES, f"{hwhere}: stage must be one of {HOOK_STAGES}")
             order = hook_raw["order"]
@@ -286,9 +360,6 @@ class SkillRegistry:
                 raise UnresolvedBinding(f"{hwhere}: unknown program_id {program_id!r}")
             hooks.append(HookDeclaration(stage=stage, program_id=program_id, order=order))
 
-        policy = _parse_policy(raw["policy"], where)
-        config = _parse_config(config_raw, where)
-
         return SkillManifest(
             skill_id=skill_id,
             version=version,
@@ -297,8 +368,10 @@ class SkillRegistry:
             trigger_keywords=triggers,
             tools=tools,
             hooks=hooks,
-            policy=policy,
-            config=config,
+            policy=_parse_policy(raw["policy"], where),
+            config=_parse_config(config_raw, where),
+            workflow=(_parse_workflow(raw["workflow"], f"{where}.workflow", seen_names)
+                      if "workflow" in raw else None),
         )
 
     # -- lookup ----------------------------------------------------------

@@ -1,19 +1,15 @@
 """The code-repair reference skill.
 
-Five-phase workflow object enforced by hooks rather than prose: the model
-only ever sees the tools for the current phase plus a compact state-derived
-guidance message, patch calls pass shape/path/size guards before any side
-effect, patches and artifacts are written through the workspace writer
-(which refuses protected paths, and artifact paths outside the policy's
-artifact directory), verification is a structured check list, and the
-registered completion gate keeps completion blocked until verification has
-passed and the artifacts named by done_when exist on disk.
-
-The workflow is two tables: `PHASES` gives each phase's visible repair
-tools and the tool forced when the model replies without a call, and
-`TRANSITIONS` maps a successful tool call in a phase, with its outcome, to
-the next phase. The four hook programs read them; `PHASE_EDGES`, the only
-legal phase changes, is computed from `TRANSITIONS`.
+Five-phase workflow enforced by the runtime rather than prose: the phases
+are the `workflow` block of the skill's manifest, which the hook pipeline
+runs (`PHASE_EDGES`, the legal phase moves, is read from it). This module
+adds a compact state-derived guidance message, the phase's forced tool when
+the model replies without a call, patch guards before any side effect,
+patches and artifacts written through the workspace writer (which refuses
+protected paths, and artifact paths outside the policy's artifact
+directory), structured verification checks, and the completion gate, which
+keeps completion blocked until verification has passed and the artifacts
+named by done_when exist on disk.
 
 The skill state lives in the session's skill-local store. The before_llm
 hook is the one place that infers the required artifacts from done_when, at
@@ -21,9 +17,9 @@ the session's first wakeup (done_when and the root never change); it stores
 them in the state, where the completion gate reads them. Its workflow
 message is standing guidance: the planner marks it with its stage's
 `standing` block id, so each request carries only the latest one, as its
-last message. The after_tool hook only advances the state (a step that
-changes none writes no snapshot), and whether the session may complete is
-decided by the gate alone.
+last message. The after_tool hook records the failure signature and the
+verification outcome (a step that changes nothing writes no snapshot), and
+whether the session may complete is decided by the gate alone.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 from .bindings import completion_gate, executor, hook_program
 from .errors import (
@@ -52,45 +47,12 @@ from .patching import (
     parse_unified_diff,
     split_lines,
 )
+from .registry import SkillRegistry
 from .workspace import _truncate, glob_match, read_head, resolve, run_allowlisted, write_file
 
 SKILL_ID = "repair"
 
-REPRODUCE = "reproduce"
-DIAGNOSE = "diagnose"
-PATCH = "patch"
-VERIFY = "verify"
-REPORT = "report"
-
-
-class Phase(NamedTuple):
-    tools: tuple[str, ...]  # visible repair tools; finish and fs_read stay visible on top
-    force: str | None       # forced when the model replies without a tool call
-
-
-PHASES: dict[str, Phase] = {
-    REPRODUCE: Phase(("repair_collect_evidence",), "repair_collect_evidence"),
-    DIAGNOSE: Phase(("repair_collect_evidence", "repair_apply_unified_patch"), None),
-    PATCH: Phase(("repair_collect_evidence", "repair_apply_unified_patch"), None),
-    VERIFY: Phase(("repair_run_verification",), "repair_run_verification"),
-    REPORT: Phase(("repair_write_artifact",), None),
-}
-
-# (phase, tool that succeeded, outcome) -> next phase. The outcome is the
-# contextual_diagnosis config key for evidence, whether every check passed
-# for verification, and None for a patch.
-TRANSITIONS: dict[tuple[str, str, bool | None], str] = {
-    (REPRODUCE, "repair_collect_evidence", False): PATCH,
-    (REPRODUCE, "repair_collect_evidence", True): DIAGNOSE,
-    # contextual patching rejoins the main flow; only the patch-phase patch
-    # advances to verification
-    (DIAGNOSE, "repair_apply_unified_patch", None): PATCH,
-    (PATCH, "repair_apply_unified_patch", None): VERIFY,
-    (VERIFY, "repair_run_verification", True): REPORT,
-    (VERIFY, "repair_run_verification", False): PATCH,
-}
-
-PHASE_EDGES = frozenset((phase, to) for (phase, _, _), to in TRANSITIONS.items())
+REPRODUCE = "reproduce"  # a state's phase until the first before_llm sets the initial one
 
 ARTIFACT_EXTENSIONS = (".md", ".txt", ".json", ".patch")
 
@@ -205,15 +167,13 @@ def repair_gate(session, state_doc: dict) -> list[str]:
 
 @hook_program("repair.before_llm")
 def before_llm(ctx: HookContext) -> HookDecision:
-    state = RepairState.from_doc(ctx.state)
+    state = RepairState.from_doc({"phase": ctx.workflow.initial, **ctx.state})
     inferring = state.required_artifacts is None
     if inferring:  # once per session: the result is kept in the skill state
         state.required_artifacts = infer_required_artifacts(ctx.done_when, ctx.workspace_root)
-    visible = set(PHASES[state.phase].tools) | {"fs_read", "finish"}
+    visible = ctx.workflow.phases[state.phase].tools
     return HookDecision(
-        tool_filter=visible,
-        injected_messages=[workflow_message(state, sorted(visible),
-                                            state.required_artifacts)],
+        injected_messages=[workflow_message(state, visible, state.required_artifacts)],
         state_update=state.to_doc() if inferring else None,
     )
 
@@ -222,25 +182,16 @@ def before_llm(ctx: HookContext) -> HookDecision:
 def after_llm(ctx: HookContext) -> HookDecision | None:
     if ctx.payload.tool_call is not None:
         return None
-    return HookDecision(force_action=PHASES[RepairState.from_doc(ctx.state).phase].force)
+    phase = RepairState.from_doc(ctx.state).phase
+    return HookDecision(force_action=ctx.workflow.phases[phase].force)
 
 
 @hook_program("repair.before_tool")
 def before_tool(ctx: HookContext) -> HookDecision | None:
-    name, args = ctx.payload["name"], ctx.payload["args"]
-    phase = RepairState.from_doc(ctx.state).phase
-    allowed = PHASES[phase].tools
-    if name.startswith("repair_") and name not in allowed:
-        return HookDecision(reject=Reject(
-            reason=f"{name} is not available in phase {phase}",
-            redirect_hint=f"allowed now: {', '.join(allowed)}",
-        ))
-    if name == "repair_apply_unified_patch":
-        return _guard_patch(ctx, args)
-    return None
-
-
-def _guard_patch(ctx: HookContext, args: dict) -> HookDecision | None:
+    """The patch guard: the target's path, the diff's shape and its size."""
+    if ctx.payload["name"] != "repair_apply_unified_patch":
+        return None
+    args = ctx.payload["args"]
     target = args.get("target", "")
     try:
         scoped = resolve(ctx.workspace_root, target)
@@ -281,18 +232,14 @@ def _guard_patch(ctx: HookContext, args: dict) -> HookDecision | None:
 
 @hook_program("repair.after_tool")
 def after_tool(ctx: HookContext) -> HookDecision:
+    # the pipeline has already moved ctx.state's phase along the workflow
     record = ctx.payload
-    name, ok, result = record["name"], record["ok"], record["result"]
+    name, result = record["name"], record["result"]
     state = RepairState.from_doc(ctx.state)
-
-    if ok:
-        outcome = None
-        if name == "repair_collect_evidence":
-            state.failure_signature = result.get("signature") or state.failure_signature
-            outcome = bool(ctx.config.get("contextual_diagnosis"))
-        elif name == "repair_run_verification":
-            state.verification_passed = outcome = bool(result.get("passed"))
-        state.phase = TRANSITIONS.get((state.phase, name, outcome), state.phase)
+    if record["ok"] and name == "repair_collect_evidence":
+        state.failure_signature = result.get("signature") or state.failure_signature
+    elif record["ok"] and name == "repair_run_verification":
+        state.verification_passed = bool(result.get("passed"))
     return HookDecision(state_update=state.to_doc())
 
 
@@ -437,3 +384,9 @@ def _contains(path: Path, needle: str) -> bool:
 @executor("repair.write_artifact")
 def write_artifact(args: dict, ctx: ExecutionContext) -> dict:
     return write_file(ctx, args["path"], args["content"], artifact_dir=ctx.artifact_dir)
+
+
+# loaded last, once the bindings above are registered: the legal phase
+# changes, read from the manifest's workflow
+_WORKFLOW = SkillRegistry().load_skill_package(Path(__file__).parent / "skills" / SKILL_ID).workflow
+PHASE_EDGES = frozenset((phase, t.to) for phase, p in _WORKFLOW.phases.items() for t in p.next)

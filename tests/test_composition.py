@@ -1,11 +1,14 @@
 """Two skills routed together: the repair skill and the test-only `docs`
 skill (`tests/skills/docs`), which has a phase tool, a protected path and a
-completion gate of its own. Each skill's tool filter governs its own tools,
-so both skills' phase tools are visible; the session completes only once
-both gates pass; both skills' protected paths hold for every writer and
-for repair's patch guard; and a forced action must name a tool the request
+completion gate of its own, and whose workflow is its manifest's alone: it
+has no before_llm or after_tool program. Each skill's phase governs its own
+tools, so both skills' phase tools are visible, and only a skill's own
+tools are refused out of its phase; the session completes only once both
+gates pass; both skills' protected paths hold for every writer and for
+repair's patch guard; and a forced action must name a tool the request
 offers."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,7 @@ from skillet import (
 )
 from skillet.bindings import completion_gate, executor, hook_program
 from skillet.hooks import HookDecision, HookPipeline
-from skillet.repair import PATCH, VERIFICATION_NOT_PASSED, RepairState
+from skillet.repair import VERIFICATION_NOT_PASSED, RepairState
 from skillet.workspace import orchestration_schemas, write_file
 
 from conftest import (
@@ -36,15 +39,9 @@ from conftest import (
 )
 
 DOCS_PACKAGE = Path(__file__).parent / "skills" / "docs"
-DRAFT, DONE = "draft", "done"
+DONE = "done"
+REPRODUCE, PATCH = "reproduce", "patch"  # repair's phases
 NO_NOTE = "no docs note written"
-
-
-@hook_program("docs.before_llm")
-def docs_before_llm(ctx):
-    phase = ctx.state.get("phase", DRAFT)
-    return HookDecision(tool_filter={"fs_read", "finish"}
-                        | ({"docs_write_note"} if phase == DRAFT else set()))
 
 
 @hook_program("docs.after_llm")
@@ -55,16 +52,14 @@ def docs_after_llm(ctx):
     return None
 
 
-@hook_program("docs.after_tool")
-def docs_after_tool(ctx):
-    if ctx.payload["ok"] and ctx.payload["name"] == "docs_write_note":
-        return HookDecision(state_update={"phase": DONE})
-    return None
-
-
 @executor("docs.write_note")
 def docs_write_note(args, ctx):
     return write_file(ctx, "docs/NOTE.md", args["text"])
+
+
+@executor("repair_notes.write")
+def repair_notes_write(args, ctx):
+    return write_file(ctx, "notes/repair.md", args["text"])
 
 
 @completion_gate("docs")
@@ -87,12 +82,16 @@ def call_step(name, args, when=None):
     return step
 
 
-def run_both(registry, ws, store_dir, script, **kwargs):
-    """Run the repair task routed to repair and docs until it is quiescent."""
+def run_both(registry, ws, store_dir, script, routed=("repair", "docs"), state=None,
+             **kwargs):
+    """Run the repair task routed to `routed` (repair and docs) until it is
+    quiescent, from the skill states in `state` ({skill_id: state})."""
     runtime = make_runtime(registry, ws, store_dir, script, **kwargs)
     session = runtime.submit_task(
         DelegatedTask(REPAIR_TASK_TEXT, "code_repair", ws, REPAIR_DONE_WHEN),
-        routed=RoutedSkillSet(entries=[("repair", 1.0), ("docs", 1.0)]))
+        routed=RoutedSkillSet(entries=[(skill_id, 1.0) for skill_id in routed]))
+    for skill_id, doc in (state or {}).items():
+        runtime.store.put_skill_state(session.session_id, skill_id, doc)
     runtime.run_until_quiescent(20)
     return session
 
@@ -107,7 +106,7 @@ def results(session):
     (["repair", "docs"], {"docs_write_note", "finish", "fs_read", "repair_collect_evidence"}),
     (["docs", "repair"], {"docs_write_note", "finish", "fs_read", "repair_collect_evidence"}),
 ])
-def test_each_filter_governs_its_own_tools(two_skills, repair_workspace, tmp_path,
+def test_each_phase_governs_its_own_tools(two_skills, repair_workspace, tmp_path,
                                           routed, visible):
     store = SessionStore(tmp_path / "store")
     session = store.create_session("t", "code_repair", repair_workspace, "",
@@ -206,3 +205,51 @@ def test_a_forced_action_must_be_visible(two_skills, repair_workspace, tmp_path,
     else:
         assert (after.kind, after.payload) == (EventKind.GUIDANCE_INJECTION, {
             "skill_id": "docs", "text": f"You must now call `{tool}`."})
+
+
+def test_the_docs_workflow_runs_with_no_hook_program_of_its_own(two_skills):
+    assert [h.stage for h in two_skills.lookup("docs").hooks] == ["after_llm_response"]
+
+
+def test_an_out_of_phase_call_is_refused_by_its_skills_workflow(
+        two_skills, repair_workspace, tmp_path):
+    # filters off, so that the done phase still offers docs_write_note
+    script = [call_step("docs_write_note", {"text": "late"})]
+    session = run_both(two_skills, repair_workspace, tmp_path / "store", script,
+                       routed=("docs",), state={"docs": {"phase": DONE}},
+                       apply_tool_filters=False)
+    result, = results(session)
+    assert (result["ok"], result["output"]["error"], result["output"]["rejected_by"]) == \
+        (False, "rejected", "docs")
+    assert result["output"]["reason"] == "docs_write_note is not available in phase done"
+    assert not (repair_workspace / "docs" / "NOTE.md").exists()  # the executor never ran
+
+
+def test_a_transition_needs_no_after_tool_program(two_skills, repair_workspace, tmp_path):
+    script = [call_step("docs_write_note", {"text": "noted"}),
+              finish_step(when={"tool_visible": "finish"}, report="noted")]
+    session = run_both(two_skills, repair_workspace, tmp_path / "store", script,
+                       routed=("docs",))
+    assert session.skill_state["docs"] == {"phase": DONE}
+    assert session.status is SessionStatus.COMPLETED
+
+
+def test_a_workflow_refuses_only_its_own_skills_tools(two_skills, repair_workspace, tmp_path):
+    # repair_notes_write carries repair's prefix, but repair_notes owns it
+    pkg = tmp_path / "repair_notes"
+    pkg.mkdir()
+    (pkg / "manifest.json").write_text(json.dumps({
+        "skill_id": "repair_notes", "version": "0.1.0", "description": "notes",
+        "task_types": ["code_repair"], "trigger_keywords": [], "hooks": [], "policy": {},
+        "tools": [{"name": "repair_notes_write", "description": "", "executor_id":
+                   "repair_notes.write", "params": {"type": "object", "fields": {
+                       "text": {"type": "string"}}, "required": ["text"]}}],
+    }))
+    two_skills.load_skill_package(pkg)
+    script = [call_step("repair_notes_write", {"text": "seen in reproduce"})]
+    session = run_both(two_skills, repair_workspace, tmp_path / "store", script,
+                       routed=("repair", "repair_notes"))
+    assert session.skill_state["repair"]["phase"] == REPRODUCE
+    result, = results(session)
+    assert result["ok"], result["output"]
+    assert (repair_workspace / "notes" / "repair.md").read_text() == "seen in reproduce"

@@ -650,7 +650,7 @@ class TestHookFaultHandling:
 
         def dict_once(ctx):
             calls["n"] += 1
-            return {"tool_filter": ["fs_read"]} if calls["n"] == 1 else None
+            return {"injected_messages": ["m"]} if calls["n"] == 1 else None
 
         session, summary = self.run_alpha(
             tmp_path, guarded_workspace, {"t.alpha_before_llm": dict_once},

@@ -146,6 +146,7 @@ def test_a_second_load_of_a_skill_id_is_refused(fresh_registry, tmp_path):
     manifest = load_repair_manifest()
     manifest["version"] = "1.1.0"
     manifest["tools"] = manifest["tools"][:1]
+    del manifest["workflow"]  # it names the tools cut
     pkg = write_package(tmp_path, manifest)
     with pytest.raises(MalformedManifest, match="already loaded"):
         fresh_registry.load_skill_package(pkg)
@@ -153,6 +154,80 @@ def test_a_second_load_of_a_skill_id_is_refused(fresh_registry, tmp_path):
     assert fresh_registry.lookup("repair").version == "1.0.0"
     assert all(fresh_registry.owner(t.name) == "repair" for t in
                fresh_registry.lookup("repair").tools)
+
+
+def two_phase_workflow() -> dict:
+    return {"initial": "draft", "phases": {
+        "draft": {"tools": ["repair_collect_evidence", "fs_read"],
+                  "force": "repair_collect_evidence",
+                  "next": [{"tool": "repair_collect_evidence",
+                            "when": {"config": "contextual_diagnosis"}, "to": "done"}]},
+        "done": {"tools": ["finish"]},
+    }}
+
+
+def break_initial(wf):
+    wf["initial"] = "nowhere"
+
+
+def break_to(wf):
+    wf["phases"]["draft"]["next"][0]["to"] = "nowhere"
+
+
+def add_unreachable(wf):
+    wf["phases"]["orphan"] = {"tools": ["finish"]}
+
+
+def hide_force(wf):
+    wf["phases"]["draft"]["force"] = "fs_read"
+    wf["phases"]["draft"]["tools"].remove("fs_read")
+
+
+class TestWorkflowBlock:
+    def load(self, registry, tmp_path, edit=None):
+        manifest = load_repair_manifest()
+        manifest["workflow"] = two_phase_workflow()
+        if edit is not None:
+            edit(manifest["workflow"])
+        return registry.load_skill_package(write_package(tmp_path, manifest))
+
+    def test_a_valid_two_phase_block_loads(self, fresh_registry, tmp_path):
+        workflow = self.load(fresh_registry, tmp_path).workflow
+        assert workflow.initial == "draft"
+        assert list(workflow.phases) == ["draft", "done"]
+        draft = workflow.phases["draft"]
+        assert (draft.tools, draft.force) == (("repair_collect_evidence", "fs_read"),
+                                              "repair_collect_evidence")
+        assert [tuple(t) for t in draft.next] == [
+            ("repair_collect_evidence", "done", ("config", "contextual_diagnosis"))]
+        assert workflow.phases["done"] == (("finish",), None, ())
+
+    def test_the_repair_manifest_declares_its_workflow(self, fresh_registry):
+        workflow = fresh_registry.load_skill_package(REPAIR_PKG).workflow
+        assert (workflow.initial, list(workflow.phases)) == (
+            "reproduce", ["reproduce", "diagnose", "patch", "verify", "report"])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda wf: wf["phases"]["done"]["tools"].append("repair_ghost"),
+         r"phases.done: unknown tool 'repair_ghost'"),
+        (lambda wf: wf["phases"]["done"]["tools"].append("docs_write_note"),
+         r"phases.done: unknown tool 'docs_write_note'"),
+        (break_initial, r"workflow: initial 'nowhere' names no phase"),
+        (break_to, r"draft.next\[0\]: to 'nowhere' names no phase"),
+        (add_unreachable, r"workflow: unreachable phases \['orphan'\]"),
+        (hide_force, r"draft: force tool 'fs_read' is not visible in the phase"),
+        (lambda wf: wf["phases"]["done"].update(next=[{"tool": "fs_read", "to": "draft"}]),
+         r"done.next\[0\]: transition tool 'fs_read' is not visible in phase 'done'"),
+        (lambda wf: wf["phases"]["done"].update(visible=["finish"]),
+         r"phases.done: unknown keys \['visible'\]"),
+        (lambda wf: wf["phases"]["draft"]["next"][0]["when"].update(state="phase"),
+         r"draft.next\[0\].when: unknown keys \['state'\]"),
+    ], ids=["unknown-tool", "another-skills-tool", "initial", "to", "unreachable",
+            "hidden-force", "hidden-transition-tool", "phase-key", "when-key"])
+    def test_a_malformed_block_is_refused(self, fresh_registry, tmp_path, edit, message):
+        with pytest.raises(MalformedManifest, match=message):
+            self.load(fresh_registry, tmp_path, edit)
+        assert "repair" not in fresh_registry
 
 
 class TestLookup:
@@ -184,6 +259,7 @@ class TestEdges:
         manifest = load_repair_manifest()
         manifest["skill_id"] = "watch"
         manifest["tools"] = []
+        del manifest["workflow"]  # it names the tools cut
         manifest["hooks"] = [
             {"stage": "before_llm_call", "program_id": "repair.before_llm", "order": 1}
         ]
