@@ -39,7 +39,7 @@ from .errors import (
     ScriptToolNotVisible,
 )
 from .schema import ActionSchema
-from .sessions import Session, append_log, open_log, parse_jsonl
+from .sessions import JsonlLog, Session, parse_jsonl
 
 
 @dataclass
@@ -260,25 +260,20 @@ class HttpBackend:
 
 
 class UsageLog:
-    """requests.jsonl writer: the accounting record of each model request.
-    One self-delimiting line per request; the owning session's totals are
-    updated only after its line is durable, so totals and log always agree.
-    This file is where a reopened SessionStore rebuilds the totals from.
-    Readers skip a torn last line (a crash mid-append); only the writer cuts
-    it, before its first append.
-
-    Each line goes through the session logs' appender (`sessions.open_log`
-    and `append_log`), opened for that line alone: one write loop, an fsync,
-    and on any failure the file cut back to its length before the line. One
-    lock covers each caller's append, fsync and totals update, so a caller
-    returns once its own line is durable, or raises LogWriteError if its own
-    append failed, and then leaves no byte of its line behind."""
+    """requests.jsonl writer: one self-delimiting line per model request,
+    from which a reopened SessionStore rebuilds the totals. Readers skip a
+    torn last line; only the writer cuts it, at its first append. Each line
+    goes through a `sessions.JsonlLog` opened for that line alone, under the
+    log's lock, which also covers the session's totals update: a caller
+    returns once its own line is durable and counted, or raises
+    LogWriteError, leaving no byte of its line behind; if even the cut back
+    failed, every later line is refused until a new UsageLog opens the
+    file."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
         self.fsync = fsync
-        self._lock = threading.Lock()
-        self._tail_checked = False
+        self._log = JsonlLog(self.path)
 
     def record(self, session: Session, response: ModelResponse) -> UsageRecord:
         usage = response.usage
@@ -292,16 +287,10 @@ class UsageLog:
             "cache_tokens": usage.cache_tokens,
             "total_tokens": usage.total_tokens,
         }, sort_keys=True) + "\n"
-        with self._lock:
+        with self._log.lock:
             try:
-                intact = None
-                if not self._tail_checked and self.path.exists():
-                    intact = parse_jsonl(self.path.read_bytes(), self.path.name)[1]
-                self._tail_checked = True
-                with open_log(self.path, intact) as fh:
-                    append_log(fh, line.encode("utf-8"), self.fsync)
+                self._log.append(line.encode("utf-8"), self.fsync)
             except Exception as exc:
-                self._tail_checked = False  # in case the cut back failed too
                 raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
             session.usage.add(usage.input_tokens, usage.output_tokens,
                               usage.cache_tokens, usage.total_tokens)

@@ -84,7 +84,8 @@ class ScriptToolNotVisible(ModelBackendError):
 
 
 class LogWriteError(SkilletError):
-    """requests.jsonl append failed; accounting integrity is a hard requirement."""
+    """A JSONL log append failed (requests.jsonl: accounting integrity is a
+    hard requirement), or a log refuses appends after a failed cut back."""
 
 
 # -- planner -----------------------------------------------------------------

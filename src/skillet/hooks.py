@@ -29,6 +29,8 @@ wakeup aborts with a system_note, the session stays usable. Hooks never
 decide completion: every routed skill's completion gate
 (`bindings.COMPLETION_GATES`) must pass, and every routed skill's protected
 paths hold for every writer and every hook (`HookContext.protected_globs`).
+A routed skill the registry does not hold is no HookFault: its lookup
+raises NotFound, and the run stops.
 """
 
 from __future__ import annotations
@@ -122,8 +124,7 @@ class HookPipeline:
         self.apply_tool_filters = apply_tool_filters
 
     def _routed(self, session: Session) -> list[SkillManifest]:
-        return [self.registry.lookup(skill_id) for skill_id in session.routed_skills
-                if skill_id in self.registry]
+        return [self.registry.lookup(skill_id) for skill_id in session.routed_skills]
 
     def hooks_for(self, session: Session, stage: str) -> list[tuple[SkillManifest, str]]:
         """(manifest, program_id) pairs in routed-skill order, then hook order."""

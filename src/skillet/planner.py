@@ -160,6 +160,8 @@ class Runtime:
                     routed: RoutedSkillSet | None = None) -> Session:
         if routed is None:
             routed = route(self.registry, task, self.config.router)
+        for skill_id in routed.skill_ids():
+            self.registry.lookup(skill_id)  # NotFound for a skill that is not loaded
         session = self.store.create_session(
             task_text=task.task_text,
             task_type=task.task_type,
@@ -201,7 +203,7 @@ class Runtime:
         pairs: list[tuple[str, str]] = []
         for skill_id in session.routed_skills:
             gate = bindings.COMPLETION_GATES.get(skill_id)
-            if gate is None or skill_id not in self.registry:
+            if gate is None:
                 continue
             state = self.store.get_skill_state(session.session_id, skill_id)
             pairs.extend((skill_id, reason) for reason in gate(session, state))
@@ -228,8 +230,7 @@ class Runtime:
     def _candidate_tools(self, session: Session) -> list[ActionSchema]:
         tools = list(self.orchestration)
         for skill_id in session.routed_skills:
-            if skill_id in self.registry:
-                tools.extend(self.registry.lookup(skill_id).tools)
+            tools.extend(self.registry.lookup(skill_id).tools)
         return tools
 
     def run_wakeup(self, event: WakeupEvent) -> None:

@@ -118,19 +118,15 @@ class SkillManifest:
         return [t.name for t in self.tools]
 
 
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise MalformedManifest(message)
-
-
-def _expect_keys(raw, allowed: set[str], where: str, required: set[str] = frozenset()) -> None:
-    # only a failure formats a message (so in _parse_workflow): every run loads
+# every run loads its skills, so each check formats its message only on failure
+def _expect_keys(raw, allowed: set[str], where: str, required: set[str] = frozenset(),
+                 what: str = "") -> None:
     if not isinstance(raw, dict):
-        raise MalformedManifest(f"{where}: must be an object")
+        raise MalformedManifest(f"{where}: {what}must be an object")
     if unknown := set(raw) - allowed:
-        raise MalformedManifest(f"{where}: unknown keys {sorted(unknown)}")
+        raise MalformedManifest(f"{where}: unknown {what}keys {sorted(unknown)}")
     if missing := required - set(raw):
-        raise MalformedManifest(f"{where}: missing keys {sorted(missing)}")
+        raise MalformedManifest(f"{where}: missing {what}keys {sorted(missing)}")
 
 
 def _read_json(path: Path, what: str) -> dict:
@@ -142,61 +138,63 @@ def _read_json(path: Path, what: str) -> dict:
         raise MalformedManifest(
             f"{what} {path.name}: parse failure at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    _expect(isinstance(data, dict), f"{what} {path.name}: top level must be an object")
+    if not isinstance(data, dict):
+        raise MalformedManifest(f"{what} {path.name}: top level must be an object")
     return data
 
 
 def _parse_string_set(raw, where: str, lowercase_required: bool = False) -> set[str]:
-    _expect(isinstance(raw, list), f"{where} must be a list of strings")
+    if not isinstance(raw, list):
+        raise MalformedManifest(f"{where} must be a list of strings")
     out: set[str] = set()
     for item in raw:
-        _expect(isinstance(item, str) and item, f"{where} entries must be non-empty strings")
-        if lowercase_required:
-            _expect(item == item.lower(), f"{where}: keyword {item!r} must be lowercase")
+        if not (isinstance(item, str) and item):
+            raise MalformedManifest(f"{where} entries must be non-empty strings")
+        if lowercase_required and item != item.lower():
+            raise MalformedManifest(f"{where}: keyword {item!r} must be lowercase")
         out.add(item)
     return out
 
 
 def _parse_policy(raw, where: str) -> PolicyConfig:
-    _expect(isinstance(raw, dict), f"{where}: policy must be an object")
-    unknown = set(raw) - _POLICY_KEYS
-    _expect(not unknown, f"{where}: unknown policy keys {sorted(unknown)}")
+    _expect_keys(raw, _POLICY_KEYS, where, what="policy ")
     policy = PolicyConfig()
     for key in ("protected_path_globs", "command_allowlist"):
         if key in raw:
             setattr(policy, key, sorted(_parse_string_set(raw[key], f"{where}.{key}")))
     if "max_patch_lines" in raw:
         v = raw["max_patch_lines"]
-        _expect(isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-                f"{where}.max_patch_lines must be an integer >= 1")
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+            raise MalformedManifest(f"{where}.max_patch_lines must be an integer >= 1")
         policy.max_patch_lines = v
     if "artifact_dir" in raw:
-        _expect(isinstance(raw["artifact_dir"], str), f"{where}.artifact_dir must be a string")
+        if not isinstance(raw["artifact_dir"], str):
+            raise MalformedManifest(f"{where}.artifact_dir must be a string")
         policy.artifact_dir = raw["artifact_dir"]
     if "requires_writable_workspace" in raw:
-        _expect(isinstance(raw["requires_writable_workspace"], bool),
-                f"{where}.requires_writable_workspace must be a bool")
+        if not isinstance(raw["requires_writable_workspace"], bool):
+            raise MalformedManifest(f"{where}.requires_writable_workspace must be a bool")
         policy.requires_writable_workspace = raw["requires_writable_workspace"]
     return policy
 
 
 def _parse_config(raw: dict, where: str) -> dict:
     for key, value in raw.items():
-        _expect(isinstance(key, str), f"{where}: config keys must be strings")
-        _expect(key not in _POLICY_KEYS,
-                f"{where}: config key {key!r} is a policy field; it belongs in "
-                f"manifest.json's policy block")
-        _expect(
-            value is None or isinstance(value, (str, int, float, bool)),
-            f"{where}: config value for {key!r} must be a scalar",
-        )
+        if not isinstance(key, str):
+            raise MalformedManifest(f"{where}: config keys must be strings")
+        if key in _POLICY_KEYS:
+            raise MalformedManifest(f"{where}: config key {key!r} is a policy field; it "
+                                    "belongs in manifest.json's policy block")
+        if not (value is None or isinstance(value, (str, int, float, bool))):
+            raise MalformedManifest(f"{where}: config value for {key!r} must be a scalar")
     return dict(raw)
 
 
 def _parse_workflow(raw, where: str, own_tools: set[str]) -> Workflow:
     _expect_keys(raw, _WORKFLOW_KEYS, where, required=_WORKFLOW_KEYS)
     names = raw["phases"]
-    _expect(isinstance(names, dict) and names, f"{where}.phases must be a non-empty object")
+    if not (isinstance(names, dict) and names):
+        raise MalformedManifest(f"{where}.phases must be a non-empty object")
     phases: dict[str, Phase] = {}
     for name, phase_raw in names.items():
         pwhere = f"{where}.phases.{name}"
@@ -266,11 +264,12 @@ class SkillRegistry:
 
         manifest = self._parse_manifest(manifest_raw, config_raw, package_dir)
 
-        _expect(manifest.skill_id not in self._skills,
+        if manifest.skill_id in self._skills:
+            raise MalformedManifest(
                 f"{package_dir.name}: skill {manifest.skill_id!r} is already loaded")
         for name in manifest.tool_names():
-            owner = self._by_tool.get(name)
-            _expect(owner is None, f"tool {name!r} already owned by skill {owner!r}")
+            if (owner := self._by_tool.get(name)) is not None:
+                raise MalformedManifest(f"tool {name!r} already owned by skill {owner!r}")
         self._skills[manifest.skill_id] = manifest
         for name in manifest.tool_names():
             self._by_tool[name] = manifest.skill_id
@@ -293,24 +292,21 @@ class SkillRegistry:
 
     def _parse_manifest(self, raw: dict, config_raw: dict, package_dir: Path) -> SkillManifest:
         where = package_dir.name
-        unknown = set(raw) - _MANIFEST_KEYS
-        _expect(not unknown, f"{where}: unknown manifest keys {sorted(unknown)}")
-        missing = _MANIFEST_KEYS - {"namespace", "workflow"} - set(raw)
-        _expect(not missing, f"{where}: missing manifest keys {sorted(missing)}")
+        _expect_keys(raw, _MANIFEST_KEYS, where, _MANIFEST_KEYS - {"namespace", "workflow"},
+                     what="manifest ")
 
         skill_id = raw["skill_id"]
-        _expect(isinstance(skill_id, str) and re.fullmatch(r"[a-z][a-z0-9_]*", skill_id or ""),
-                f"{where}: skill_id must be a lowercase identifier")
+        if not (isinstance(skill_id, str) and re.fullmatch(r"[a-z][a-z0-9_]*", skill_id)):
+            raise MalformedManifest(f"{where}: skill_id must be a lowercase identifier")
         version = raw["version"]
-        _expect(isinstance(version, str) and _SEMVER_RE.match(version or ""),
-                f"{where}: version must be semver, got {version!r}")
+        if not (isinstance(version, str) and _SEMVER_RE.match(version)):
+            raise MalformedManifest(f"{where}: version must be semver, got {version!r}")
         description = raw["description"]
-        _expect(isinstance(description, str) and len(description) <= 200,
-                f"{where}: description must be a string of at most 200 chars")
+        if not (isinstance(description, str) and len(description) <= 200):
+            raise MalformedManifest(f"{where}: description must be a string of at most 200 chars")
         namespace = raw.get("namespace")
-        if namespace is not None:
-            _expect(isinstance(namespace, str) and namespace,
-                    f"{where}: namespace must be a non-empty string")
+        if namespace is not None and not (isinstance(namespace, str) and namespace):
+            raise MalformedManifest(f"{where}: namespace must be a non-empty string")
 
         task_types = _parse_string_set(raw["task_types"], f"{where}.task_types")
         triggers = _parse_string_set(
@@ -318,17 +314,20 @@ class SkillRegistry:
         )
 
         prefix = f"{namespace or skill_id}_"
-        _expect(isinstance(raw["tools"], list), f"{where}: tools must be a list")
+        if not isinstance(raw["tools"], list):
+            raise MalformedManifest(f"{where}: tools must be a list")
         tools: list[ActionSchema] = []
         seen_names: set[str] = set()
         for i, tool_raw in enumerate(raw["tools"]):
             twhere = f"{where}.tools[{i}]"
             _expect_keys(tool_raw, _TOOL_KEYS, twhere, required=_TOOL_KEYS)
             name = tool_raw["name"]
-            _expect(isinstance(name, str) and name.startswith(prefix),
-                    f"{twhere}: tool name {name!r} must start with {prefix!r}")
-            _expect(name not in seen_names, f"{twhere}: duplicate tool name {name!r}")
-            _expect(name not in RESERVED_TOOL_NAMES,
+            if not (isinstance(name, str) and name.startswith(prefix)):
+                raise MalformedManifest(f"{twhere}: tool name {name!r} must start with {prefix!r}")
+            if name in seen_names:
+                raise MalformedManifest(f"{twhere}: duplicate tool name {name!r}")
+            if name in RESERVED_TOOL_NAMES:
+                raise MalformedManifest(
                     f"{twhere}: tool name {name!r} shadows an orchestration tool")
             seen_names.add(name)
             executor_id = tool_raw["executor_id"]
@@ -341,19 +340,21 @@ class SkillRegistry:
                 executor_id=executor_id,
             ))
 
-        _expect(isinstance(raw["hooks"], list), f"{where}: hooks must be a list")
+        if not isinstance(raw["hooks"], list):
+            raise MalformedManifest(f"{where}: hooks must be a list")
         hooks: list[HookDeclaration] = []
         orders_seen: set[tuple[str, int]] = set()
         for i, hook_raw in enumerate(raw["hooks"]):
             hwhere = f"{where}.hooks[{i}]"
             _expect_keys(hook_raw, _HOOK_KEYS, hwhere, required=_HOOK_KEYS)
             stage = hook_raw["stage"]
-            _expect(stage in HOOK_STAGES, f"{hwhere}: stage must be one of {HOOK_STAGES}")
+            if stage not in HOOK_STAGES:
+                raise MalformedManifest(f"{hwhere}: stage must be one of {HOOK_STAGES}")
             order = hook_raw["order"]
-            _expect(isinstance(order, int) and not isinstance(order, bool),
-                    f"{hwhere}: order must be an integer")
-            _expect((stage, order) not in orders_seen,
-                    f"{hwhere}: duplicate (stage, order) = ({stage}, {order})")
+            if not isinstance(order, int) or isinstance(order, bool):
+                raise MalformedManifest(f"{hwhere}: order must be an integer")
+            if (stage, order) in orders_seen:
+                raise MalformedManifest(f"{hwhere}: duplicate (stage, order) = ({stage}, {order})")
             orders_seen.add((stage, order))
             program_id = hook_raw["program_id"]
             if program_id not in self.hook_programs:
@@ -389,8 +390,8 @@ class SkillRegistry:
     def protected_globs(self, skill_ids: list[str]) -> list[str]:
         """The paths a session routed to skill_ids protects: the union of
         those skills' protected_path_globs, for every writer and hook."""
-        return [glob for skill_id in skill_ids if skill_id in self._skills
-                for glob in self._skills[skill_id].policy.protected_path_globs]
+        return [glob for skill_id in skill_ids
+                for glob in self.lookup(skill_id).policy.protected_path_globs]
 
     def manifests(self) -> list[SkillManifest]:
         return sorted(self._skills.values(), key=lambda m: m.skill_id)

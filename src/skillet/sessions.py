@@ -54,25 +54,16 @@ a tool's effect, so a wakeup costs two session-log fsyncs however many
 records it writes. Writes from other threads, such as a child's report into
 its parent, are not deferred.
 
-One appender writes every JSONL log, the session logs and `requests.jsonl`
-alike. `open_log` opens a log for appending, first cutting a torn tail line
-(with a warning) to the length the caller's `parse_jsonl` found, so the next
-record starts a line of its own; `append_log` writes a batch of records with
-one write loop and fsyncs it when asked. If the write or the fsync fails, it
-cuts the log back to its length before the append and raises, so a failed
-append leaves nothing behind: no half line for the next record to join, and
-no record that the live session never folded in.
-
-A session log is open only while it is written. A batch opens the log at
-its first write, its writes share that descriptor, and leaving the batch
-syncs and closes it. Any other write opens the log, appends, fsyncs and
-closes it in one call, as `UsageLog` does for `requests.jsonl`. So the store
-holds no descriptor between calls and needs no closing. `set_status` writes
-a status record only when the status changes, and a COMPLETED or FAILED
-session stays closed: it takes no other status and no record. Usage totals
-are rebuilt on load from one scan of `<store>/requests.jsonl`, the
-per-request log that `UsageLog` appends to; its torn last line is skipped
-there, and cut only by `UsageLog` before it appends.
+Every JSONL log, the session logs and `requests.jsonl` alike, is written
+through a `JsonlLog`, which cuts a torn tail at its first open, cuts a failed
+append back out of the file, takes no append after a failed cut back, and
+holds the file open only while it is written. So the store holds no
+descriptor between calls and needs no closing. `set_status` writes a status
+record only when the status changes, and a COMPLETED or FAILED session stays
+closed: it takes no other status and no record. Usage totals are rebuilt on
+load from one scan of `<store>/requests.jsonl`, the per-request log that
+`UsageLog` appends to; its torn last line is skipped there, and cut only by
+`UsageLog` before it appends.
 """
 
 from __future__ import annotations
@@ -91,6 +82,7 @@ from pathlib import Path
 
 from .errors import (
     CorruptStore,
+    LogWriteError,
     NotFound,
     OrphanToolResult,
     SessionClosed,
@@ -126,6 +118,8 @@ _SNAPSHOT_KIND = "skill_state_snapshot"
 _STATUS_KIND = "session_status"
 
 _SESSION_ID = re.compile(r"s(\d+)")
+
+_UNREAD = object()  # JsonlLog's torn-tail cut before the file is read
 
 
 @dataclass
@@ -360,36 +354,97 @@ def parse_jsonl(data: bytes, name: str) -> tuple[list[dict], int | None]:
     return records, sum(len(line) + 1 for line in body) if torn_tail else None
 
 
-def open_log(path: Path, intact: int | None) -> io.FileIO:
-    """Open a JSONL log for appending. `intact` is the length that the
-    caller's `parse_jsonl` of the log returned for a torn tail; the tail is
-    cut to it first (with a warning), so the next record starts a line of its
-    own."""
-    if intact is not None:
-        os.truncate(path, intact)
-        log.warning("%s: truncated torn tail record", path.name)
-    return open(path, "ab", buffering=0)
+class JsonlLog:
+    """One append-only JSONL file: its path, the lock its writers hold, and
+    the state of its appends.
 
+    The first open cuts a torn tail line, with a warning, to `intact`: the
+    length `parse_jsonl` found before it, read from the file at that open
+    when not given. `append` writes with one write loop and fsyncs when
+    asked; if the write or the fsync fails, it cuts the file back to its
+    length before the append and raises. If the cut back fails too, every
+    later append raises LogWriteError, as the writer would reuse the seqs of
+    the records left behind. In a `batch()` the holding thread's appends
+    share one descriptor, opened at the first of them, and their fsync waits
+    for `sync()` or the batch's end, which syncs and closes it; any other
+    append opens, appends, fsyncs and closes. Callers of `append` and `sync`
+    hold `lock`."""
 
-def append_log(fh: io.FileIO, data: bytes, fsync: bool) -> None:
-    """Append `data` with one write loop, and fsync it when asked. If the
-    write or the fsync fails, cut the log back to its length before the
-    append, then raise: a failed append leaves nothing behind."""
-    start = os.fstat(fh.fileno()).st_size
-    try:
-        while data:
-            data = data[fh.write(data):]
+    def __init__(self, path: Path, intact: int | None | object = _UNREAD):
+        self.path = path
+        self.lock = threading.Lock()
+        self._intact = intact  # the cut of the first open: a length, None, or _UNREAD
+        self._batcher: int | None = None  # the thread that holds the batch
+        self._fh: io.FileIO | None = None  # the batch's descriptor
+        self._unsynced = False  # batched appends wait for an fsync
+        self._stuck = False  # a failed append could not be cut back
+
+    def append(self, data: bytes, fsync: bool) -> None:
+        if self._stuck:
+            raise LogWriteError(f"{self.path}: takes no append since a cut back failed")
+        if self._batcher != threading.get_ident():
+            with self._open() as fh:
+                self._write(fh, data, fsync)
+            self._unsynced = False  # the fsync covered earlier appends too
+            return
+        if self._fh is None:
+            self._fh = self._open()
+        self._write(self._fh, data, False)
         if fsync:
-            os.fsync(fh.fileno())
-    except BaseException:
-        os.ftruncate(fh.fileno(), start)
-        raise
+            self._unsynced = True
+
+    def sync(self) -> None:
+        """Fsync the batch's appends; a failed fsync raises and is not retried."""
+        if self._unsynced:
+            self._unsynced = False
+            os.fsync(self._fh.fileno())
+
+    @contextmanager
+    def batch(self):
+        with self.lock:
+            self._batcher = threading.get_ident()
+        try:
+            yield
+        finally:
+            with self.lock:
+                self._batcher = None
+                try:
+                    self.sync()
+                finally:
+                    fh, self._fh = self._fh, None
+                    if fh is not None:
+                        fh.close()
+
+    def _open(self) -> io.FileIO:
+        intact = self._intact
+        if intact is _UNREAD:
+            intact = (parse_jsonl(self.path.read_bytes(), self.path.name)[1]
+                      if self.path.exists() else None)
+        if intact is not None:
+            os.truncate(self.path, intact)
+            log.warning("%s: truncated torn tail record", self.path.name)
+        fh = open(self.path, "ab", buffering=0)
+        self._intact = None  # only the first open cuts
+        return fh
+
+    def _write(self, fh: io.FileIO, data: bytes, fsync: bool) -> None:
+        start = os.fstat(fh.fileno()).st_size
+        try:
+            while data:
+                data = data[fh.write(data):]
+            if fsync:
+                os.fsync(fh.fileno())
+        except BaseException:
+            self._stuck = True  # unless the cut back succeeds
+            os.ftruncate(fh.fileno(), start)
+            self._stuck = False
+            raise
 
 
 class SessionStore:
-    """Durable home of sessions. Per-session writes, syncs and batches are
-    serialized by a lock. A log's descriptor is open only during a write,
-    or from a batch's first write to the end of that batch."""
+    """Durable home of sessions: each one's folded `Session` and the
+    `JsonlLog` of its log, whose lock serializes the session's writes,
+    syncs and batches."""
 
     def __init__(self, store_dir: str | Path, fsync: bool = True):
         self.store_dir = Path(store_dir)
@@ -398,11 +453,7 @@ class SessionStore:
         self.sessions_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._sessions: dict[str, Session] = {}
-        self._locks: dict[str, threading.Lock] = {}
-        self._logs: dict[str, io.FileIO] = {}  # session id -> its batch's descriptor
-        self._batched: dict[str, int] = {}  # session id -> thread that holds its batch
-        self._dirty: set[str] = set()  # ids of batched logs with writes not yet fsynced
-        self._torn: dict[str, int] = {}  # session id -> intact length of a torn log
+        self._logs: dict[str, JsonlLog] = {}
         self._store_lock = threading.Lock()
         self._last_id = 0
         self._load()
@@ -432,7 +483,6 @@ class SessionStore:
         with self._store_lock:
             self._last_id += 1
             session_id = f"s{self._last_id:04d}"
-            self._locks[session_id] = threading.Lock()
         meta = {
             "seq": 0,
             "kind": _META_KIND,
@@ -446,10 +496,11 @@ class SessionStore:
         }
         first = {"seq": 1, "kind": EventKind.USER_MESSAGE.value,
                  "payload": {"text": task_text}}
-        # no other thread writes to the new id: it is not registered until
+        # no other thread writes to the new log: it is not registered until
         # its first records are written
+        jsonl = JsonlLog(self.sessions_dir / f"{session_id}.log", None)
         try:
-            self._write_records(session_id, meta, first)
+            self._append(jsonl, meta, first)
             if self.fsync:
                 fd = os.open(self.sessions_dir, os.O_RDONLY)
                 try:
@@ -459,13 +510,12 @@ class SessionStore:
         except BaseException:
             # quarantine the new log: no store holds the session, its id stays taken
             with suppress(OSError):  # the create's own error is raised
-                if (log_path := self._log_path(session_id)).exists():
-                    self._quarantine(log_path, "create_session failed")
-            with self._store_lock:
-                del self._locks[session_id]
+                if jsonl.path.exists():
+                    self._quarantine(jsonl.path, "create_session failed")
             raise
         session = replay([meta, first])
         with self._store_lock:
+            self._logs[session_id] = jsonl
             self._sessions[session_id] = session
         return session
 
@@ -481,7 +531,7 @@ class SessionStore:
     def append_event(self, session_id: str, kind: EventKind | str, payload: dict) -> int:
         session = self.session(session_id)
         kind = EventKind(kind)
-        with self._locks[session_id]:
+        with self._logs[session_id].lock:
             if session.status not in OPEN_STATUSES:
                 raise SessionClosed(f"session {session_id} is {session.status.value}")
             if kind is EventKind.TOOL_RESULT:
@@ -498,7 +548,7 @@ class SessionStore:
 
     def put_skill_state(self, session_id: str, skill_id: str, state: dict) -> None:
         session = self.session(session_id)
-        with self._locks[session_id]:
+        with self._logs[session_id].lock:
             if session.status not in OPEN_STATUSES:
                 raise SessionClosed(f"session {session_id} is {session.status.value}")
             self._commit(session, {
@@ -511,7 +561,7 @@ class SessionStore:
     def set_status(self, session_id: str, status: SessionStatus | str) -> None:
         session = self.session(session_id)
         status = SessionStatus(status)
-        with self._locks[session_id]:
+        with self._logs[session_id].lock:
             if status is session.status:
                 return
             if session.status not in OPEN_STATUSES:  # a closed session stays closed
@@ -525,75 +575,33 @@ class SessionStore:
     def sync(self, session_id: str) -> None:
         """Fsync every record written so far to the session's log; a failed
         fsync raises and is not retried."""
-        with self._locks[session_id]:
-            self._sync(session_id)
+        with (jsonl := self._logs[session_id]).lock:
+            jsonl.sync()
 
-    @contextmanager
     def batch(self, session_id: str):
         """Defer the fsync of this thread's writes to the session's log until
         `sync`, the write that completes or fails the session, or the end of
-        the block, which syncs. The block's writes share one descriptor,
-        opened at the first of them and closed at the end. Every record is
-        still written as it is made, so a crash of the process loses none of
-        them; only a power loss can lose the unsynced ones. Writes from other
-        threads fsync as they would outside a batch."""
-        lock = self._locks[session_id]
-        with lock:
-            self._batched[session_id] = threading.get_ident()
-        try:
-            yield
-        finally:
-            with lock:
-                del self._batched[session_id]
-                try:
-                    self._sync(session_id)
-                finally:
-                    fh = self._logs.pop(session_id, None)
-                    if fh is not None:
-                        fh.close()
+        the block, which syncs and closes the log (`JsonlLog.batch`). A crash
+        of the process loses no record; only a power loss can lose the
+        unsynced ones. Writes from other threads fsync as they would outside
+        a batch."""
+        return self._logs[session_id].batch()
 
     # -- persistence internals ----------------------------------------------
-
-    def _log_path(self, session_id: str) -> Path:
-        return self.sessions_dir / f"{session_id}.log"
 
     def _commit(self, session: Session, record: dict) -> None:
         """Write one record and fold it into the live session, syncing the
         log once the session is COMPLETED or FAILED; the caller holds the
-        session's lock."""
-        self._write_records(session.session_id, record)
+        log's lock."""
+        jsonl = self._logs[session.session_id]
+        self._append(jsonl, record)
         apply_record(session, record)
         if session.status not in OPEN_STATUSES:
-            self._sync(session.session_id)
+            jsonl.sync()
 
-    def _write_records(self, session_id: str, *records: dict) -> None:
-        """Append records in one `append_log` and fsync them, unless this
-        thread holds the session's batch: then they go through the batch's
-        descriptor and are left for its next durability point. Any other
-        write opens the log for this append alone. A failed append leaves
-        the log as it was. The caller holds the session's lock (or owns a
-        session no other thread can see yet)."""
-        data = "".join(_canonical(record) + "\n" for record in records).encode("utf-8")
-        if self._batched.get(session_id) != threading.get_ident():
-            with self._open_log(session_id) as fh:
-                append_log(fh, data, self.fsync)
-            self._dirty.discard(session_id)  # the fsync covered earlier writes too
-            return
-        if session_id not in self._logs:
-            self._logs[session_id] = self._open_log(session_id)
-        append_log(self._logs[session_id], data, False)
-        if self.fsync:
-            self._dirty.add(session_id)
-
-    def _open_log(self, session_id: str) -> io.FileIO:
-        fh = open_log(self._log_path(session_id), self._torn.get(session_id))
-        self._torn.pop(session_id, None)  # the first open cut the torn tail
-        return fh
-
-    def _sync(self, session_id: str) -> None:
-        if session_id in self._dirty:
-            self._dirty.discard(session_id)
-            os.fsync(self._logs[session_id].fileno())
+    def _append(self, jsonl: JsonlLog, *records: dict) -> None:
+        """Append records in one `JsonlLog.append`; a failed one leaves the log as it was."""
+        jsonl.append("".join(_canonical(r) + "\n" for r in records).encode("utf-8"), self.fsync)
 
     def _load(self) -> None:
         for log_path in sorted(self.sessions_dir.glob("*.log")):
@@ -603,10 +611,8 @@ class SessionStore:
             if session is None:
                 self._quarantine(log_path, "missing session_meta record")
                 continue
-            if intact is not None:
-                self._torn[session.session_id] = intact
+            self._logs[session.session_id] = JsonlLog(log_path, intact)
             self._sessions[session.session_id] = session
-            self._locks[session.session_id] = threading.Lock()
         for log_path in self.quarantine_dir.glob("*.log"):
             self._note_id(log_path)
         self._load_usage()

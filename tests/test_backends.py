@@ -553,6 +553,28 @@ class TestUsageLog:
         again = reopened.session(session.session_id).usage
         assert (again.input_tokens, again.request_count) == (5, 2)
 
+    def test_a_failed_cut_back_refuses_later_lines_until_reopened(self, tmp_path,
+                                                                  monkeypatch):
+        session = self.make_session(tmp_path)
+        log = UsageLog(tmp_path / "requests.jsonl")
+        log.record(session, self.usage_response(1))
+        real_fsync, real_ftruncate = os.fsync, os.ftruncate
+
+        def failing(fd, *args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing)
+        monkeypatch.setattr(os, "ftruncate", failing)
+        with pytest.raises(LogWriteError):
+            log.record(session, self.usage_response(2))
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        monkeypatch.setattr(os, "ftruncate", real_ftruncate)
+        with pytest.raises(LogWriteError, match="requests.jsonl"):
+            log.record(session, self.usage_response(3))
+        assert session.usage.request_count == 1
+        UsageLog(log.path).record(session, self.usage_response(4))
+        assert [line["input_tokens"] for line in log.lines()] == [1, 2, 4]
+
     def test_write_failure_is_fatal(self, tmp_path):
         session = self.make_session(tmp_path)
         blocked = tmp_path / "as_dir"

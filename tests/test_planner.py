@@ -14,7 +14,7 @@ import pytest
 import skillet
 from skillet import DelegatedTask, EventKind, RunConfig, SessionStatus, SessionStore
 from skillet.backends import ModelResponse, ToolCallRequest, UsageRecord
-from skillet.errors import ModelBackendError, StepBudgetExhausted
+from skillet.errors import ModelBackendError, NotFound, StepBudgetExhausted
 from skillet.planner import Runtime, WakeupQueue
 from skillet.sessions import read_log
 
@@ -725,6 +725,34 @@ class TestSpawnSubsession:
         assert child.parent_id == parent.session_id
         assert child.routed_skills == ["repair"]
         assert runtime.queue.pending_sessions().count(child.session_id) == 1
+
+    def test_a_route_to_a_skill_not_loaded_creates_no_session(self, registry,
+                                                              repair_workspace, tmp_path):
+        from skillet import RoutedSkillSet
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store", [finish_step()])
+        task = DelegatedTask("t", "misc", repair_workspace, "")
+        with pytest.raises(NotFound, match="ghost"):
+            runtime.submit_task(task, routed=RoutedSkillSet(entries=[("ghost", 1.0)]))
+        assert runtime.store.sessions() == []
+        assert list((tmp_path / "store" / "sessions").iterdir()) == []
+
+
+class TestMissingSkill:
+    def test_a_session_reopened_without_its_skill_stops_the_run(self, repair_workspace,
+                                                                 tmp_path):
+        from skillet import SkillRegistry
+        session = SessionStore(tmp_path / "store").create_session(
+            "t", "code_repair", repair_workspace, "", routed_skills=["repair"])
+        # the repair skill would gate this finish; a registry without it
+        # cannot run the session at all
+        runtime = make_runtime(SkillRegistry(), repair_workspace, tmp_path / "store",
+                               [finish_step()])
+        runtime.queue.enqueue(session.session_id, "initial")
+        with pytest.raises(NotFound, match="repair"):
+            runtime.run_until_quiescent(5)
+        again, _ = read_log(tmp_path / "store", session.session_id)
+        assert EventKind.COMPLETION not in [e.kind for e in again.history]
+        assert again.status is not SessionStatus.COMPLETED
 
 
 class TestMultiWorker:

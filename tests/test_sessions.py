@@ -18,6 +18,7 @@ from skillet import EventKind, SessionStatus, SessionStore, UsageLog
 from skillet.backends import ModelResponse, UsageRecord
 from skillet.errors import (
     CorruptStore,
+    LogWriteError,
     NotFound,
     OrphanToolResult,
     SessionClosed,
@@ -320,19 +321,50 @@ class TestFailedAppends:
 
     def test_a_failed_append_on_create_keeps_no_descriptor_and_warns_no_reopen(
             self, tmp_path, ws, store, monkeypatch, caplog):
-        def append_log(fh, data, fsync):
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr("skillet.sessions.append_log", append_log)
+        monkeypatch.setattr("skillet.sessions.open", lambda path, mode, buffering=-1:
+                            FullDisk(path, mode), raising=False)
+        baseline = len(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError):
             make_session(store, ws)
-        assert store._logs == {}  # the new log's descriptor is closed at once
+        assert len(os.listdir("/proc/self/fd")) == baseline  # closed at once
+        assert store._logs == {}  # the failed create's JsonlLog is not kept
         monkeypatch.undo()
         caplog.clear()
         again = SessionStore(tmp_path / "store")
         assert again.sessions() == []
         assert make_session(again, ws).session_id == "s0002"
         assert caplog.records == []  # nothing was left for the reopen to quarantine
+
+    def test_a_log_whose_cut_back_failed_takes_no_more_appends(self, tmp_path, ws, store,
+                                                               monkeypatch):
+        s = make_session(store, ws)
+        self.fail_next_fsync(monkeypatch)
+        real_ftruncate = os.ftruncate
+        failed = []
+
+        def ftruncate(fd, length):
+            if not failed:
+                failed.append(length)
+                raise OSError(errno.EIO, "Input/output error")
+            real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", ftruncate)
+        with pytest.raises(OSError):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 0})
+        # the record stays in the file but was never folded in: a next append
+        # would reuse its seq
+        with pytest.raises(LogWriteError, match=f"{s.session_id}.log"):
+            store.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 1})
+        with pytest.raises(LogWriteError):
+            store.set_status(s.session_id, SessionStatus.FAILED)
+        again = SessionStore(tmp_path / "store")
+        seqs = [e.seq for e in again.session(s.session_id).history]
+        assert seqs == list(range(1, len(seqs) + 1))  # no seq is used twice
+        assert again.append_event(s.session_id, EventKind.SYSTEM_NOTE, {"i": 2}) == 3
 
 
 class TestSkillState:
