@@ -53,7 +53,6 @@ class HookFault(SkilletError):
         super().__init__(f"hook {program_id} of skill {skill_id} raised: {cause!r}")
         self.skill_id = skill_id
         self.program_id = program_id
-        self.cause = cause
 
 
 # -- model backends ----------------------------------------------------------

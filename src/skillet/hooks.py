@@ -27,10 +27,13 @@ HookDecision nor None, a field its stage does not take, a forced tool the
 request does not offer or a phase the workflow lacks becomes HookFault: the
 wakeup aborts with a system_note, the session stays usable. Hooks never
 decide completion: every routed skill's completion gate
-(`bindings.COMPLETION_GATES`) must pass, and every routed skill's protected
-paths hold for every writer and every hook (`HookContext.protected_globs`).
-A routed skill the registry does not hold is no HookFault: its lookup
-raises NotFound, and the run stops.
+(`bindings.COMPLETION_GATES`) must pass. The protected paths of the
+session's routed skills and of every ancestor session's hold for every
+writer and every hook: `protected_globs` builds the one list, each glob
+anchored at the root of the session that declares it, and the planner's
+`ExecutionContext` and every `HookContext` carry it. A routed skill the
+registry does not hold is no HookFault: its lookup raises NotFound, and the
+run stops.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .errors import HookFault
 from .registry import Phase, SkillManifest, SkillRegistry, Workflow
 from .schema import ActionSchema
 from .sessions import Session, SessionStore
+from .workspace import anchor_globs
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import ModelResponse
@@ -69,7 +73,7 @@ class HookContext:
     workflow: Workflow | None   # the owning skill's manifest workflow
     done_when: str
     workspace_root: Path
-    protected_globs: list[str]  # every routed skill's protected_path_globs
+    protected_globs: list[str]  # HookPipeline.protected_globs(session)
 
 
 @dataclass
@@ -126,6 +130,21 @@ class HookPipeline:
     def _routed(self, session: Session) -> list[SkillManifest]:
         return [self.registry.lookup(skill_id) for skill_id in session.routed_skills]
 
+    def protected_globs(self, session: Session) -> list[str]:
+        """The paths no writer and no hook may touch in `session`: the
+        protected_path_globs of its routed skills and of every ancestor's,
+        each anchored at the root of the session that declares it. A child's
+        root lies inside its parent's (`create_session` checks it), so an
+        ancestor's glob matches exactly the paths under that ancestor's root."""
+        globs: list[str] = []
+        while True:
+            globs.extend(anchor_globs(session.workspace_root, (
+                glob for manifest in self._routed(session)
+                for glob in manifest.policy.protected_path_globs)))
+            if session.parent_id is None:
+                return globs
+            session = self.store.session(session.parent_id)
+
     def hooks_for(self, session: Session, stage: str) -> list[tuple[SkillManifest, str]]:
         """(manifest, program_id) pairs in routed-skill order, then hook order."""
         return [(manifest, decl.program_id) for manifest in self._routed(session)
@@ -151,7 +170,7 @@ class HookPipeline:
             workflow=manifest.workflow,
             done_when=session.done_when,
             workspace_root=session.workspace_root,
-            protected_globs=self.registry.protected_globs(session.routed_skills),
+            protected_globs=self.protected_globs(session),
         )
         program = self.registry.hook_programs[program_id]
         try:

@@ -58,7 +58,7 @@ from .sessions import (
     SessionStore,
     UsageTotals,
 )
-from .workspace import orchestration_schemas, resolve
+from .workspace import glob_match, orchestration_schemas, resolve
 
 log = logging.getLogger(__name__)
 
@@ -179,6 +179,11 @@ class Runtime:
     def _delegate(self, parent: Session, task_text: str, task_type: str,
                   subdir: str, done_when: str) -> dict:
         scoped = resolve(parent.workspace_root, subdir or ".")
+        # making the directory is a workspace write; an existing one needs no
+        # check, as the child is bound by the same protected paths
+        if not scoped.resolved.is_dir() and glob_match(
+                str(scoped.resolved), self.pipeline.protected_globs(parent)):
+            raise ToolError(f"subdir {scoped.relative!r} matches a protected path")
         scoped.resolved.mkdir(parents=True, exist_ok=True)
         task = DelegatedTask(task_text=task_text, task_type=task_type,
                              workspace_root=scoped.resolved, done_when=done_when)
@@ -378,8 +383,8 @@ class Runtime:
             command_allowlist=allowlist,
             command_timeout_s=self.config.workspace.command_timeout_s,
             output_truncate_bytes=self.config.workspace.output_truncate_bytes,
-            # every routed skill's protected paths hold for every tool, visible or not
-            protected_globs=self.registry.protected_globs(session.routed_skills),
+            # the session's protected paths hold for every tool, visible or not
+            protected_globs=self.pipeline.protected_globs(session),
             artifact_dir=policy.artifact_dir,
         )
         try:  # the planner runs finish and delegate_subtask itself

@@ -387,12 +387,6 @@ class SkillRegistry:
         """The skill_id that declares tool_name; None for the runtime's tools."""
         return self._by_tool.get(tool_name)
 
-    def protected_globs(self, skill_ids: list[str]) -> list[str]:
-        """The paths a session routed to skill_ids protects: the union of
-        those skills' protected_path_globs, for every writer and hook."""
-        return [glob for skill_id in skill_ids
-                for glob in self.lookup(skill_id).policy.protected_path_globs]
-
     def manifests(self) -> list[SkillManifest]:
         return sorted(self._skills.values(), key=lambda m: m.skill_id)
 

@@ -198,7 +198,7 @@ def before_tool(ctx: HookContext) -> HookDecision | None:
     except PathEscape:
         return HookDecision(reject=Reject(
             reason=f"patch target {target!r} escapes the workspace"))
-    if glob_match(scoped.relative, ctx.protected_globs):
+    if glob_match(str(scoped.resolved), ctx.protected_globs):
         return HookDecision(reject=Reject(
             reason=f"patch target {scoped.relative!r} matches a protected path",
             redirect_hint="do not edit protected files; record the proposed change "

@@ -3,9 +3,12 @@ always-available orchestration tool set.
 
 Every path the model supplies goes through `resolve`, which proves the
 target lies inside the session's workspace root (traversal, absolute
-escapes, and symlinks pointing out of the root are all rejected). Every
-workspace write goes through `write_file`, which also enforces the routed
-skills' protected paths whether or not the calling tool was visible. A write
+escapes, and symlinks pointing out of the root are all rejected). A
+protected path glob is anchored at the root of the session whose skill
+declares it (`anchor_globs`), and `glob_match` tests it against the resolved
+path, so a delegated child is bound by its ancestors' globs too. Every
+workspace write goes through `write_file`, which enforces the session's
+protected paths whether or not the calling tool was visible. A write
 replaces the file with a renamed temp file, so a hard link at the target is
 broken rather than written through. Every file read goes through
 `read_head`, which reads no more than the output cap plus 4 bytes; a read
@@ -18,12 +21,15 @@ of its own that is killed when the command returns.
 from __future__ import annotations
 
 import fnmatch
+import glob
 import os
+import re
 import selectors
 import signal
 import stat
 import subprocess
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,24 +63,41 @@ def resolve(workspace_root: str | Path, raw: str) -> ScopedPath:
     return ScopedPath(resolved=resolved, relative=relative.as_posix())
 
 
-def glob_match(relative: str, globs: list[str]) -> bool:
+_LITERAL_HEAD = re.compile(r"[^*?[]*")
+
+
+def anchor_globs(root: Path, globs: Iterable[str]) -> list[str]:
+    """`globs`, relative to the resolved `root`, as globs over resolved
+    paths: the root is escaped, so a `[`, `*` or `?` in it matches itself."""
+    prefix = glob.escape(str(root)) + "/"
+    return [prefix + g for g in globs]
+
+
+def glob_match(path: str, globs: list[str]) -> bool:
     # fnmatch semantics: '*' crosses path separators, which errs broad for a
-    # deny-list ("tests/**" also covers nested files)
-    return any(fnmatch.fnmatch(relative, g) for g in globs)
+    # deny-list ("tests/**" also covers nested files). A glob's literal head,
+    # such as the root an anchored glob starts with, is compared as a string:
+    # fnmatch compiles and keeps every pattern it is given, and a root's would
+    # be kept for the life of the process, one per session
+    for g in globs:
+        head = _LITERAL_HEAD.match(g).end()
+        if path.startswith(g[:head]) and fnmatch.fnmatch(path[head:], g[head:]):
+            return True
+    return False
 
 
 def write_file(ctx: ExecutionContext, raw: str, text: str,
                artifact_dir: str | None = None) -> dict:
     """Write `text` to `raw` inside the workspace, creating parent directories.
 
-    Before any byte is written, refuses a path matching `ctx.protected_globs`
-    and, for an artifact write (`artifact_dir` given), a path outside that
-    directory of the workspace. The new bytes replace the target atomically:
+    Before any byte is written, refuses a path that `ctx.protected_globs`
+    matches and, for an artifact write (`artifact_dir` given), a path outside
+    that directory of the workspace. The new bytes replace the target atomically:
     a failed write leaves the old file as it was.
     """
     scoped = resolve(ctx.workspace_root, raw)
     what = "path" if artifact_dir is None else "artifact path"
-    if glob_match(scoped.relative, ctx.protected_globs):
+    if glob_match(str(scoped.resolved), ctx.protected_globs):
         raise ToolError(f"{what} {scoped.relative!r} matches a protected path")
     if artifact_dir is not None:
         artifact_root = (Path(ctx.workspace_root) / artifact_dir).resolve()

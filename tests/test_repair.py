@@ -31,6 +31,7 @@ from skillet.repair import (
     workflow_message,
     write_artifact,
 )
+from skillet.workspace import anchor_globs
 
 from conftest import (
     CALC_PATCH,
@@ -51,7 +52,7 @@ def make_ctx(ws, allowlist=("python3", "echo"), skill=None):
         command_allowlist=list(allowlist),
         command_timeout_s=10.0,
         output_truncate_bytes=32768,
-        protected_globs=list(skill.policy.protected_path_globs) if skill else [],
+        protected_globs=anchor_globs(ws, skill.policy.protected_path_globs) if skill else [],
         artifact_dir=(skill.policy if skill else PolicyConfig()).artifact_dir,
     )
 

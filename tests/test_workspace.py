@@ -14,6 +14,7 @@ from skillet.execution import ExecutionContext
 from skillet.repair import collect_evidence, run_verification
 from skillet.workspace import (
     _truncate,
+    anchor_globs,
     fs_read,
     fs_write,
     glob_match,
@@ -47,7 +48,7 @@ def make_ctx(ws, allowlist=("echo",), timeout=5.0, truncate=32768, protected=())
         command_allowlist=list(allowlist),
         command_timeout_s=timeout,
         output_truncate_bytes=truncate,
-        protected_globs=list(protected),
+        protected_globs=anchor_globs(ws, protected),
         artifact_dir="out",
     )
 
@@ -284,16 +285,19 @@ class TestAtomicWrite:
         assert (guarded_workspace / "in" / "calc.py").read_text() == "patched\n"
 
     def test_write_breaks_a_hard_link_to_a_protected_path(self, guarded_workspace):
-        protected = guarded_workspace / "tests" / "t.py"
-        protected.parent.mkdir()
-        protected.write_text("assert True\n")
-        os.link(protected, guarded_workspace / "notes.txt")
-        ctx = make_ctx(guarded_workspace, protected=("tests/**",))
-        with pytest.raises(ToolError, match="protected path"):
-            fs_write({"path": "tests/t.py", "content": "x"}, ctx)
-        fs_write({"path": "notes.txt", "content": "clobbered\n"}, ctx)
-        assert protected.read_text() == "assert True\n"
-        assert (guarded_workspace / "notes.txt").read_text() == "clobbered\n"
+        # the second root's glob characters must match only themselves
+        for ws in (guarded_workspace, guarded_workspace / "r[o]o*t?"):
+            ws.mkdir(exist_ok=True)
+            protected = ws / "tests" / "t.py"
+            protected.parent.mkdir()
+            protected.write_text("assert True\n")
+            os.link(protected, ws / "notes.txt")
+            ctx = make_ctx(ws, protected=("tests/**",))
+            with pytest.raises(ToolError, match="protected path"):
+                fs_write({"path": "tests/t.py", "content": "x"}, ctx)
+            fs_write({"path": "notes.txt", "content": "clobbered\n"}, ctx)
+            assert protected.read_text() == "assert True\n"
+            assert (ws / "notes.txt").read_text() == "clobbered\n"
 
     def test_write_keeps_the_mode_bits(self, guarded_workspace):
         script = guarded_workspace / "run.sh"
