@@ -79,7 +79,6 @@ class ScriptToolNotVisible(ModelBackendError):
             f"script calls tool {tool!r} but visible tools are {sorted(visible)}",
             retryable=False,
         )
-        self.tool = tool
 
 
 class LogWriteError(SkilletError):

@@ -63,7 +63,8 @@ AFTER_TOOL = "after_tool_call"
 
 @dataclass
 class HookContext:
-    """Read view handed to a hook program for one boundary."""
+    """Read view handed to a hook program for one boundary. The session's own
+    facts, such as the artifacts its done_when requires, come from `Session`."""
 
     skill_id: str
     state: dict                 # the hook's own skill state (a copy)
@@ -71,7 +72,7 @@ class HookContext:
     policy: object              # the owning skill's PolicyConfig
     config: dict                # the owning skill's config.json map
     workflow: Workflow | None   # the owning skill's manifest workflow
-    done_when: str
+    required_artifacts: list[str]  # Session.required_artifacts (a copy)
     workspace_root: Path
     protected_globs: list[str]  # HookPipeline.protected_globs(session)
 
@@ -168,7 +169,7 @@ class HookPipeline:
             policy=manifest.policy,
             config=manifest.config,
             workflow=manifest.workflow,
-            done_when=session.done_when,
+            required_artifacts=list(session.required_artifacts),
             workspace_root=session.workspace_root,
             protected_globs=self.protected_globs(session),
         )

@@ -184,7 +184,10 @@ class Runtime:
         if not scoped.resolved.is_dir() and glob_match(
                 str(scoped.resolved), self.pipeline.protected_globs(parent)):
             raise ToolError(f"subdir {scoped.relative!r} matches a protected path")
-        scoped.resolved.mkdir(parents=True, exist_ok=True)
+        try:
+            scoped.resolved.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file on the path, say
+            raise ToolError(f"cannot make subdir {scoped.relative!r}: {exc}") from exc
         task = DelegatedTask(task_text=task_text, task_type=task_type,
                              workspace_root=scoped.resolved, done_when=done_when)
         child = self.submit_task(task, parent_id=parent.session_id)

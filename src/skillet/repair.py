@@ -8,18 +8,18 @@ the model replies without a call, patch guards before any side effect,
 patches and artifacts written through the workspace writer (which refuses
 protected paths, and artifact paths outside the policy's artifact
 directory), structured verification checks, and the completion gate, which
-keeps completion blocked until verification has passed and the artifacts
-named by done_when exist on disk.
+keeps completion blocked until verification has passed and the session's
+required artifacts (`Session.required_artifacts`) exist on disk.
 
-The skill state lives in the session's skill-local store. The before_llm
-hook is the one place that infers the required artifacts from done_when, at
-the session's first wakeup (done_when and the root never change); it stores
-them in the state, where the completion gate reads them. Its workflow
-message is standing guidance: the planner marks it with its stage's
-`standing` block id, so each request carries only the latest one, as its
-last message. The after_tool hook records the failure signature and the
-verification outcome (a step that changes nothing writes no snapshot), and
-whether the session may complete is decided by the gate alone.
+The skill state lives in the session's skill-local store and holds only the
+skill's own decisions, the phase and the failure signature: verification has
+passed exactly when the phase is `report`, where a passing verification
+moves and which it never leaves. The before_llm hook writes the first
+snapshot; its workflow message is standing guidance: the planner marks it
+with its stage's `standing` block id, so each request carries only the
+latest one, as its last message. The after_tool hook records the failure
+signature (a step that changes nothing writes no snapshot), and whether the
+session may complete is decided by the gate alone.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from .workspace import _truncate, glob_match, read_head, resolve, run_allowliste
 SKILL_ID = "repair"
 
 REPRODUCE = "reproduce"  # a state's phase until the first before_llm sets the initial one
-
-ARTIFACT_EXTENSIONS = (".md", ".txt", ".json", ".patch")
+REPORT = "report"  # the phase a passing verification moves to, and never leaves
 
 CHECK_TYPES = ("command_exit_zero", "file_exists", "file_contains", "output_matches")
 
@@ -66,9 +65,11 @@ WORKFLOW_ORDER = "reproduce -> patch -> verify -> report"
 @dataclass
 class RepairState:
     phase: str = REPRODUCE
-    verification_passed: bool = False
     failure_signature: str | None = None
-    required_artifacts: list[str] | None = None  # None: not inferred yet
+
+    @property
+    def verification_passed(self) -> bool:
+        return self.phase == REPORT
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RepairState":
@@ -85,7 +86,6 @@ class RepairState:
 # otherwise shadow the real error in every traceback
 _SIGNAL_RE = re.compile(r"(error|exception|assert|fail|fatal|panic)", re.IGNORECASE)
 _PATHLIKE_RE = re.compile(r"[\w.~-]*(?:/[\w.~-]+)+")
-_TRIM_CHARS = "`\"'(),.;:!?"
 
 
 def normalize_failure_signature(output: str) -> str | None:
@@ -97,30 +97,6 @@ def normalize_failure_signature(output: str) -> str | None:
     picked = next((l for l in lines if _SIGNAL_RE.search(l)), lines[0])
     picked = _PATHLIKE_RE.sub(lambda m: m.group(0).rsplit("/", 1)[-1], picked)
     return re.sub(r"\d+", "N", picked)
-
-
-def infer_required_artifacts(done_when: str, workspace_root: Path) -> list[str]:
-    """Extract the artifact paths a done_when contract demands.
-
-    Rule: every backtick-quoted or whitespace-delimited token that contains a
-    '/' or ends in a known artifact extension and resolves inside the
-    workspace; order of appearance, deduplicated.
-    """
-    candidates: list[str] = list(re.findall(r"`([^`]+)`", done_when))
-    candidates += [tok.strip(_TRIM_CHARS) for tok in re.sub(r"`[^`]*`", " ", done_when).split()]
-    out: list[str] = []
-    for cand in candidates:
-        if not cand:
-            continue
-        if "/" not in cand and not cand.lower().endswith(ARTIFACT_EXTENSIONS):
-            continue
-        try:
-            resolve(workspace_root, cand)
-        except PathEscape:
-            continue
-        if cand not in out:
-            out.append(cand)
-    return out
 
 
 def workflow_message(state: RepairState, visible: list[str], required: list[str]) -> str:
@@ -140,12 +116,13 @@ def workflow_message(state: RepairState, visible: list[str], required: list[str]
     return "\n".join(lines)
 
 
-def completion_gate_reasons(state: RepairState, workspace_root: Path) -> list[str]:
+def completion_gate_reasons(state: RepairState, required: list[str],
+                            workspace_root: Path) -> list[str]:
     """Open-gate reasons; empty list means completion is permitted."""
     reasons: list[str] = []
     if not state.verification_passed:
         reasons.append(VERIFICATION_NOT_PASSED)
-    for path in state.required_artifacts or []:
+    for path in required:
         try:
             scoped = resolve(workspace_root, path)
         except PathEscape:
@@ -158,9 +135,8 @@ def completion_gate_reasons(state: RepairState, workspace_root: Path) -> list[st
 
 @completion_gate(SKILL_ID)
 def repair_gate(session, state_doc: dict) -> list[str]:
-    # required_artifacts were inferred and stored by before_llm, which runs
-    # before every model call and so before any finish
-    return completion_gate_reasons(RepairState.from_doc(state_doc), session.workspace_root)
+    return completion_gate_reasons(RepairState.from_doc(state_doc), session.required_artifacts,
+                                   session.workspace_root)
 
 
 # -- hook programs --------------------------------------------------------------
@@ -168,13 +144,10 @@ def repair_gate(session, state_doc: dict) -> list[str]:
 @hook_program("repair.before_llm")
 def before_llm(ctx: HookContext) -> HookDecision:
     state = RepairState.from_doc({"phase": ctx.workflow.initial, **ctx.state})
-    inferring = state.required_artifacts is None
-    if inferring:  # once per session: the result is kept in the skill state
-        state.required_artifacts = infer_required_artifacts(ctx.done_when, ctx.workspace_root)
     visible = ctx.workflow.phases[state.phase].tools
     return HookDecision(
-        injected_messages=[workflow_message(state, visible, state.required_artifacts)],
-        state_update=state.to_doc() if inferring else None,
+        injected_messages=[workflow_message(state, visible, ctx.required_artifacts)],
+        state_update=None if ctx.state else state.to_doc(),  # the first wakeup's snapshot
     )
 
 
@@ -234,12 +207,9 @@ def before_tool(ctx: HookContext) -> HookDecision | None:
 def after_tool(ctx: HookContext) -> HookDecision:
     # the pipeline has already moved ctx.state's phase along the workflow
     record = ctx.payload
-    name, result = record["name"], record["result"]
     state = RepairState.from_doc(ctx.state)
-    if record["ok"] and name == "repair_collect_evidence":
-        state.failure_signature = result.get("signature") or state.failure_signature
-    elif record["ok"] and name == "repair_run_verification":
-        state.verification_passed = bool(result.get("passed"))
+    if record["ok"] and record["name"] == "repair_collect_evidence":
+        state.failure_signature = record["result"].get("signature") or state.failure_signature
     return HookDecision(state_update=state.to_doc())
 
 

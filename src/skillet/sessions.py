@@ -2,9 +2,11 @@
 
 Every session owns an append-only JSONL log at `<store>/sessions/<id>.log`,
 and that log is the only durable session state. Line 0 is a `session_meta`
-record; history events follow with gapless seqs starting at 1. Two store
-records that are not history events are interleaved at the seq of the last
-event written: `skill_state_snapshot` and `session_status`.
+record: the task, its root and routed skills, and the artifacts its
+done_when requires, inferred once at create (a log without them requires
+none). History events follow with gapless seqs from 1; two store records
+that are not, `skill_state_snapshot` and `session_status`, are interleaved
+at the seq of the last event written.
 
 One fold, `apply_record`, is the only code that turns a record into session
 state: the meta record builds the `Session`, a history event is appended (a
@@ -89,6 +91,7 @@ from .errors import (
     UnknownParent,
     WorkspaceEscape,
 )
+from .workspace import infer_required_artifacts
 
 log = logging.getLogger(__name__)
 
@@ -167,6 +170,7 @@ class Session:
     done_when: str
     parent_id: str | None = None
     routed_skills: list[str] = field(default_factory=list)
+    required_artifacts: list[str] = field(default_factory=list)
     status: SessionStatus = SessionStatus.ACTIVE
     history: list[HistoryEvent] = field(default_factory=list)
     skill_state: dict[str, dict] = field(default_factory=dict)
@@ -284,6 +288,7 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
             done_when=record["done_when"],
             parent_id=record.get("parent_id"),
             routed_skills=list(record.get("routed_skills", [])),
+            required_artifacts=list(record.get("required_artifacts", [])),
         )
     if kind == _SNAPSHOT_KIND:
         session.skill_state[record["skill_id"]] = record["state"]
@@ -493,6 +498,7 @@ class SessionStore:
             "task_type": task_type,
             "done_when": done_when,
             "routed_skills": list(routed_skills or []),
+            "required_artifacts": infer_required_artifacts(done_when, root),
         }
         first = {"seq": 1, "kind": EventKind.USER_MESSAGE.value,
                  "payload": {"text": task_text}}

@@ -63,6 +63,31 @@ def resolve(workspace_root: str | Path, raw: str) -> ScopedPath:
     return ScopedPath(resolved=resolved, relative=relative.as_posix())
 
 
+ARTIFACT_EXTENSIONS = (".md", ".txt", ".json", ".patch")
+_TRIM_CHARS = "`\"'(),.;:!?"
+
+
+def infer_required_artifacts(done_when: str, workspace_root: Path) -> list[str]:
+    """Extract the artifact paths a done_when contract demands.
+
+    Rule: every backtick-quoted or whitespace-delimited token that contains a
+    '/' or ends in a known artifact extension and, by its text, lies inside
+    the resolved workspace root; order of appearance, deduplicated. No file
+    is looked at: a symlink that leads a path out of the root is caught by
+    the completion gate's `resolve`, which then reports the artifact missing.
+    """
+    candidates: list[str] = list(re.findall(r"`([^`]+)`", done_when))
+    candidates += [tok.strip(_TRIM_CHARS) for tok in re.sub(r"`[^`]*`", " ", done_when).split()]
+    root = os.path.join(workspace_root, "")  # ends in one separator
+    out: list[str] = []
+    for cand in candidates:
+        if "/" not in cand and not cand.lower().endswith(ARTIFACT_EXTENSIONS):
+            continue
+        if f"{os.path.normpath(os.path.join(root, cand))}/".startswith(root) and cand not in out:
+            out.append(cand)
+    return out
+
+
 _LITERAL_HEAD = re.compile(r"[^*?[]*")
 
 

@@ -403,6 +403,27 @@ class TestDelegation:
         assert failed["output"]["error"] == "path_escape"
         assert len(runtime.store.sessions()) == 1
 
+    @pytest.mark.parametrize("subdir", ["in/calc.py", "in/calc.py/sub"])
+    def test_a_file_on_the_subdir_path_is_a_tool_error(self, registry, repair_workspace,
+                                                        tmp_path, caplog, subdir):
+        script = [
+            {"respond": {"tool_call": {"name": "delegate_subtask", "args": {
+                "task_text": "t", "task_type": "x", "subdir": subdir, "done_when": ""}}}},
+            {"respond": {"text": "ok giving up"}},
+        ]
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store", script,
+                               apply_tool_filters=False)
+        runtime.submit_task(DelegatedTask("t", "other", repair_workspace, ""))
+        runtime.run_until_quiescent(10)
+        failed = next(p for k, p in events_of(runtime.store, "s0001")
+                      if k is EventKind.TOOL_RESULT and p["name"] == "delegate_subtask")
+        assert failed["ok"] is False
+        assert failed["output"]["error"] == "tool_error"
+        assert repr(subdir) in failed["output"]["message"]
+        assert len(runtime.store.sessions()) == 1
+        assert not [r for r in caplog.records if r.exc_info]  # no executor traceback
+        assert (repair_workspace / "in" / "calc.py").is_file()
+
 
 class TestReplayDeterminism:
     def test_two_runs_byte_identical_logs(self, registry, tmp_path):

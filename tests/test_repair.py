@@ -25,21 +25,25 @@ from skillet.repair import (
     apply_unified_patch,
     collect_evidence,
     completion_gate_reasons,
-    infer_required_artifacts,
     normalize_failure_signature,
     run_verification,
     workflow_message,
     write_artifact,
 )
-from skillet.workspace import anchor_globs
+from skillet.workspace import anchor_globs, infer_required_artifacts
 
 from conftest import (
     CALC_PATCH,
+    REPAIR_DONE_WHEN,
+    canonical_runtime,
     evidence_step,
+    finish_step,
     make_runtime,
     patch_step,
+    repair_script,
     session_snapshots,
     submit_repair_task,
+    verify_step,
 )
 
 # the phases of the repair manifest's workflow
@@ -79,6 +83,20 @@ def set_phase(store, session, phase, **extra):
     return state
 
 
+def count_inferences(monkeypatch) -> list[str]:
+    """Record the done_when of every required-artifact inference from here on."""
+    import skillet.sessions
+    calls = []
+    real = skillet.sessions.infer_required_artifacts
+
+    def counting(done_when, root):
+        calls.append(done_when)
+        return real(done_when, root)
+
+    monkeypatch.setattr(skillet.sessions, "infer_required_artifacts", counting)
+    return calls
+
+
 def candidate_tools(registry):
     from skillet.workspace import orchestration_schemas
     return orchestration_schemas() + registry.lookup("repair").tools
@@ -107,6 +125,19 @@ class TestInferRequiredArtifacts:
 
     def test_escaping_tokens_are_ignored(self):
         assert infer_required_artifacts("never touch ../secrets.txt", self.WS) == []
+        assert infer_required_artifacts("nor `/etc/motd.txt` or `a/../../b.md`", self.WS) == []
+
+    def test_a_symlink_out_of_the_root_is_required_and_never_satisfied(self, tmp_path):
+        # the inference reads only the text; the gate resolves, and finds it missing
+        ws, outside = tmp_path / "ws", tmp_path / "outside"
+        ws.mkdir()
+        outside.mkdir()
+        (ws / "out").symlink_to(outside)
+        (outside / "report.md").write_text("written through the link")
+        required = infer_required_artifacts("write `out/report.md`", ws)
+        assert required == ["out/report.md"]
+        assert completion_gate_reasons(RepairState(phase=REPORT), required, ws) == \
+            ["missing artifact out/report.md"]
 
     def test_order_of_appearance(self):
         got = infer_required_artifacts("emit `b/two.md` after `a/one.md`? no: `b/two.md` first",
@@ -175,32 +206,21 @@ class TestVisibility:
         assert "AssertionError: want N" in text
 
     def test_required_artifacts_inferred_once_per_session(self, rig, monkeypatch):
-        import skillet.repair as repair_module
         pipeline, store, session = rig
-        resolved = []
-        real_resolve = repair_module.resolve
-
-        def counting_resolve(root, raw):
-            resolved.append(raw)
-            return real_resolve(root, raw)
-
-        monkeypatch.setattr(repair_module, "resolve", counting_resolve)
+        inferred = count_inferences(monkeypatch)
         tools = candidate_tools(pipeline.registry)
         first = pipeline.run_before_llm(session, tools)
-        assert "out/report.md" in resolved
+        assert "required artifacts: out/report.md" in first.injections[0][1]
         snapshots = session_snapshots(store, session.session_id)
-        resolved.clear()
         for _ in range(3):
             again = pipeline.run_before_llm(session, tools)
             assert again.injections == first.injections
-        assert resolved == []
+        assert inferred == []  # the session's, from its create, serve every wakeup
         assert session_snapshots(store, session.session_id) == snapshots
-        assert store.get_skill_state(session.session_id, "repair")["required_artifacts"] == \
-            ["out/report.md"]
+        assert session.required_artifacts == ["out/report.md"]
 
     def test_reopened_session_does_not_infer_again(self, registry, repair_workspace,
                                                    tmp_path, monkeypatch):
-        import skillet.repair as repair_module
         store_dir = tmp_path / "store"
         runtime = make_runtime(registry, repair_workspace, store_dir,
                                [evidence_step(argv=["python3", "in/test_calc.py"])])
@@ -208,23 +228,14 @@ class TestVisibility:
         with pytest.raises(StepBudgetExhausted):
             runtime.run_until_quiescent(1)
 
-        resolved = []
-        real_resolve = repair_module.resolve
-
-        def counting_resolve(root, raw):
-            resolved.append(raw)
-            return real_resolve(root, raw)
-
-        monkeypatch.setattr(repair_module, "resolve", counting_resolve)
+        inferred = count_inferences(monkeypatch)
         reopened = make_runtime(registry, repair_workspace, store_dir, [patch_step()])
         reopened.queue.enqueue(session.session_id, "followup")
         with pytest.raises(StepBudgetExhausted):
             reopened.run_until_quiescent(1)
-        # only the patch target, by the guard and the executor: done_when is
-        # not parsed again
-        assert set(resolved) == {"in/calc.py"}
-        assert reopened.store.get_skill_state(session.session_id, "repair")[
-            "required_artifacts"] == ["out/report.md"]
+        assert inferred == []  # the reload folds the meta record's list
+        assert reopened.store.session(session.session_id).required_artifacts == \
+            ["out/report.md"]
 
     def test_a_session_starts_in_the_workflows_initial_phase(self, rig):
         pipeline, store, session = rig
@@ -234,11 +245,64 @@ class TestVisibility:
         assert store.get_skill_state(session.session_id, "repair")["phase"] == PATCH
         assert "repair_apply_unified_patch" in {t.name for t in outcome.visible_tools}
 
-    def test_required_artifacts_written_back_to_state(self, rig):
+    def test_first_snapshot_holds_only_the_skills_decisions(self, rig):
         pipeline, store, session = rig
         pipeline.run_before_llm(session, candidate_tools(pipeline.registry))
         state = store.get_skill_state(session.session_id, "repair")
-        assert state["required_artifacts"] == ["out/report.md"]
+        assert state == {"phase": REPRODUCE, "failure_signature": None}
+        assert session.required_artifacts == ["out/report.md"]
+
+
+class TestCompletionFacts:
+    """Each completion fact has one home: the session's meta record holds the
+    required artifacts, and the repair state holds only the skill's own
+    decisions, from which verification_passed is read."""
+
+    def test_inference_runs_once_per_session_at_create(self, registry, repair_workspace,
+                                                       tmp_path, monkeypatch):
+        inferred = count_inferences(monkeypatch)
+        store_dir = tmp_path / "store"
+        runtime = canonical_runtime(registry, repair_workspace, store_dir, delegated=True,
+                                    single_worker=True)
+        assert len(inferred) == 1  # the coordinator's, at its submission
+        runtime.run_until_quiescent(25)
+        assert [s.status.value for s in runtime.store.sessions()] == ["completed"] * 2
+        assert inferred == ["child reports back", REPAIR_DONE_WHEN]
+        reopened = SessionStore(store_dir)
+        assert inferred == ["child reports back", REPAIR_DONE_WHEN]  # none on reload
+        assert [s.required_artifacts for s in reopened.sessions()] == [[], ["out/report.md"]]
+
+    def test_no_snapshot_of_a_full_run_copies_a_completion_fact(self, registry,
+                                                                repair_workspace, tmp_path):
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store",
+                               repair_script())
+        session = submit_repair_task(runtime, repair_workspace)
+        runtime.run_until_quiescent(25)
+        assert session.status.value == "completed"
+        states = [r["state"] for r in session_snapshots(runtime.store, session.session_id)]
+        assert [state["phase"] for state in states] == [REPRODUCE, PATCH, VERIFY, REPORT]
+        assert all(set(state) == {"phase", "failure_signature"} for state in states)
+
+    def test_a_reopened_stores_gate_blocks_finish_while_the_artifact_is_missing(
+            self, registry, repair_workspace, tmp_path):
+        store_dir = tmp_path / "store"
+        runtime = make_runtime(registry, repair_workspace, store_dir, [
+            evidence_step(argv=["python3", "in/test_calc.py"]), patch_step(), verify_step()])
+        session = submit_repair_task(runtime, repair_workspace)
+        with pytest.raises(StepBudgetExhausted):
+            runtime.run_until_quiescent(3)
+        assert runtime.store.get_skill_state(session.session_id, "repair")["phase"] == REPORT
+
+        reopened = make_runtime(registry, repair_workspace, store_dir, [finish_step()])
+        reopened.queue.enqueue(session.session_id, "followup")
+        with pytest.raises(StepBudgetExhausted):
+            reopened.run_until_quiescent(1)
+        live = reopened.store.session(session.session_id)
+        assert live.required_artifacts == ["out/report.md"]
+        assert live.status.value != "completed"
+        result = live.history[-1].payload
+        assert (result["name"], result["ok"]) == ("finish", False)
+        assert result["output"]["reasons"] == ["missing artifact out/report.md"]
 
 
 class TestAfterLlmForcing:
@@ -278,7 +342,7 @@ class TestAfterLlmForcing:
         _, store, session = rig
         (repair_workspace / "out").mkdir()
         (repair_workspace / "out" / "report.md").write_text("done")
-        set_phase(store, session, REPORT, verification_passed=True)
+        set_phase(store, session, REPORT)
         assert self.after_llm(rig, ModelResponse(text="all done")) is None
 
 
@@ -596,23 +660,21 @@ class TestCompletionGate:
     def test_all_clear(self, repair_workspace):
         (repair_workspace / "out").mkdir()
         (repair_workspace / "out" / "report.md").write_text("r")
-        state = RepairState(phase=REPORT, verification_passed=True,
-                            required_artifacts=["out/report.md"])
-        assert completion_gate_reasons(state, repair_workspace) == []
+        state = RepairState(phase=REPORT)
+        assert completion_gate_reasons(state, ["out/report.md"], repair_workspace) == []
 
     def test_verification_not_passed(self, repair_workspace):
-        state = RepairState(phase=REPORT, verification_passed=False)
-        assert completion_gate_reasons(state, repair_workspace) == ["verification not passed"]
+        for phase in (REPRODUCE, DIAGNOSE, PATCH, VERIFY):
+            assert completion_gate_reasons(RepairState(phase=phase), [], repair_workspace) == \
+                ["verification not passed"]
 
     def test_missing_artifact_reason_string(self, repair_workspace):
-        state = RepairState(phase=REPORT, verification_passed=True,
-                            required_artifacts=["out/report.md"])
-        assert completion_gate_reasons(state, repair_workspace) == \
+        state = RepairState(phase=REPORT)
+        assert completion_gate_reasons(state, ["out/report.md"], repair_workspace) == \
             ["missing artifact out/report.md"]
 
     def test_reasons_accumulate(self, repair_workspace):
-        state = RepairState(verification_passed=False, required_artifacts=["out/a.md"])
-        reasons = completion_gate_reasons(state, repair_workspace)
+        reasons = completion_gate_reasons(RepairState(), ["out/a.md"], repair_workspace)
         assert reasons == ["verification not passed", "missing artifact out/a.md"]
 
 
@@ -651,13 +713,14 @@ class TestArtifactExecutor:
 
 
 def test_state_doc_round_trips_and_ignores_unknown_keys():
-    state = RepairState(phase=VERIFY, failure_signature="sig N",
-                        required_artifacts=["out/report.md"])
+    state = RepairState(phase=VERIFY, failure_signature="sig N")
     doc = state.to_doc()
-    assert list(doc) == ["phase", "verification_passed", "failure_signature",
-                         "required_artifacts"]
-    assert doc["required_artifacts"] is not state.required_artifacts
-    assert RepairState.from_doc({**doc, "last_tool": "repair_apply_unified_patch"}) == state
+    assert doc == {"phase": VERIFY, "failure_signature": "sig N"}
+    # an older snapshot's stored copies of the phase and the session's artifacts
+    older = {**doc, "verification_passed": True, "required_artifacts": ["out/report.md"],
+             "last_tool": "repair_apply_unified_patch"}
+    assert RepairState.from_doc(older) == state
+    assert RepairState.from_doc(older).verification_passed is False
 
 
 def test_workflow_message_is_pure():

@@ -27,6 +27,8 @@ from skillet.errors import (
 )
 from skillet.sessions import read_log, snapshot_records
 
+from conftest import REPAIR_DONE_WHEN
+
 
 @pytest.fixture
 def store(tmp_path):
@@ -82,6 +84,25 @@ class TestCreate:
     def test_session_ids_are_deterministic(self, store, ws):
         assert make_session(store, ws).session_id == "s0001"
         assert make_session(store, ws).session_id == "s0002"
+
+    def test_meta_record_holds_the_required_artifacts(self, store, ws):
+        s = make_session(store, ws, done_when=REPAIR_DONE_WHEN)
+        meta = read_log(store.store_dir, s.session_id)[1][0]
+        assert meta["kind"] == "session_meta"
+        assert meta["required_artifacts"] == ["out/report.md"]
+        assert s.required_artifacts == ["out/report.md"]
+        assert SessionStore(store.store_dir).session(s.session_id).required_artifacts == \
+            ["out/report.md"]
+
+    def test_a_meta_record_without_required_artifacts_requires_none(self, store, ws):
+        # a log written before the meta record held them
+        s = make_session(store, ws, done_when="write `out/report.md`")
+        path = store.sessions_dir / f"{s.session_id}.log"
+        meta, rest = path.read_text().split("\n", 1)
+        record = json.loads(meta)
+        del record["required_artifacts"]
+        path.write_text(json.dumps(record) + "\n" + rest)
+        assert SessionStore(store.store_dir).session(s.session_id).required_artifacts == []
 
 
 class TestAppend:
