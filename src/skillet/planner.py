@@ -58,7 +58,7 @@ from .sessions import (
     SessionStore,
     UsageTotals,
 )
-from .workspace import glob_match, orchestration_schemas, resolve
+from .workspace import glob_match, make_dirs, orchestration_schemas, resolve
 
 log = logging.getLogger(__name__)
 
@@ -181,11 +181,10 @@ class Runtime:
         scoped = resolve(parent.workspace_root, subdir or ".")
         # making the directory is a workspace write; an existing one needs no
         # check, as the child is bound by the same protected paths
-        if not scoped.resolved.is_dir() and glob_match(
-                str(scoped.resolved), self.pipeline.protected_globs(parent)):
+        if not scoped.is_dir and glob_match(scoped.path, self.pipeline.protected_globs(parent)):
             raise ToolError(f"subdir {scoped.relative!r} matches a protected path")
         try:
-            scoped.resolved.mkdir(parents=True, exist_ok=True)
+            make_dirs(scoped)
         except OSError as exc:  # a file on the path, say
             raise ToolError(f"cannot make subdir {scoped.relative!r}: {exc}") from exc
         task = DelegatedTask(task_text=task_text, task_type=task_type,

@@ -48,7 +48,16 @@ from .patching import (
     split_lines,
 )
 from .registry import SkillRegistry
-from .workspace import _truncate, glob_match, read_head, resolve, run_allowlisted, write_file
+from .workspace import (
+    ScopedPath,
+    _truncate,
+    glob_match,
+    open_file,
+    read_head,
+    resolve,
+    run_allowlisted,
+    write_file,
+)
 
 SKILL_ID = "repair"
 
@@ -128,7 +137,7 @@ def completion_gate_reasons(state: RepairState, required: list[str],
         except PathEscape:
             reasons.append(f"missing artifact {path}")
             continue
-        if not scoped.resolved.is_file():
+        if not scoped.is_file:
             reasons.append(f"missing artifact {path}")
     return reasons
 
@@ -171,7 +180,7 @@ def before_tool(ctx: HookContext) -> HookDecision | None:
     except PathEscape:
         return HookDecision(reject=Reject(
             reason=f"patch target {target!r} escapes the workspace"))
-    if glob_match(str(scoped.resolved), ctx.protected_globs):
+    if glob_match(scoped.path, ctx.protected_globs):
         return HookDecision(reject=Reject(
             reason=f"patch target {scoped.relative!r} matches a protected path",
             redirect_hint="do not edit protected files; record the proposed change "
@@ -190,7 +199,7 @@ def before_tool(ctx: HookContext) -> HookDecision | None:
             reason=f"patch changes {changed} lines, above the {ctx.policy.max_patch_lines} line limit",
             redirect_hint="split the change into smaller patches",
         ))
-    exists = scoped.resolved.is_file()
+    exists = scoped.is_file
     if exists and is_pure_addition(hunks):
         return HookDecision(reject=Reject(
             reason="append-only patch on an existing file",
@@ -252,13 +261,17 @@ def apply_unified_patch(args: dict, ctx: ExecutionContext) -> dict:
         hunks = parse_unified_diff(args["body"])
     except PatchFormatError as exc:
         raise ToolError(f"invalid patch: {exc}") from exc
-    exists = scoped.resolved.is_file()
+    fh = open_file(scoped, "rb")
+    exists = fh is not None
     if not exists and not is_creation_patch(hunks):
         raise TargetMissing(f"patch target {scoped.relative!r} does not exist")
-    try:
-        original = scoped.resolved.read_bytes().decode("utf-8") if exists else ""
-    except UnicodeDecodeError:
-        raise ToolError(f"patch target {scoped.relative!r} is not UTF-8 text") from None
+    original = ""
+    if exists:
+        with fh:
+            try:
+                original = fh.read().decode("utf-8")
+            except UnicodeDecodeError:
+                raise ToolError(f"patch target {scoped.relative!r} is not UTF-8 text") from None
     patched = apply_hunks(split_lines(original), hunks)  # HunkMismatch writes nothing
     write_file(ctx, args["target"], "".join(patched))
     return {
@@ -321,11 +334,11 @@ def _check_file(cargs: dict, ctx: ExecutionContext, needle: str | None) -> tuple
         scoped = resolve(ctx.workspace_root, path)
     except PathEscape as exc:
         return False, str(exc)
-    if not scoped.resolved.is_file():
+    if not scoped.is_file:
         return False, f"{path} does not exist"
     if needle is None:
         return True, f"{path} exists"
-    if _contains(scoped.resolved, needle):
+    if _contains(scoped, needle):
         return True, f"{path} contains the needle"
     return False, f"{path} does not contain the needle"
 
@@ -333,15 +346,18 @@ def _check_file(cargs: dict, ctx: ExecutionContext, needle: str | None) -> tuple
 _CHUNK_CHARS = 64 * 1024
 
 
-def _contains(path: Path, needle: str) -> bool:
-    """`needle in path.read_text(encoding="utf-8", errors="replace")`, read
-    in chunks: each search covers the previous chunk's last
-    `len(needle) - 1` characters plus the new chunk, so a needle that
-    straddles two chunks is found and memory stays bounded."""
+def _contains(scoped: ScopedPath, needle: str) -> bool:
+    """Whether the file holds `needle`, read as UTF-8 with replacement, in
+    chunks: each search covers the previous chunk's last `len(needle) - 1`
+    characters plus the new chunk, so a needle that straddles two chunks is
+    found and memory stays bounded. False for a file gone since `resolve`."""
     if not needle:
         return True
     keep = len(needle) - 1
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    fh = open_file(scoped, encoding="utf-8", errors="replace")
+    if fh is None:
+        return False
+    with fh:
         tail = ""
         while chunk := fh.read(_CHUNK_CHARS):
             window = tail + chunk

@@ -367,7 +367,10 @@ class JsonlLog:
     length `parse_jsonl` found before it, read from the file at that open
     when not given. `append` writes with one write loop and fsyncs when
     asked; if the write or the fsync fails, it cuts the file back to its
-    length before the append and raises. If the cut back fails too, every
+    length before the append and raises. That length is not read per
+    append: each open takes the file's length with one `fstat`, and each
+    append adds the bytes it wrote, which holds as long as every append to
+    the file goes through this object. If the cut back fails too, every
     later append raises LogWriteError, as the writer would reuse the seqs of
     the records left behind. In a `batch()` the holding thread's appends
     share one descriptor, opened at the first of them, and their fsync waits
@@ -383,6 +386,7 @@ class JsonlLog:
         self._fh: io.FileIO | None = None  # the batch's descriptor
         self._unsynced = False  # batched appends wait for an fsync
         self._stuck = False  # a failed append could not be cut back
+        self._end = 0  # the file's length: fstat at each open, plus each append
 
     def append(self, data: bytes, fsync: bool) -> None:
         if self._stuck:
@@ -430,10 +434,11 @@ class JsonlLog:
             log.warning("%s: truncated torn tail record", self.path.name)
         fh = open(self.path, "ab", buffering=0)
         self._intact = None  # only the first open cuts
+        self._end = os.fstat(fh.fileno()).st_size
         return fh
 
     def _write(self, fh: io.FileIO, data: bytes, fsync: bool) -> None:
-        start = os.fstat(fh.fileno()).st_size
+        size = len(data)
         try:
             while data:
                 data = data[fh.write(data):]
@@ -441,9 +446,10 @@ class JsonlLog:
                 os.fsync(fh.fileno())
         except BaseException:
             self._stuck = True  # unless the cut back succeeds
-            os.ftruncate(fh.fileno(), start)
+            os.ftruncate(fh.fileno(), self._end)
             self._stuck = False
             raise
+        self._end += size
 
 
 class SessionStore:

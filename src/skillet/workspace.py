@@ -2,17 +2,26 @@
 always-available orchestration tool set.
 
 Every path the model supplies goes through `resolve`, which proves the
-target lies inside the session's workspace root (traversal, absolute
-escapes, and symlinks pointing out of the root are all rejected). A
-protected path glob is anchored at the root of the session whose skill
-declares it (`anchor_globs`), and `glob_match` tests it against the resolved
+target lies inside the session's workspace root. The proof is lexical
+(traversal and absolute escapes are rejected without touching the file
+system) plus a walk below the root through directory descriptors: the root
+is opened with `O_NOFOLLOW`, and each directory under it is opened relative
+to the one before, never following a symlink. A symlink anywhere below the
+root is refused with `PathEscape`, also one that stays inside the root; no
+test or repair workspace relies on one. Nothing above the root is looked at,
+and no descriptor is held between calls: each call opens the root again.
+Writes and reads walk the same way at the moment they act, so a directory
+swapped for a symlink after the check is refused, not followed.
+
+A protected path glob is anchored at the root of the session whose skill
+declares it (`anchor_globs`), and `glob_match` tests it against the scoped
 path, so a delegated child is bound by its ancestors' globs too. Every
 workspace write goes through `write_file`, which enforces the session's
 protected paths whether or not the calling tool was visible. A write
 replaces the file with a renamed temp file, so a hard link at the target is
 broken rather than written through. Every file read goes through
-`read_head`, which reads no more than the output cap plus 4 bytes; a read
-may follow a hard link, so it can show a file that is also linked from
+`open_file`; `read_head` reads no more than the output cap plus 4 bytes. A
+read may follow a hard link, so it can show a file that is also linked from
 outside the root. Commands run with cwd at the root, an executable allowlist,
 a wall-clock bound, and captured, size-capped output, each in a process group
 of its own that is killed when the command returns.
@@ -20,6 +29,8 @@ of its own that is killed when the command returns.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import fnmatch
 import glob
 import os
@@ -32,6 +43,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO
 
 from .bindings import executor
 from .errors import CommandNotAllowed, CommandTimeout, PathEscape, ToolError
@@ -41,26 +53,118 @@ from .schema import ActionSchema, ParamSpec, object_spec
 
 @dataclass(frozen=True)
 class ScopedPath:
-    resolved: Path
-    relative: str
+    root: str      # the workspace root the path was proven against
+    path: str      # the absolute path, normalized by its text alone
+    relative: str  # the path below the root; "." for the root itself
+    mode: int      # st_mode of what `resolve` found there (never a symlink); 0 for nothing
+
+    @property
+    def resolved(self) -> Path:
+        return Path(self.path)
+
+    @property
+    def is_file(self) -> bool:
+        return stat.S_ISREG(self.mode)
+
+    @property
+    def is_dir(self) -> bool:
+        return stat.S_ISDIR(self.mode)
 
 
 def resolve(workspace_root: str | Path, raw: str) -> ScopedPath:
-    """Prove `raw` stays inside workspace_root, following symlinks.
+    """Prove `raw` stays inside workspace_root, and see what is there.
 
-    The root must already be resolved, as every `Session.workspace_root` is
-    (`create_session` resolves it). It is not resolved again, which fails
-    closed: if the root is later swapped for a symlink, every path through
-    it resolves elsewhere and raises PathEscape.
+    The proof is lexical, then a walk below the root (`_walk`) that refuses
+    a symlink anywhere on the path, the last component included, with
+    PathEscape: stricter than following one that stays inside the root,
+    which no test or repair workspace relies on. A path that holds a NUL
+    byte raises PathEscape too. Where a directory on the path is missing,
+    the lexical proof stands alone: there is nothing there to follow. The
+    root must already be resolved, as every `Session.workspace_root` is
+    (`create_session` resolves it). Nothing above it is looked at, and it
+    is opened with `O_NOFOLLOW` on every call, no descriptor being held
+    between calls; that fails closed: if the root is later swapped for a
+    symlink, every path raises PathEscape.
     """
-    root = Path(workspace_root)
-    candidate = Path(raw) if Path(raw).is_absolute() else root / raw
-    resolved = candidate.resolve()
+    root, path, relative = _scope(workspace_root, raw)
+    *dirs, name = relative.split("/")
     try:
-        relative = resolved.relative_to(root)
-    except ValueError:
-        raise PathEscape(f"path {raw!r} resolves outside the workspace") from None
-    return ScopedPath(resolved=resolved, relative=relative.as_posix())
+        dir_fd = _walk(root, relative, dirs)
+        try:
+            mode = _mode(dir_fd, name, relative)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # a directory on the path is missing or cannot be searched
+        mode = 0
+    return ScopedPath(root, path, relative, mode)
+
+
+def _scope(workspace_root: str | Path, raw: str) -> tuple[str, str, str]:
+    """`(root, path, relative)` of `raw`, normalized by its text alone;
+    PathEscape if it leaves the root or holds a NUL byte."""
+    root = os.fspath(workspace_root)
+    if "\0" in raw:
+        raise PathEscape(f"path {raw!r} holds a NUL byte")
+    path = os.path.normpath(os.path.join(root, raw))
+    inside = os.path.join(root, "")  # the root and one separator
+    if path != root and not path.startswith(inside):
+        raise PathEscape(f"path {raw!r} resolves outside the workspace")
+    return root, path, path[len(inside):] or "."
+
+
+# a directory is opened for its descriptor alone (O_PATH), never through a symlink
+_DIR_FLAGS = getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY | os.O_NOFOLLOW
+
+
+def _walk(root: str, relative: str, dirs: list[str], make: bool = False) -> int:
+    """A descriptor of the directory that `dirs` names below `root`, which
+    the caller closes. The root is opened by its path and each directory
+    below it relative to the one before, none through a symlink (PathEscape
+    naming `relative`); at most two descriptors are open at once. With
+    `make`, a missing directory is made, under the umask."""
+    fd = _open_dir(root, None, relative)
+    try:
+        for name in dirs:
+            try:
+                sub = _open_dir(name, fd, relative)
+            except FileNotFoundError:
+                if not make:
+                    raise
+                with contextlib.suppress(FileExistsError):  # made meanwhile
+                    os.mkdir(name, dir_fd=fd)
+                sub = _open_dir(name, fd, relative)
+            os.close(fd)
+            fd = sub
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _open_dir(name: str, dir_fd: int | None, relative: str) -> int:
+    try:
+        return os.open(name, _DIR_FLAGS, dir_fd=dir_fd)
+    except NotADirectoryError:
+        # O_DIRECTORY | O_NOFOLLOW reports a symlink as it reports a file
+        if stat.S_ISLNK(os.stat(name, dir_fd=dir_fd, follow_symlinks=False).st_mode):
+            raise _symlink_on(relative) from None
+        raise
+
+
+def _mode(dir_fd: int, name: str, relative: str) -> int:
+    """st_mode of `name` in the directory `dir_fd`, or 0 where there is
+    nothing; PathEscape for a symlink."""
+    try:
+        mode = os.stat(name, dir_fd=dir_fd, follow_symlinks=False).st_mode
+    except FileNotFoundError:
+        return 0
+    if stat.S_ISLNK(mode):
+        raise _symlink_on(relative)
+    return mode
+
+
+def _symlink_on(relative: str) -> PathEscape:
+    return PathEscape(f"path {relative!r} leads through a symlink")
 
 
 ARTIFACT_EXTENSIONS = (".md", ".txt", ".json", ".patch")
@@ -92,8 +196,9 @@ _LITERAL_HEAD = re.compile(r"[^*?[]*")
 
 
 def anchor_globs(root: Path, globs: Iterable[str]) -> list[str]:
-    """`globs`, relative to the resolved `root`, as globs over resolved
-    paths: the root is escaped, so a `[`, `*` or `?` in it matches itself."""
+    """`globs`, relative to the resolved `root`, as globs over scoped paths
+    (`ScopedPath.path`): the root is escaped, so a `[`, `*` or `?` in it
+    matches itself."""
     prefix = glob.escape(str(root)) + "/"
     return [prefix + g for g in globs]
 
@@ -115,49 +220,98 @@ def write_file(ctx: ExecutionContext, raw: str, text: str,
                artifact_dir: str | None = None) -> dict:
     """Write `text` to `raw` inside the workspace, creating parent directories.
 
-    Before any byte is written, refuses a path that `ctx.protected_globs`
-    matches and, for an artifact write (`artifact_dir` given), a path outside
-    that directory of the workspace. The new bytes replace the target atomically:
-    a failed write leaves the old file as it was.
+    Before any file is made, refuses the root itself, a path that
+    `ctx.protected_globs` matches and, for an artifact write (`artifact_dir`
+    given), a path outside that directory of the workspace; all three are
+    checked on the path's text. The write then walks to the target's
+    directory as `resolve` does, making what is missing, so a symlink on the
+    path raises PathEscape, also one swapped in after the checks. The new
+    bytes replace the target atomically: a failed write leaves the old file
+    as it was.
     """
-    scoped = resolve(ctx.workspace_root, raw)
+    root, path, relative = _scope(ctx.workspace_root, raw)
     what = "path" if artifact_dir is None else "artifact path"
-    if glob_match(str(scoped.resolved), ctx.protected_globs):
-        raise ToolError(f"{what} {scoped.relative!r} matches a protected path")
-    if artifact_dir is not None:
-        artifact_root = (Path(ctx.workspace_root) / artifact_dir).resolve()
-        if artifact_root not in scoped.resolved.parents:
-            raise ToolError(f"artifact path {scoped.relative!r} is outside the artifact "
-                            f"directory {artifact_dir!r}")
+    if relative == ".":
+        raise ToolError(f"{what} {raw!r} is the workspace root, not a file")
+    if glob_match(path, ctx.protected_globs):
+        raise ToolError(f"{what} {relative!r} matches a protected path")
+    if artifact_dir is not None and not path.startswith(
+            os.path.join(os.path.normpath(os.path.join(root, artifact_dir)), "")):
+        raise ToolError(f"artifact path {relative!r} is outside the artifact "
+                        f"directory {artifact_dir!r}")
     data = text.encode("utf-8")
+    *dirs, name = relative.split("/")
     try:
-        scoped.resolved.parent.mkdir(parents=True, exist_ok=True)
-        _replace(scoped.resolved, data)
+        dir_fd = _walk(root, relative, dirs, make=True)
+        try:
+            _replace(dir_fd, name, data, relative)
+        finally:
+            os.close(dir_fd)
     except OSError as exc:
-        raise ToolError(f"cannot write {scoped.relative}: {exc}") from exc
-    return {"path": scoped.relative, "bytes_written": len(data)}
+        raise ToolError(f"cannot write {relative}: {exc}") from exc
+    return {"path": relative, "bytes_written": len(data)}
 
 
-def _replace(target: Path, data: bytes) -> None:
-    """Write `data` to a temp file beside `target` and rename it over `target`,
-    keeping the target's mode bits; the temp file is removed on any failure.
-    The file is not fsynced: on ext4 that is one more journal commit in the
-    wakeup, after the session log's, for each patch and artifact."""
+def _replace(dir_fd: int, name: str, data: bytes, relative: str) -> None:
+    """Write `data` to a temp file in the directory `dir_fd` and rename it
+    over `name` there, keeping the target's mode bits; the temp file is
+    removed on any failure. The file is not fsynced: on ext4 that is one
+    more journal commit in the wakeup, after the session log's, for each
+    patch and artifact."""
+    mode = _mode(dir_fd, name, relative)  # 0 for a new file, created under the umask
+    tmp = f".{name}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666, dir_fd=dir_fd)
     try:
-        mode = stat.S_IMODE(target.stat().st_mode)
-    except FileNotFoundError:
-        mode = None  # a new file: created like any other, under the umask
-    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            if mode is not None:
-                os.fchmod(fh.fileno(), mode)
-            fh.write(data)
-        os.replace(tmp, target)
+        try:
+            if mode:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, name, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp, dir_fd=dir_fd)
         raise
+
+
+def make_dirs(scoped: ScopedPath) -> None:
+    """Make the directory `scoped` names and its missing parents, walking as
+    `write_file` does: a symlink on the path raises PathEscape."""
+    os.close(_walk(scoped.root, scoped.relative, scoped.relative.split("/"), make=True))
+
+
+def open_file(scoped: ScopedPath, *args, **kwargs) -> IO | None:
+    """`scoped`'s file, opened by the builtin `open(name, *args, **kwargs)`
+    at the end of a walk as `resolve`'s: a symlink on the path or at the
+    file raises PathEscape, also one swapped in since `resolve`. None when
+    `resolve` found no regular file there, or the file is gone or is no
+    longer one: a FIFO is opened only if swapped in since, and then without
+    blocking."""
+    if not scoped.is_file:
+        return None
+    *dirs, name = scoped.relative.split("/")
+
+    def opener(path: str, flags: int) -> int:
+        return os.open(path, flags | os.O_NOFOLLOW | os.O_NONBLOCK, dir_fd=dir_fd)
+
+    try:
+        dir_fd = _walk(scoped.root, scoped.relative, dirs)
+        try:
+            fh = open(name, *args, opener=opener, **kwargs)
+        finally:
+            os.close(dir_fd)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:  # O_NOFOLLOW met a symlink at the file
+            raise _symlink_on(scoped.relative) from None
+        raise
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.close()
+        return None
+    return fh
 
 
 def read_head(ctx: ExecutionContext, scoped: ScopedPath) -> str | None:
@@ -165,12 +319,13 @@ def read_head(ctx: ExecutionContext, scoped: ScopedPath) -> str | None:
     decoded as UTF-8 with replacement; the 4 spare bytes keep whole a
     character that the cap splits, so cutting the result to the cap gives
     what cutting the whole file would. None when the path is not a regular
-    file: a FIFO is never opened, so a read never blocks on one.
+    file (`open_file`), so a read never blocks on a FIFO.
     """
-    if not scoped.resolved.is_file():
-        return None
     try:
-        with open(scoped.resolved, "rb") as fh:
+        fh = open_file(scoped, "rb")
+        if fh is None:
+            return None
+        with fh:
             data = fh.read(ctx.output_truncate_bytes + 4)
     except OSError as exc:
         raise ToolError(f"cannot read {scoped.relative}: {exc}") from exc

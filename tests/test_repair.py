@@ -30,7 +30,7 @@ from skillet.repair import (
     workflow_message,
     write_artifact,
 )
-from skillet.workspace import anchor_globs, infer_required_artifacts
+from skillet.workspace import anchor_globs, infer_required_artifacts, resolve
 
 from conftest import (
     CALC_PATCH,
@@ -580,8 +580,9 @@ class TestFileContains:
         needles = {"", "a", "ab", "bab", "abababab\nab", "x\ny", "\r\n", "\r", "y\nz",
                    "\ufffd", "b\ufffdc", "\ufffd\ufffd", "\u00e9 \u20ac", "\U0001f600!"}
         needles |= {whole[i:j] for i in range(len(whole)) for j in range(i, len(whole) + 1)}
+        scoped = resolve(tmp_path, "f.txt")
         for needle in needles:
-            assert repair._contains(path, needle) == (needle in whole), (data, needle)
+            assert repair._contains(scoped, needle) == (needle in whole), (data, needle)
 
     def test_a_large_file_is_searched_in_bounded_memory(self, repair_workspace):
         size = 2 * 1024 * 1024

@@ -25,7 +25,7 @@ from skillet.errors import (
     UnknownParent,
     WorkspaceEscape,
 )
-from skillet.sessions import read_log, snapshot_records
+from skillet.sessions import JsonlLog, read_log, snapshot_records
 
 from conftest import REPAIR_DONE_WHEN
 
@@ -309,6 +309,40 @@ class TestFailedAppends:
         again = SessionStore(tmp_path / "store").session(s.session_id)
         assert [(e.seq, e.payload) for e in again.history] == \
             [(1, {"text": "task"}), (2, {"i": 1}), (3, {"i": 2})]
+
+    def test_a_failed_second_append_in_a_batch_ends_the_file_after_the_first(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"old": 0}\n')
+        faults = []
+
+        class FaultyLog(io.FileIO):
+            def write(self, data):
+                if faults:  # a short write, then the disk is full
+                    faults.clear()
+                    super().write(data[:3])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr("skillet.sessions.open", lambda path, mode, buffering=-1:
+                            FaultyLog(path, mode), raising=False)
+        log = JsonlLog(path, None)
+        with log.batch(), log.lock:
+            log.append(b'{"first": 1}\n', True)
+            faults.append("full")
+            with pytest.raises(OSError):
+                log.append(b'{"second": 2}\n', True)
+        assert path.read_bytes() == b'{"old": 0}\n{"first": 1}\n'
+
+    def test_a_batch_reads_the_files_length_once(self, tmp_path, monkeypatch):
+        fstats = []
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: fstats.append(fd) or real_fstat(fd))
+        log = JsonlLog(tmp_path / "x.jsonl", None)
+        with log.batch(), log.lock:
+            for i in range(5):
+                log.append(b'{"i": %d}\n' % i, True)
+        assert len(fstats) == 1  # at the open; each append adds what it wrote
 
     def test_a_failed_create_leaves_no_session(self, tmp_path, ws, store, monkeypatch):
         self.fail_next_fsync(monkeypatch)

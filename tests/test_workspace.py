@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skillet import workspace
+from skillet import DelegatedTask, EventKind, RoutedSkillSet, repair, workspace
 from skillet.errors import CommandNotAllowed, CommandTimeout, PathEscape, ToolError
 from skillet.execution import ExecutionContext
 from skillet.repair import collect_evidence, run_verification
@@ -23,6 +23,8 @@ from skillet.workspace import (
     run_allowlisted,
     run_command,
 )
+
+from conftest import BUGGY_CALC, evidence_step, make_runtime, patch_step
 
 
 def test_root_swapped_for_a_symlink_makes_every_path_escape(tmp_path):
@@ -312,7 +314,7 @@ class TestAtomicWrite:
         target = guarded_workspace / "a.txt"
         target.write_bytes(b"old bytes\n")
 
-        def failing_replace(src, dst):
+        def failing_replace(src, dst, **dir_fds):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(workspace.os, "replace", failing_replace)
@@ -358,3 +360,151 @@ class TestBoundedRead:
         assert (guarded_workspace / "linked.txt").stat().st_nlink == 2
         out = fs_read({"path": "linked.txt"}, make_ctx(guarded_workspace))
         assert out["content"] == "do not touch\n"
+
+
+class TestDescriptorWalk:
+    """Paths are walked below the root through directory descriptors, never
+    through a symlink, at the moment each write or read acts."""
+
+    # what is swapped for a symlink, and where below the decoy it leads
+    SWAPS = pytest.mark.parametrize("swapped, target", [("in", "."), ("in/keep.txt", "keep.txt")],
+                                    ids=["directory", "file"])
+
+    @staticmethod
+    def swap_for_a_symlink(path: Path, target: Path) -> None:
+        path.rename(path.with_name(path.name + ".moved"))
+        path.symlink_to(target)
+
+    @SWAPS
+    def test_a_path_swapped_after_the_check_stops_the_write(
+            self, guarded_workspace, tmp_path, monkeypatch, swapped, target):
+        (guarded_workspace / "in").mkdir()
+        (guarded_workspace / "in" / "keep.txt").write_text("mine\n")
+        real_glob_match = workspace.glob_match
+
+        def swap_then_match(path, globs):  # runs between the checks and the write
+            self.swap_for_a_symlink(guarded_workspace / swapped, tmp_path / "decoy" / target)
+            return real_glob_match(path, globs)
+
+        monkeypatch.setattr(workspace, "glob_match", swap_then_match)
+        with pytest.raises(PathEscape):
+            fs_write({"path": "in/keep.txt", "content": "escaped\n"},
+                     make_ctx(guarded_workspace))
+        # the guarded_workspace fixture checks that the decoy is unchanged
+
+    @SWAPS
+    @pytest.mark.parametrize("module, read", [
+        (workspace, lambda ctx: fs_read({"path": "in/keep.txt"}, ctx)),
+        (repair, lambda ctx: collect_evidence({"log_path": "in/keep.txt"}, ctx)),
+    ], ids=["fs_read", "collect_evidence"])
+    def test_a_path_swapped_after_the_check_stops_the_read(
+            self, guarded_workspace, tmp_path, monkeypatch, module, read, swapped, target):
+        (guarded_workspace / "in").mkdir()
+        (guarded_workspace / "in" / "keep.txt").write_text("mine\n")
+        real_resolve = module.resolve
+
+        def resolve_then_swap(root, raw):
+            scoped = real_resolve(root, raw)
+            self.swap_for_a_symlink(guarded_workspace / swapped, tmp_path / "decoy" / target)
+            return scoped
+
+        monkeypatch.setattr(module, "resolve", resolve_then_swap)
+        with pytest.raises(PathEscape):
+            read(make_ctx(guarded_workspace))
+
+    def test_resolve_looks_at_nothing_above_the_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "a" / "b" / "c" / "root"
+        (root / "in").mkdir(parents=True)
+        (root / "in" / "calc.py").write_text("x = 1\n")
+        seen = []
+
+        def spy(real):
+            def call(path, *args, dir_fd=None, **kwargs):
+                if dir_fd is None:
+                    seen.append(os.fspath(path))
+                return real(path, *args, dir_fd=dir_fd, **kwargs)
+            return call
+
+        for name in ("stat", "lstat", "open"):
+            monkeypatch.setattr(os, name, spy(getattr(os, name)))
+        for raw in ("in/calc.py", str(root / "in" / "calc.py"), "in/new.py", "."):
+            resolve(root, raw)
+        monkeypatch.undo()
+        assert seen and set(seen) == {str(root)}
+
+    def test_a_symlink_that_stays_inside_the_root_is_refused(self, guarded_workspace):
+        (guarded_workspace / "in").mkdir()
+        (guarded_workspace / "in" / "a.txt").write_text("x")
+        (guarded_workspace / "alias").symlink_to(guarded_workspace / "in")
+        (guarded_workspace / "link.txt").symlink_to(guarded_workspace / "in" / "a.txt")
+        for raw in ("alias", "alias/a.txt", "link.txt"):
+            with pytest.raises(PathEscape, match="symlink"):
+                resolve(guarded_workspace, raw)
+        with pytest.raises(PathEscape):
+            fs_write({"path": "link.txt", "content": "y"}, make_ctx(guarded_workspace))
+        assert (guarded_workspace / "in" / "a.txt").read_text() == "x"
+
+    def test_a_missing_directory_is_proven_by_the_text_alone(self, guarded_workspace):
+        scoped = resolve(guarded_workspace, "out/deep/report.md")
+        assert (scoped.relative, scoped.mode) == ("out/deep/report.md", 0)
+        assert scoped.path == str(guarded_workspace / "out" / "deep" / "report.md")
+
+    @pytest.mark.parametrize("raw", ["", ".", "in/..", "ROOT"])
+    def test_a_write_to_the_root_is_refused_before_any_file_is_made(
+            self, guarded_workspace, monkeypatch, raw):
+        (guarded_workspace / "in").mkdir()
+        raw = str(guarded_workspace) if raw == "ROOT" else raw
+        created = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                created.append(path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        with pytest.raises(ToolError, match="workspace root"):
+            fs_write({"path": raw, "content": "x"}, make_ctx(guarded_workspace))
+        assert created == []
+        assert sorted(p.name for p in guarded_workspace.parent.iterdir()) == ["decoy", "ws"]
+
+    def test_a_nul_byte_is_an_escape_not_a_fault(self, guarded_workspace):
+        with pytest.raises(PathEscape, match="NUL"):
+            resolve(guarded_workspace, "in/a\x00b")
+        with pytest.raises(PathEscape):
+            fs_read({"path": "a\x00b"}, make_ctx(guarded_workspace))
+        with pytest.raises(PathEscape):
+            fs_write({"path": "a\x00b", "content": "x"}, make_ctx(guarded_workspace))
+
+
+def run_repair_session(registry, ws, store_dir, script):
+    """Run one session routed to repair, with tool filters off, until it is
+    quiescent; its history."""
+    runtime = make_runtime(registry, ws, store_dir, script, apply_tool_filters=False)
+    session = runtime.submit_task(DelegatedTask("fix it", "code_repair", ws, ""),
+                                  routed=RoutedSkillSet(entries=[("repair", 1.0)]))
+    runtime.run_until_quiescent(5)
+    return runtime.store.session(session.session_id).history
+
+
+def test_a_nul_byte_in_a_patch_target_is_refused_before_tool(registry, repair_workspace,
+                                                             tmp_path):
+    script = [evidence_step(log_path="in/fail.log"), patch_step(target="in/calc\x00.py")]
+    history = run_repair_session(registry, repair_workspace, tmp_path / "store", script)
+    call = next(e.payload for e in history if e.kind is EventKind.TOOL_CALL
+                and e.payload["name"] == "repair_apply_unified_patch")
+    assert call["accepted"] is False
+    result = next(e.payload for e in history if e.kind is EventKind.TOOL_RESULT
+                  and e.payload["name"] == "repair_apply_unified_patch")
+    assert (result["output"]["error"], result["output"]["rejected_by"]) == ("rejected", "repair")
+    assert "escapes the workspace" in result["output"]["reason"]
+    assert not any(e.payload.get("note") == "hook_fault" for e in history)
+    assert (repair_workspace / "in" / "calc.py").read_text() == BUGGY_CALC
+
+
+def test_a_nul_byte_in_a_read_is_a_tool_error(registry, repair_workspace, tmp_path):
+    script = [{"respond": {"tool_call": {"name": "fs_read", "args": {"path": "in/calc\x00.py"}}}}]
+    history = run_repair_session(registry, repair_workspace, tmp_path / "store", script)
+    result = next(e.payload for e in history if e.kind is EventKind.TOOL_RESULT)
+    assert result["ok"] is False
+    assert result["output"]["error"] == "path_escape"
