@@ -13,12 +13,24 @@ state: the meta record builds the `Session`, a history event is appended (a
 completion event also sets COMPLETED and the session's tool-call fields are
 kept up to date), a snapshot replaces that skill's state, and a status record
 sets the status. Each writer builds its record, appends it to the log, then
-applies it through the fold; loading a log is the same fold run over its
-parsed records (`replay`). So the live session and a reload of its log agree
-after every write, and a process that dies at any record boundary leaves a
-log whose reload gives the session as it was at that point. A torn tail line
-is skipped on load, which writes nothing; anything corrupt earlier raises
-CorruptStore. A log without a `session_meta` line is moved to
+applies it through the fold; reading a log back is the same fold run over
+its parsed records (`replay`). So the live session and a reload of its log
+agree after every write, and a process that dies at any record boundary
+leaves a log whose reload gives the session as it was at that point.
+
+Opening a store reads each log's first record and its last whole record,
+both from the file's ends (`read_ends`). A log whose last whole record
+closed it, a completion event or a COMPLETED or FAILED status record, is
+closed: its session is built from those two records and holds only its
+meta fields, status, usage totals and last seq. Only the open logs are
+folded, and an open session holds its skill state and its rendering but not
+its history. Whatever a session does not hold is folded from its log, with
+`replay`, when it is read (`Session`), and the write that closes a session
+drops what only an open session holds. So open time and memory follow the
+open sessions, not every session the store has run. A torn tail line is
+skipped, and nothing is written to read a log; anything corrupt earlier
+raises CorruptStore, in an open log when the store opens, in a closed one
+when it is first folded. A log without a `session_meta` line is moved to
 `<store>/quarantine/`, and new ids are allocated past every log file seen.
 `create_session` appends the meta record and the task's `user_message` in
 one append and one fsync, then fsyncs `sessions/` so the new name is durable.
@@ -57,15 +69,16 @@ records it writes. Writes from other threads, such as a child's report into
 its parent, are not deferred.
 
 Every JSONL log, the session logs and `requests.jsonl` alike, is written
-through a `JsonlLog`, which cuts a torn tail at its first open, cuts a failed
-append back out of the file, takes no append after a failed cut back, and
-holds the file open only while it is written. So the store holds no
-descriptor between calls and needs no closing. `set_status` writes a status
-record only when the status changes, and a COMPLETED or FAILED session stays
-closed: it takes no other status and no record. Usage totals are rebuilt on
-load from one scan of `<store>/requests.jsonl`, the per-request log that
-`UsageLog` appends to; its torn last line is skipped there, and cut only by
-`UsageLog` before it appends.
+through a `JsonlLog`, which cuts a torn tail at its first open (found by
+reading back from the file's end), cuts a failed append back out of the
+file, takes no append after a failed cut back, and holds the file open only
+while it is written. So the store holds no descriptor between calls and
+needs no closing. `set_status` writes a status record only when the status
+changes, and a COMPLETED or FAILED session stays closed: it takes no other
+status and no record. Usage totals are rebuilt on load from one scan of
+`<store>/requests.jsonl`, the per-request log that `UsageLog` appends to;
+its torn last line is skipped there, and cut only by `UsageLog` before it
+appends.
 """
 
 from __future__ import annotations
@@ -162,7 +175,44 @@ class Standing:
 
 
 @dataclass
+class _OpenState:
+    """What a session holds beyond its meta fields, status, usage and last
+    seq while it can still take records, kept by apply_record as records
+    are folded in: its skill state, its tool calls, the chat messages its
+    history renders to (stubs and None where stale) and what stands under
+    each supersede key."""
+
+    skill_state: dict[str, dict] = field(default_factory=dict)
+    tool_calls: int = 0
+    tool_call_ids: set[str] = field(default_factory=set)
+    rendered: list[Message | None] = field(default_factory=list)
+    standing: dict[tuple[str, str], Standing] = field(default_factory=dict)
+
+
+def _held(name: str) -> property:
+    """A field of the session's `_OpenState`: its own while it holds one,
+    else the field of a fold of its log."""
+    def get(self: Session) -> object:
+        state = self._open if self._open is not None else self._fold()._open
+        return getattr(state, name)
+    return property(get)
+
+
+@dataclass(eq=False)
 class Session:
+    """One session's state, as the fold of its log builds it.
+
+    A session that `replay` or `read_log` builds holds all of it. A store's
+    session always holds its meta fields, status, usage totals and
+    `last_seq`; while it is open it also holds its `_OpenState` (skill
+    state, tool calls, `rendered`, `standing`), which the write that closes
+    it drops. Its `history` is not built until it is read: an open session
+    then keeps the list it folded, and later writes append to it. What a
+    session does not hold is folded from its log, through the same `replay`,
+    at each read; a closed log takes no more records, so that fold is the
+    session. The runtime reads only what a session holds, so it folds no
+    closed session."""
+
     session_id: str
     workspace_root: Path
     task_text: str
@@ -172,20 +222,40 @@ class Session:
     routed_skills: list[str] = field(default_factory=list)
     required_artifacts: list[str] = field(default_factory=list)
     status: SessionStatus = SessionStatus.ACTIVE
-    history: list[HistoryEvent] = field(default_factory=list)
-    skill_state: dict[str, dict] = field(default_factory=dict)
     usage: UsageTotals = field(default_factory=UsageTotals)
-    # kept by apply_record as events are folded in
-    tool_calls: int = 0
-    tool_call_ids: set[str] = field(default_factory=set)
-    # the chat messages the history renders to (stubs and None where stale)
-    # and what stands under each supersede key: in memory only
-    rendered: list[Message | None] = field(default_factory=list, repr=False)
-    standing: dict[tuple[str, str], Standing] = field(default_factory=dict, repr=False)
+    last_seq: int = 0  # the seq of the last history event, 0 before the first
+    # None where not held, so read from the log (class docstring)
+    _history: list[HistoryEvent] | None = field(default_factory=list, repr=False)
+    _open: _OpenState | None = field(default_factory=_OpenState, repr=False)
+    _log: JsonlLog | None = field(default=None, repr=False)  # a store session's log
+
+    skill_state = _held("skill_state")
+    tool_calls = _held("tool_calls")
+    tool_call_ids = _held("tool_call_ids")
+    rendered = _held("rendered")
+    standing = _held("standing")
+
+    @property
+    def history(self) -> list[HistoryEvent]:
+        if self._history is not None:
+            return self._history
+        with self._log.lock:  # no write lands between the read and the hold
+            history = self._history
+            if history is None:
+                history = self._fold()._history
+                if self.status in OPEN_STATUSES:
+                    self._history = history
+            return history
 
     @property
     def next_seq(self) -> int:
-        return self.history[-1].seq + 1 if self.history else 1
+        return self.last_seq + 1
+
+    def _fold(self) -> Session:
+        """The session its log holds, read and folded now; CorruptStore for
+        a corrupt record in it."""
+        path = self._log.path
+        return replay(parse_jsonl(path.read_bytes(), path.name)[0])
 
 
 def _canonical(record: dict) -> str:
@@ -226,46 +296,46 @@ def render_event(event: HistoryEvent) -> Message | None:
 _CALL = ("call", "")
 
 
-def _stand(session: Session, key: tuple[str, str], tag: object, stub: Message | None) -> None:
+def _stand(state: _OpenState, key: tuple[str, str], tag: object, stub: Message | None) -> None:
     """The message just rendered stands under `key`: a later message under
     the key with another tag makes it stale, and so does `_retire(key)`."""
-    current = session.standing.get(key)
+    current = state.standing.get(key)
     if current is None or current.tag != tag:
-        _retire(session, key)
-        current = session.standing[key] = Standing(tag)
-    current.stubs.append((len(session.rendered) - 1, stub))
+        _retire(state, key)
+        current = state.standing[key] = Standing(tag)
+    current.stubs.append((len(state.rendered) - 1, stub))
 
 
-def _retire(session: Session, key: tuple[str, str]) -> None:
+def _retire(state: _OpenState, key: tuple[str, str]) -> None:
     """Replace every message that stands under `key` by its stub."""
-    stale = session.standing.pop(key, None)
+    stale = state.standing.pop(key, None)
     if stale is not None:
         for index, stub in stale.stubs:
-            session.rendered[index] = stub
+            state.rendered[index] = stub
 
 
-def _render(session: Session, event: HistoryEvent) -> None:
-    """Render one event onto `Session.rendered` under the supersede rule."""
+def _render(state: _OpenState, event: HistoryEvent) -> None:
+    """Render one event onto `rendered` under the supersede rule."""
     payload = event.payload
     if event.kind is EventKind.TOOL_CALL and payload.get("accepted") is False:
-        _retire(session, _CALL)  # the refused call's own assistant line
+        _retire(state, _CALL)  # the refused call's own assistant line
     message = render_event(event)
     if message is None:
         return
-    session.rendered.append(message)
+    state.rendered.append(message)
     if event.kind is EventKind.ASSISTANT_MESSAGE:
         # only a refusal right after this line makes it stale, not a later line
-        session.standing.pop(_CALL, None)
+        state.standing.pop(_CALL, None)
         call = payload.get("tool_call")
         if call:
             stub = _call_line(payload.get("text") or "", call["name"], "...")
-            _stand(session, _CALL, event.seq, stub)
+            _stand(state, _CALL, event.seq, stub)
     elif event.kind is EventKind.GUIDANCE_INJECTION and payload.get("standing") is not None:
-        _stand(session, ("guidance", payload["skill_id"]), payload["standing"], None)
+        _stand(state, ("guidance", payload["skill_id"]), payload["standing"], None)
     elif (event.kind is EventKind.TOOL_RESULT and payload["name"] == "fs_read"
           and payload["ok"]):
         path = payload["output"]["path"]
-        _stand(session, ("read", path), event.seq, ("user", (
+        _stand(state, ("read", path), event.seq, ("user", (
             "[tool_result fs_read] ok=true "
             + json.dumps({"path": path, "superseded": "read again later"}, sort_keys=True))))
 
@@ -290,17 +360,20 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
             routed_skills=list(record.get("routed_skills", [])),
             required_artifacts=list(record.get("required_artifacts", [])),
         )
+    state = session._open
     if kind == _SNAPSHOT_KIND:
-        session.skill_state[record["skill_id"]] = record["state"]
+        state.skill_state[record["skill_id"]] = record["state"]
     elif kind == _STATUS_KIND:
         session.status = SessionStatus(record["status"])
     else:
         event = HistoryEvent(seq=record["seq"], kind=EventKind(kind), payload=record["payload"])
-        session.history.append(event)
-        _render(session, event)
+        session.last_seq = event.seq
+        if session._history is not None:
+            session._history.append(event)
+        _render(state, event)
         if event.kind is EventKind.TOOL_CALL:
-            session.tool_calls += 1
-            session.tool_call_ids.add(event.payload.get("call_id"))
+            state.tool_calls += 1
+            state.tool_call_ids.add(event.payload.get("call_id"))
         elif event.kind is EventKind.COMPLETION:
             session.status = SessionStatus.COMPLETED
     return session
@@ -359,28 +432,95 @@ def parse_jsonl(data: bytes, name: str) -> tuple[list[dict], int | None]:
     return records, sum(len(line) + 1 for line in body) if torn_tail else None
 
 
+_BLOCK = 8192  # the first read at either end of a log
+
+
+def read_tail(fd: int, name: str) -> tuple[dict | None, int | None]:
+    """The last whole record of an open JSONL file and the length to cut a
+    torn or unparseable last line to (None when the tail is whole), as
+    `parse_jsonl` finds them, but read back from the file's end: blocks
+    that grow until they hold the last two whole lines. CorruptStore where
+    `parse_jsonl` would raise on those lines; an earlier line is not read."""
+    size = os.fstat(fd).st_size
+    block = _BLOCK
+    while True:
+        start = max(0, size - block)
+        data = os.pread(fd, size - start, start)
+        # past the first newline, every line is whole
+        if start == 0 or data.count(b"\n") >= 3:
+            break
+        block *= 4
+    lines = data.split(b"\n")
+    torn = lines.pop()  # the bytes after the last newline
+    cut = size - len(torn) if torn else None
+    for line in reversed(lines[-2:]):
+        try:
+            return json.loads(line.decode("utf-8")), cut
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            if cut is not None:
+                raise CorruptStore(f"{name}: corrupt record before its last line: {exc}") from exc
+            cut = size - len(torn) - len(line) - 1  # a whole last line that does not parse
+    return None, cut
+
+
+def read_ends(path: Path) -> tuple[dict | None, dict | None, int | None]:
+    """A JSONL log's first and last whole records (None when it has none)
+    and `read_tail`'s cut, read from the file's two ends alone."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        last, cut = read_tail(fd, path.name)
+        if last is None:
+            return None, None, cut
+        block = _BLOCK
+        head = os.pread(fd, block, 0)
+        while b"\n" not in head:  # there is a whole record, so a newline
+            block *= 4
+            head = os.pread(fd, block, 0)
+    finally:
+        os.close(fd)
+    try:
+        return json.loads(head[:head.index(b"\n")].decode("utf-8")), last, cut
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptStore(f"{path.name}: corrupt record at line 1: {exc}") from exc
+
+
+def closing_status(record: dict | None) -> SessionStatus | None:
+    """The status of a log whose last whole record is `record` when that
+    record closed it: COMPLETED for a completion event, the status of a
+    COMPLETED or FAILED status record; None for an open log. A closed
+    session takes no other record, so the record that closed it is last."""
+    kind = record.get("kind") if record else None
+    if kind == EventKind.COMPLETION.value:
+        return SessionStatus.COMPLETED
+    if kind == _STATUS_KIND:
+        status = SessionStatus(record["status"])
+        return None if status in OPEN_STATUSES else status
+    return None
+
+
 class JsonlLog:
     """One append-only JSONL file: its path, the lock its writers hold, and
     the state of its appends.
 
     The first open cuts a torn tail line, with a warning, to `intact`: the
-    length `parse_jsonl` found before it, read from the file at that open
-    when not given. `append` writes with one write loop and fsyncs when
-    asked; if the write or the fsync fails, it cuts the file back to its
-    length before the append and raises. That length is not read per
-    append: each open takes the file's length with one `fstat`, and each
-    append adds the bytes it wrote, which holds as long as every append to
-    the file goes through this object. If the cut back fails too, every
+    length `parse_jsonl` found before it, read back from the file's end at
+    that open (`read_tail`) when not given. `append` writes with one write
+    loop and fsyncs when asked; if the write or the fsync fails, it cuts the
+    file back to its length before the append and raises. That length is not
+    read per append: each open takes the file's length with one `fstat`, and
+    each append adds the bytes it wrote, which holds as long as every append
+    to the file goes through this object. If the cut back fails too, every
     later append raises LogWriteError, as the writer would reuse the seqs of
     the records left behind. In a `batch()` the holding thread's appends
     share one descriptor, opened at the first of them, and their fsync waits
     for `sync()` or the batch's end, which syncs and closes it; any other
     append opens, appends, fsyncs and closes. Callers of `append` and `sync`
-    hold `lock`."""
+    hold `lock`, and so does a read of an open session's history, which a
+    write may make on the writer's own thread."""
 
     def __init__(self, path: Path, intact: int | None | object = _UNREAD):
         self.path = path
-        self.lock = threading.Lock()
+        self.lock = threading.RLock()
         self._intact = intact  # the cut of the first open: a length, None, or _UNREAD
         self._batcher: int | None = None  # the thread that holds the batch
         self._fh: io.FileIO | None = None  # the batch's descriptor
@@ -427,8 +567,13 @@ class JsonlLog:
     def _open(self) -> io.FileIO:
         intact = self._intact
         if intact is _UNREAD:
-            intact = (parse_jsonl(self.path.read_bytes(), self.path.name)[1]
-                      if self.path.exists() else None)
+            intact = None
+            with suppress(FileNotFoundError):
+                fd = os.open(self.path, os.O_RDONLY)
+                try:
+                    intact = read_tail(fd, self.path.name)[1]
+                finally:
+                    os.close(fd)
         if intact is not None:
             os.truncate(self.path, intact)
             log.warning("%s: truncated torn tail record", self.path.name)
@@ -453,9 +598,13 @@ class JsonlLog:
 
 
 class SessionStore:
-    """Durable home of sessions: each one's folded `Session` and the
-    `JsonlLog` of its log, whose lock serializes the session's writes,
-    syncs and batches."""
+    """Durable home of sessions: one `Session` for each log, with the
+    `JsonlLog` of that log, whose lock serializes the session's writes,
+    syncs and batches. Opening a store folds only its open logs: a closed
+    log's session is built from the log's first and last whole records, and
+    what it does not hold is folded from the log when it is read (`Session`).
+    So open time and memory grow with the open sessions, not with every
+    session the store has run."""
 
     def __init__(self, store_dir: str | Path, fsync: bool = True):
         self.store_dir = Path(store_dir)
@@ -464,7 +613,6 @@ class SessionStore:
         self.sessions_dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self._sessions: dict[str, Session] = {}
-        self._logs: dict[str, JsonlLog] = {}
         self._store_lock = threading.Lock()
         self._last_id = 0
         self._load()
@@ -527,8 +675,7 @@ class SessionStore:
             raise
         session = replay([meta, first])
         with self._store_lock:
-            self._logs[session_id] = jsonl
-            self._sessions[session_id] = session
+            self._hold(session, jsonl)
         return session
 
     def session(self, session_id: str) -> Session:
@@ -543,7 +690,7 @@ class SessionStore:
     def append_event(self, session_id: str, kind: EventKind | str, payload: dict) -> int:
         session = self.session(session_id)
         kind = EventKind(kind)
-        with self._logs[session_id].lock:
+        with session._log.lock:
             if session.status not in OPEN_STATUSES:
                 raise SessionClosed(f"session {session_id} is {session.status.value}")
             if kind is EventKind.TOOL_RESULT:
@@ -560,11 +707,11 @@ class SessionStore:
 
     def put_skill_state(self, session_id: str, skill_id: str, state: dict) -> None:
         session = self.session(session_id)
-        with self._logs[session_id].lock:
+        with session._log.lock:
             if session.status not in OPEN_STATUSES:
                 raise SessionClosed(f"session {session_id} is {session.status.value}")
             self._commit(session, {
-                "seq": session.history[-1].seq if session.history else 0,
+                "seq": session.last_seq,
                 "kind": _SNAPSHOT_KIND,
                 "skill_id": skill_id,
                 "state": copy.deepcopy(state),  # the live state, not the caller's dict
@@ -573,13 +720,13 @@ class SessionStore:
     def set_status(self, session_id: str, status: SessionStatus | str) -> None:
         session = self.session(session_id)
         status = SessionStatus(status)
-        with self._logs[session_id].lock:
+        with session._log.lock:
             if status is session.status:
                 return
             if session.status not in OPEN_STATUSES:  # a closed session stays closed
                 raise SessionClosed(f"session {session_id} is {session.status.value}")
             self._commit(session, {
-                "seq": session.history[-1].seq if session.history else 0,
+                "seq": session.last_seq,
                 "kind": _STATUS_KIND,
                 "status": status.value,
             })
@@ -587,7 +734,7 @@ class SessionStore:
     def sync(self, session_id: str) -> None:
         """Fsync every record written so far to the session's log; a failed
         fsync raises and is not retried."""
-        with (jsonl := self._logs[session_id]).lock:
+        with (jsonl := self.session(session_id)._log).lock:
             jsonl.sync()
 
     def batch(self, session_id: str):
@@ -597,34 +744,46 @@ class SessionStore:
         of the process loses no record; only a power loss can lose the
         unsynced ones. Writes from other threads fsync as they would outside
         a batch."""
-        return self._logs[session_id].batch()
+        return self.session(session_id)._log.batch()
 
     # -- persistence internals ----------------------------------------------
 
     def _commit(self, session: Session, record: dict) -> None:
-        """Write one record and fold it into the live session, syncing the
-        log once the session is COMPLETED or FAILED; the caller holds the
-        log's lock."""
-        jsonl = self._logs[session.session_id]
+        """Write one record and fold it into the live session; once the
+        session is COMPLETED or FAILED, drop what only an open session holds
+        and sync the log. The caller holds the log's lock."""
+        jsonl = session._log
         self._append(jsonl, record)
         apply_record(session, record)
         if session.status not in OPEN_STATUSES:
+            session._history = session._open = None
             jsonl.sync()
 
     def _append(self, jsonl: JsonlLog, *records: dict) -> None:
         """Append records in one `JsonlLog.append`; a failed one leaves the log as it was."""
         jsonl.append("".join(_canonical(r) + "\n" for r in records).encode("utf-8"), self.fsync)
 
+    def _hold(self, session: Session, jsonl: JsonlLog) -> None:
+        """Keep a session with its log; its history is folded at its first read."""
+        session._history = None
+        session._log = jsonl
+        self._sessions[session.session_id] = session
+
     def _load(self) -> None:
+        """Fold each open log; build each closed one's session from its ends."""
         for log_path in sorted(self.sessions_dir.glob("*.log")):
             self._note_id(log_path)
-            records, intact = parse_jsonl(log_path.read_bytes(), log_path.name)
-            session = replay(records)
-            if session is None:
+            first, last, intact = read_ends(log_path)
+            if first is None or first.get("kind") != _META_KIND:
                 self._quarantine(log_path, "missing session_meta record")
                 continue
-            self._logs[session.session_id] = JsonlLog(log_path, intact)
-            self._sessions[session.session_id] = session
+            status = closing_status(last)
+            if status is None:
+                session = replay(parse_jsonl(log_path.read_bytes(), log_path.name)[0])
+            else:
+                session = apply_record(None, first)
+                session.status, session.last_seq, session._open = status, last["seq"], None
+            self._hold(session, JsonlLog(log_path, intact))
         for log_path in self.quarantine_dir.glob("*.log"):
             self._note_id(log_path)
         self._load_usage()

@@ -386,7 +386,7 @@ class TestFailedAppends:
         with pytest.raises(OSError):
             make_session(store, ws)
         assert len(os.listdir("/proc/self/fd")) == baseline  # closed at once
-        assert store._logs == {}  # the failed create's JsonlLog is not kept
+        assert store._sessions == {}  # nor its JsonlLog, which only a session holds
         monkeypatch.undo()
         caplog.clear()
         again = SessionStore(tmp_path / "store")
