@@ -125,16 +125,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     snapshot records and each turn's tokens from `requests.jsonl`. A message
     that later requests carried as a stub, or no longer carried, is marked:
     a refused call's assistant line `[args not sent again]`, a read of a path
-    read again later and standing guidance that its skill's next block
-    replaced `[superseded]`. Trace creates, moves and truncates nothing, so
-    it can read a running store."""
+    read again later `[superseded]`, and so is standing guidance whose
+    block is not its skill's latest. Trace creates, moves and truncates
+    nothing, so it can read a running store."""
     session, records = read_log(args.store, args.session)
     usage_lines = [line for line in UsageLog(Path(args.store) / "requests.jsonl").lines()
                    if line.get("session_id") == args.session]
     snapshots = iter(snapshot_records(records))
     pending = next(snapshots, None)
     turn = 0
-    rendered = iter(session.rendered)  # one entry for each event that renders
+    rendered = iter(session.rendered)  # an entry per event that renders, blocks aside
     print(f"session {session.session_id} status={session.status.value} "
           f"workspace={session.workspace_root}")
     print(f"routed skills: {', '.join(session.routed_skills) or '(none)'}")
@@ -146,7 +146,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
             if usage:
                 line += f" [tokens in={usage['input_tokens']} out={usage['output_tokens']}]"
         message = render_event(event)
-        if message is not None and next(rendered) != message:
+        block_id = (event.payload.get("standing")
+                    if event.kind is EventKind.GUIDANCE_INJECTION else None)
+        if block_id is not None:
+            stale = session.guidance[event.payload["skill_id"]].block_id != block_id
+        else:
+            stale = message is not None and next(rendered) != message
+        if stale:
             line += (" [args not sent again]" if event.kind is EventKind.ASSISTANT_MESSAGE
                      else " [superseded]")
         line += " " + _brief(event.payload)

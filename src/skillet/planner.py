@@ -33,6 +33,8 @@ import logging
 import threading
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from . import bindings
 from .backends import ModelRequest, ModelResponse
@@ -266,14 +268,22 @@ class Runtime:
         self.store.set_status(session.session_id, SessionStatus.ACTIVE)
         self._turns[session.session_id] += 1
         outcome = self.pipeline.run_before_llm(session, self._candidate_tools(session))
-        # standing guidance, under this stage's block id: the session's next
-        # seq, which no earlier block's id can equal, so the skill's next
-        # block, under a later id, supersedes all of this one
+        # standing guidance: every request ends with each routed skill's
+        # latest block (render_messages), so a skill whose injections repeat
+        # its block writes nothing, and a skill that injects nothing keeps
+        # its block. A changed block is written under this stage's id, the
+        # session's next seq, which no earlier block's id can equal, so it
+        # replaces all of the skill's last block.
         block_id = session.next_seq
-        for skill_id, text in outcome.injections:
-            self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION,
-                                    {"skill_id": skill_id, "text": text,
-                                     "standing": block_id})
+        for skill_id, injected in groupby(outcome.injections, key=itemgetter(0)):
+            texts = [text for _, text in injected]
+            block = session.guidance.get(skill_id)
+            if block is not None and texts == [text for _, text in block.messages]:
+                continue
+            for text in texts:
+                self.store.append_event(session.session_id, EventKind.GUIDANCE_INJECTION,
+                                        {"skill_id": skill_id, "text": text,
+                                         "standing": block_id})
 
         request = ModelRequest(
             messages=render_messages(session),
@@ -482,6 +492,13 @@ def render_messages(session: Session) -> list[tuple[str, str]]:
     """The (role, text) chat messages a request carries: the list that
     `sessions.apply_record` renders each history event onto once, with the
     stubs of stale messages in their places (a superseded read, a refused
-    call's arguments) and without each skill's superseded standing
-    guidance."""
-    return list(filter(None, session.rendered))
+    call's arguments), then each routed skill's latest standing guidance
+    block, in routed order: only a routed skill's before_llm stage writes a
+    block."""
+    messages = list(session.rendered)
+    guidance = session.guidance
+    for skill_id in session.routed_skills:
+        block = guidance.get(skill_id)
+        if block is not None:
+            messages += block.messages
+    return messages

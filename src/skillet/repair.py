@@ -15,9 +15,10 @@ The skill state lives in the session's skill-local store and holds only the
 skill's own decisions, the phase and the failure signature: verification has
 passed exactly when the phase is `report`, where a passing verification
 moves and which it never leaves. The before_llm hook writes the first
-snapshot; its workflow message is standing guidance: the planner marks it
-with its stage's `standing` block id, so each request carries only the
-latest one, as its last message. The after_tool hook records the failure
+snapshot; its workflow message is standing guidance: the planner writes it,
+marked with its stage's `standing` block id, only when its text differs
+from the one already standing, and each request carries only the latest
+one, as its last message. The after_tool hook records the failure
 signature (a step that changes nothing writes no snapshot), and whether the
 session may complete is decided by the gate alone.
 """

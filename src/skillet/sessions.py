@@ -38,17 +38,19 @@ If either fails, the new log is quarantined before the error is raised, so
 no store holds the session and its id is never handed out again.
 
 Rendering is part of the fold. Each history event is rendered to its chat
-message once, when it is folded in, onto `Session.rendered`, an in-memory
-list that the planner sends as a request's messages. One supersede rule then
-keeps repeated or dead text out of later requests: a message may stand under
-a key, and a later record under that key makes it stale, whereupon the fold
-replaces it in place by its stub. The log keeps every record. The rule has
-three users:
-- standing guidance: a guidance injection whose payload has a `standing`
-  block id stands under its skill, tagged with that id (a block is every
-  injection one before_llm stage wrote for the skill); the skill's next
-  block drops it (its stub is None), so a request carries only each skill's
-  latest block. Unmarked injections render like any other message and stay;
+message once, when it is folded in. Standing guidance, a guidance injection
+whose payload has a `standing` block id, is kept per skill as that skill's
+latest block (`Session.guidance`): a block is every injection one
+before_llm stage wrote for the skill, under that stage's id, and the skill's
+next block replaces all of it. Every other message goes onto
+`Session.rendered`, an in-memory list in log order. A request carries the
+messages of `rendered`, then each routed skill's latest block in routed
+order (`planner.render_messages`), which is where the wakeup that writes a
+block puts it; a skill whose block is unchanged writes nothing, and its
+block still rides at the tail. One supersede rule keeps repeated or dead
+text out of `rendered`: a message may stand under a key, and a later record
+under that key makes it stale, whereupon the fold replaces it in place by
+its stub. The log keeps every record. The rule has two users:
 - reads: an ok `fs_read` result stands under its relative path and becomes a
   one-line stub once a later ok `fs_read` of the same path is folded in.
   Reads of different paths, and failed reads, supersede nothing;
@@ -56,8 +58,9 @@ three users:
   `[tool_call] name(...)` once a `tool_call` record with `"accepted": false`
   follows it. Its tool_result, with the reason, still renders; a call the
   executor ran keeps its arguments, even when it failed.
-The rule reads only the log, so a log written before it renders the same
-way on reload as a live session does.
+Guidance injections without a `standing` id render in log order like any
+other message. The fold reads only the log, so a reload renders the requests
+the live session did.
 
 Durability (with `fsync`, the default): a write fsyncs the log before it
 returns, except inside `batch(session_id)` on the thread that opened the
@@ -171,7 +174,16 @@ class Standing:
     stub it becomes once a later record makes it stale."""
 
     tag: object
-    stubs: list[tuple[int, Message | None]] = field(default_factory=list)
+    stubs: list[tuple[int, Message]] = field(default_factory=list)
+
+
+@dataclass
+class Block:
+    """A skill's standing guidance: the id of the before_llm stage that wrote
+    it and the messages of its injections, in write order."""
+
+    block_id: int
+    messages: list[Message] = field(default_factory=list)
 
 
 @dataclass
@@ -179,14 +191,15 @@ class _OpenState:
     """What a session holds beyond its meta fields, status, usage and last
     seq while it can still take records, kept by apply_record as records
     are folded in: its skill state, its tool calls, the chat messages its
-    history renders to (stubs and None where stale) and what stands under
-    each supersede key."""
+    history renders to in log order (stubs where stale), what stands under
+    each supersede key, and each skill's standing guidance."""
 
     skill_state: dict[str, dict] = field(default_factory=dict)
     tool_calls: int = 0
     tool_call_ids: set[str] = field(default_factory=set)
-    rendered: list[Message | None] = field(default_factory=list)
+    rendered: list[Message] = field(default_factory=list)
     standing: dict[tuple[str, str], Standing] = field(default_factory=dict)
+    guidance: dict[str, Block] = field(default_factory=dict)
 
 
 def _held(name: str) -> property:
@@ -205,13 +218,13 @@ class Session:
     A session that `replay` or `read_log` builds holds all of it. A store's
     session always holds its meta fields, status, usage totals and
     `last_seq`; while it is open it also holds its `_OpenState` (skill
-    state, tool calls, `rendered`, `standing`), which the write that closes
-    it drops. Its `history` is not built until it is read: an open session
-    then keeps the list it folded, and later writes append to it. What a
-    session does not hold is folded from its log, through the same `replay`,
-    at each read; a closed log takes no more records, so that fold is the
-    session. The runtime reads only what a session holds, so it folds no
-    closed session."""
+    state, tool calls, `rendered`, `standing`, `guidance`), which the write
+    that closes it drops. Its `history` is not built until it is read: an
+    open session then keeps the list it folded, and later writes append to
+    it. What a session does not hold is folded from its log, through the
+    same `replay`, at each read; a closed log takes no more records, so that
+    fold is the session. The runtime reads only what a session holds, so it
+    folds no closed session."""
 
     session_id: str
     workspace_root: Path
@@ -234,6 +247,7 @@ class Session:
     tool_call_ids = _held("tool_call_ids")
     rendered = _held("rendered")
     standing = _held("standing")
+    guidance = _held("guidance")
 
     @property
     def history(self) -> list[HistoryEvent]:
@@ -296,7 +310,7 @@ def render_event(event: HistoryEvent) -> Message | None:
 _CALL = ("call", "")
 
 
-def _stand(state: _OpenState, key: tuple[str, str], tag: object, stub: Message | None) -> None:
+def _stand(state: _OpenState, key: tuple[str, str], tag: object, stub: Message) -> None:
     """The message just rendered stands under `key`: a later message under
     the key with another tag makes it stale, and so does `_retire(key)`."""
     current = state.standing.get(key)
@@ -315,12 +329,19 @@ def _retire(state: _OpenState, key: tuple[str, str]) -> None:
 
 
 def _render(state: _OpenState, event: HistoryEvent) -> None:
-    """Render one event onto `rendered` under the supersede rule."""
+    """Render one event: standing guidance onto its skill's block, anything
+    else onto `rendered` under the supersede rule."""
     payload = event.payload
     if event.kind is EventKind.TOOL_CALL and payload.get("accepted") is False:
         _retire(state, _CALL)  # the refused call's own assistant line
     message = render_event(event)
     if message is None:
+        return
+    if event.kind is EventKind.GUIDANCE_INJECTION and payload.get("standing") is not None:
+        block = state.guidance.get(payload["skill_id"])
+        if block is None or block.block_id != payload["standing"]:
+            block = state.guidance[payload["skill_id"]] = Block(payload["standing"])
+        block.messages.append(message)
         return
     state.rendered.append(message)
     if event.kind is EventKind.ASSISTANT_MESSAGE:
@@ -330,8 +351,6 @@ def _render(state: _OpenState, event: HistoryEvent) -> None:
         if call:
             stub = _call_line(payload.get("text") or "", call["name"], "...")
             _stand(state, _CALL, event.seq, stub)
-    elif event.kind is EventKind.GUIDANCE_INJECTION and payload.get("standing") is not None:
-        _stand(state, ("guidance", payload["skill_id"]), payload["standing"], None)
     elif (event.kind is EventKind.TOOL_RESULT and payload["name"] == "fs_read"
           and payload["ok"]):
         path = payload["output"]["path"]
@@ -342,10 +361,10 @@ def _render(state: _OpenState, event: HistoryEvent) -> None:
 
 def apply_record(session: Session | None, record: dict) -> Session | None:
     """Fold one log record into session state; no other code does. A history
-    event is also rendered here, once, onto `Session.rendered`, and the
-    supersede rule replaces the messages it makes stale by their stubs.
-    Returns the session, or None for a first record that is not a
-    `session_meta`."""
+    event is also rendered here, once, onto its skill's standing block or
+    onto `Session.rendered`, where the supersede rule replaces the messages
+    it makes stale by their stubs. Returns the session, or None for a first
+    record that is not a `session_meta`."""
     kind = record.get("kind")
     if session is None:
         if kind != _META_KIND:

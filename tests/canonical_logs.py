@@ -6,11 +6,13 @@ be compared byte for byte.
 Runs the canonical plain and delegated runs (`conftest.canonical_runtime`)
 in both drain modes, each in a fresh workspace and store, and writes
 `<out_dir>/<plain|delegated>-<single|threaded>/`: the session logs under
-`sessions/`, each session's `skillet trace` output under `traces/`, and
-`requests.jsonl` without its `ts_us` field. The workspace path is replaced
-by `<workspace>`, so outputs made in any directories compare with
-`diff -r`. It drives whichever `skillet` comes first on the path, with the
-helpers of the conftest.py next to it; pytest does not collect it.
+`sessions/`, each session's `skillet trace` output under `traces/`, each
+request the backend received under `requests/<session>.jsonl` (one line per
+request: its messages and the names of its tools), and `requests.jsonl`
+without its `ts_us` field. The workspace path is replaced by
+`<workspace>`, so outputs made in any directories compare with `diff -r`.
+It drives whichever `skillet` comes first on the path, with the helpers of
+the conftest.py next to it; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -37,10 +39,25 @@ def write_run(registry, out: Path, delegated: bool, single_worker: bool) -> None
         store_dir = Path(tmp) / "store"
         runtime = canonical_runtime(registry, ws, store_dir, delegated=delegated,
                                     single_worker=single_worker)
+        received: dict[str, list[bytes]] = {}
+        complete = runtime.backend.complete
+
+        def record(request):
+            received.setdefault(request.session_id, []).append(json.dumps({
+                "messages": request.messages,
+                "tools": [tool.name for tool in request.tools],
+            }, sort_keys=True).encode() + b"\n")
+            return complete(request)
+
+        runtime.backend.complete = record
         runtime.run_until_quiescent(25)
         root = str(ws.resolve()).encode()
         (out / "sessions").mkdir(parents=True)
         (out / "traces").mkdir()
+        (out / "requests").mkdir()
+        for session_id, lines in received.items():
+            (out / "requests" / f"{session_id}.jsonl").write_bytes(
+                b"".join(lines).replace(root, PLACEHOLDER))
         for log in sorted((store_dir / "sessions").glob("*.log")):
             (out / "sessions" / log.name).write_bytes(
                 log.read_bytes().replace(root, PLACEHOLDER))

@@ -179,11 +179,13 @@ class TestTrace:
         out = capsys.readouterr().out
         assert code == 0
         guidance = [line for line in out.splitlines() if "guidance_injection" in line]
-        assert len(guidance) == 5  # one workflow block per wakeup
-        # every block but the last was superseded by the next wakeup's
-        assert ["[superseded]" in line for line in guidance] == [True] * 4 + [False]
+        # one workflow block per wakeup whose guidance changed: the report
+        # phase's block stands for both of its wakeups
+        assert len(guidance) == 4
+        # every block but the last was superseded by a later one
+        assert ["[superseded]" in line for line in guidance] == [True] * 3 + [False]
         assert "phase: report" in guidance[-1]
-        assert out.count("[superseded]") == 4
+        assert out.count("[superseded]") == 3
 
     def test_trace_marks_superseded_reads_and_refused_arguments(
             self, repair_workspace, tmp_path, config_file, capsys):

@@ -1,7 +1,9 @@
-"""Rendering in the session fold: each history event is rendered once, and
-one supersede rule keeps stale text out of later requests: a skill's older
-standing guidance, the results of a path read again later, and the
-arguments of refused calls."""
+"""Rendering in the session fold: each history event is rendered once. A
+request carries the history's messages in log order, then each routed
+skill's latest standing guidance block (the tail rule), so a skill's older
+guidance is never sent and an unchanged block is never written again. One
+supersede rule keeps the results of a path read again later, and the
+arguments of refused calls, out of later requests."""
 
 import json
 from dataclasses import replace
@@ -93,18 +95,19 @@ def refused_lines(history):
     return refused
 
 
-def full_render(history):
-    """A from-scratch rendering under the supersede rule: the legacy rendering
-    of every event, except that standing injections a later block of the same
-    skill superseded are dropped, an ok read of a path that a later ok read
-    of it follows is a stub, and so are the arguments of a refused call."""
-    keep = {seq for seqs in latest_blocks(history).values() for seq in seqs}
+def full_render(history, routed):
+    """A from-scratch rendering under the supersede and tail rules: the
+    legacy rendering of every event but the standing injections, where an ok
+    read of a path that a later ok read of it follows is a stub, and so are
+    the arguments of a refused call; then each routed skill's latest block,
+    in routed order."""
+    blocks = latest_blocks(history)
     last_read = {read_path(e): e.seq for e in history if read_path(e)}
     refused = refused_lines(history)
     messages = []
     for event in history:
         message = legacy_message(event)
-        if message is None or (standing(event) and event.seq not in keep):
+        if message is None or standing(event):
             continue
         path = read_path(event)
         if event.seq in refused:
@@ -115,7 +118,15 @@ def full_render(history):
             message = ("user", '[tool_result fs_read] ok=true '
                                f'{{"path": "{path}", "superseded": "read again later"}}')
         messages.append(message)
+    by_seq = {event.seq: event for event in history}
+    for skill_id in routed:
+        messages.extend(legacy_message(by_seq[seq]) for seq in blocks.get(skill_id, []))
     return messages
+
+
+def request_render(runtime, request, history):
+    """The full render of a request's history, for its session's routed skills."""
+    return full_render(history, runtime.store.session(request.session_id).routed_skills)
 
 
 class RecordingBackend(ScriptedBackend):
@@ -151,7 +162,7 @@ def run_canonical(registry, workspace, store_dir, delegated, single_worker, scri
 
 
 def assert_fold_matches_full_render(session):
-    assert render_messages(session) == full_render(session.history)
+    assert render_messages(session) == full_render(session.history, session.routed_skills)
 
 
 @pytest.mark.parametrize("single_worker", [True, False], ids=["single", "threaded"])
@@ -164,7 +175,7 @@ class TestCanonicalRuns:
         requests = runtime.backend.seen
         assert len(requests) >= 5
         for request, history in requests:
-            assert request.messages == full_render(history)
+            assert request.messages == request_render(runtime, request, history)
             routed = runtime.store.session(request.session_id).routed_skills
             blocks = latest_blocks(history)
             assert sorted(blocks) == sorted(routed)
@@ -273,8 +284,8 @@ def fold_texts(records):
 
 def test_blocks_of_several_skills_and_messages(tmp_path):
     """A block is every message one stage injected for a skill; the next
-    block of that skill replaces it wherever it sits, and other skills'
-    blocks keep their places."""
+    block of that skill replaces it, and every request ends with each
+    skill's latest block in routed order, also a block no stage rewrote."""
     session, texts = fold_texts([
         meta_record(tmp_path, ["a", "b"]),
         event_record(1, EventKind.USER_MESSAGE, text="task"),
@@ -288,11 +299,11 @@ def test_blocks_of_several_skills_and_messages(tmp_path):
         guidance(12, "a", "a4", 12), guidance(13, "b", "b4", 12),
     ])
     assert texts[4] == ["task", "a1", "a2", "b1"]
-    assert texts[7] == ["task", "b1", "r1", "forced", "a3"]
-    assert texts[10] == ["task", "r1", "forced", "a3", "r2", "b2", "b3"]
+    assert texts[7] == ["task", "r1", "forced", "a3", "b1"]
+    assert texts[10] == ["task", "r1", "forced", "r2", "a3", "b2", "b3"]
     assert texts[13] == ["task", "r1", "forced", "r2", "r3", "a4", "b4"]
-    assert {k: b.tag for k, b in session.standing.items()} == {
-        ("guidance", "a"): 12, ("guidance", "b"): 12}
+    assert {k: b.block_id for k, b in session.guidance.items()} == {"a": 12, "b": 12}
+    assert session.standing == {}  # guidance stands under no supersede key
 
 
 def test_a_block_is_its_stage_not_a_run_of_adjacent_seqs(tmp_path):
@@ -314,7 +325,7 @@ def test_a_block_is_its_stage_not_a_run_of_adjacent_seqs(tmp_path):
     ])
     assert texts[2] == ["task", "a1"]
     assert texts[3] == ["task", "a2"]
-    assert texts[6] == ["task", "a3", "[child_report s0002] done", "a4"]
+    assert texts[6] == ["task", "[child_report s0002] done", "a3", "a4"]
     assert texts[8] == ["task", "[child_report s0002] done", "r1", "a5"]
 
 
@@ -330,7 +341,7 @@ class CrashingBackend(ScriptedBackend):
         raise SystemExit("died mid-wakeup")
 
 
-def test_a_resumed_wakeup_supersedes_the_guidance_written_before_a_crash(
+def test_a_resumed_wakeup_reuses_the_guidance_written_before_a_crash(
         registry, repair_workspace, tmp_path):
     store_dir = tmp_path / "store"
     runtime = make_runtime(registry, repair_workspace, store_dir, [])
@@ -347,13 +358,46 @@ def test_a_resumed_wakeup_supersedes_the_guidance_written_before_a_crash(
     assert session.status is SessionStatus.COMPLETED
     first_request, history = resumed.backend.seen[0]
     injections = [e for e in history if standing(e)]
-    assert [e.seq for e in injections] == [2, 3]  # adjacent: nothing between them
+    # the resumed wakeup's guidance equals the block written before the crash
+    assert [e.seq for e in injections] == [2]
     assert workflow_messages(first_request) == 1
     assert first_request.messages[-1][1] == injections[-1].payload["text"]
     for request, history in resumed.backend.seen:
-        assert request.messages == full_render(history)
+        assert request.messages == request_render(resumed, request, history)
         assert workflow_messages(request) == 1
 
+
+def test_a_changed_block_is_written_under_a_new_id_and_ends_each_request(
+        registry, repair_workspace, tmp_path):
+    runtime = run_canonical(registry, repair_workspace, tmp_path / "store",
+                            delegated=False, single_worker=True)
+    blocks = [e for e in runtime.store.session("s0001").history if standing(e)]
+    # one message per block, under the id of the stage that wrote it
+    assert [e.payload["standing"] for e in blocks] == [e.seq for e in blocks]
+    texts = [e.payload["text"] for e in blocks]
+    assert all(old != new for old, new in zip(texts, texts[1:]))
+    assert len(blocks) < len(runtime.backend.seen)  # a wakeup whose block stood wrote none
+    for request, history in runtime.backend.seen:
+        latest = [e for e in history if standing(e)][-1]
+        assert request.messages[-1] == ("user", latest.payload["text"])
+        assert workflow_messages(request) == 1
+
+
+def test_a_reopened_store_renders_the_live_requests_after_every_record(
+        registry, repair_workspace, tmp_path, monkeypatch):
+    commit = SessionStore._commit
+    checked = []
+
+    def commit_and_reopen(self, session, record):
+        commit(self, session, record)
+        again = SessionStore(self.store_dir).session(session.session_id)
+        assert render_messages(again) == render_messages(session)
+        checked.append(record["kind"])
+
+    monkeypatch.setattr(SessionStore, "_commit", commit_and_reopen)
+    run_canonical(registry, repair_workspace, tmp_path / "store", delegated=True,
+                  single_worker=True)
+    assert {"guidance_injection", "session_status", "completion"} <= set(checked)
 
 
 # -- the supersede rule's other users: refused calls and re-read files ----------
@@ -432,7 +476,7 @@ def checked_fold(monkeypatch):
     def apply_and_check(session, record):
         session = fold(session, record)
         if session is not None:
-            assert render_messages(session) == full_render(session.history)
+            assert_fold_matches_full_render(session)
         return session
 
     monkeypatch.setattr(sessions, "apply_record", apply_and_check)
@@ -452,7 +496,7 @@ def test_the_fold_matches_a_full_render_after_every_record(
     runtime, live = run_script(registry, repair_workspace, tmp_path / "store", run,
                                single_worker)
     for request, history in runtime.backend.seen:
-        assert request.messages == full_render(history)
+        assert request.messages == request_render(runtime, request, history)
         assert request.messages[-1][1].startswith("[repair workflow]")
     reopened = SessionStore(tmp_path / "store")  # folds through the check too
     again = reopened.session("s0001")
@@ -494,6 +538,24 @@ def test_a_refused_call_keeps_its_name_and_reason_but_not_its_arguments(
     # the patch the executor ran keeps its arguments
     assert any(t.endswith(json.dumps({"body": CALC_PATCH, "target": "in/calc.py"},
                                      sort_keys=True) + ")") for t in texts)
+
+
+def test_a_wakeup_after_a_refused_call_writes_no_guidance(registry, repair_workspace,
+                                                          tmp_path):
+    """A refusal leaves the phase, and so the workflow block, as it was: the
+    next wakeup writes no guidance_injection, and its request still ends
+    with the block."""
+    runtime, session = run_script(registry, repair_workspace, tmp_path / "store", "refusals")
+    history = session.history
+    refused = [e for e in history if e.kind is EventKind.TOOL_CALL
+               and not e.payload["accepted"]]
+    assert len(refused) == 3
+    for call in refused:
+        later = history[call.seq:]  # the records after the refused call
+        turn = next(i for i, e in enumerate(later) if e.kind is EventKind.ASSISTANT_MESSAGE)
+        assert [e.kind for e in later[:turn]] == [EventKind.TOOL_RESULT]
+    for request, _ in runtime.backend.seen:
+        assert request.messages[-1][1].startswith("[repair workflow]")
 
 
 def test_only_the_latest_read_of_a_path_is_sent(registry, repair_workspace, tmp_path):

@@ -201,6 +201,7 @@ class TestClosedSessions:
                 assert session.skill_state == full.skill_state
                 assert session.rendered == full.rendered
                 assert session.standing == full.standing
+                assert session.guidance == full.guidance
                 assert session.tool_call_ids == full.tool_call_ids
                 assert session.last_seq == full.last_seq == full.history[-1].seq
                 own = [r for r in requests if r["session_id"] == session.session_id]
