@@ -2,10 +2,11 @@
 
 Two backends share one interface: a deterministic scripted backend that
 drives every test without a live model, and a generic HTTP chat backend for
-real endpoints. Each completed request's usage is appended to requests.jsonl
-under one lock, and the owning session's usage totals are updated once its
-line is durable, so the session totals always equal the column sums of its
-log lines.
+real endpoints. Each completed request's usage is appended to
+requests.jsonl, a per-request ledger that no session state is read from:
+the planner also writes the usage into the `assistant_message` that records
+the reply, and a session's totals are the fold of those records
+(`sessions`).
 
 Script files are a JSON list of steps:
 
@@ -261,14 +262,13 @@ class HttpBackend:
 
 class UsageLog:
     """requests.jsonl writer: one self-delimiting line per model request,
-    from which a reopened SessionStore rebuilds the totals. Readers skip a
-    torn last line; only the writer cuts it, at its first append. Each line
-    goes through a `sessions.JsonlLog` opened for that line alone, under the
-    log's lock, which also covers the session's totals update: a caller
-    returns once its own line is durable and counted, or raises
-    LogWriteError, leaving no byte of its line behind; if even the cut back
-    failed, every later line is refused until a new UsageLog opens the
-    file."""
+    the ledger an operator or a check can sum; no session state is rebuilt
+    from it. Readers skip a torn last line; only the writer cuts it, at its
+    first append. Each line goes through a `sessions.JsonlLog` opened for
+    that line alone, under the log's lock: a caller returns once its own
+    line is durable, or raises LogWriteError, leaving no byte of its line
+    behind; if even the cut back failed, every later line is refused until
+    a new UsageLog opens the file."""
 
     def __init__(self, path: str | Path, fsync: bool = True):
         self.path = Path(path)
@@ -292,8 +292,6 @@ class UsageLog:
                 self._log.append(line.encode("utf-8"), self.fsync)
             except Exception as exc:
                 raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
-            session.usage.add(usage.input_tokens, usage.output_tokens,
-                              usage.cache_tokens, usage.total_tokens)
         return usage
 
     def lines(self) -> list[dict]:

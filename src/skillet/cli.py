@@ -122,29 +122,28 @@ def cmd_skills(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Print one session's history, read from `<store>/sessions/<id>.log`
     alone and folded as the store folds it, with the phase notes of its
-    snapshot records and each turn's tokens from `requests.jsonl`. A message
-    that later requests carried as a stub, or no longer carried, is marked:
-    a refused call's assistant line `[args not sent again]`, a read of a path
-    read again later `[superseded]`, and so is standing guidance whose
-    block is not its skill's latest. Trace creates, moves and truncates
-    nothing, so it can read a running store."""
+    snapshot records and each turn's tokens from its own `assistant_message`
+    record (none for a record written before replies carried usage). A
+    message that later requests carried as a stub, or no longer carried, is
+    marked: a refused call's assistant line `[args not sent again]`, a read
+    of a path read again later `[superseded]`, and so is standing guidance
+    whose block is not its skill's latest. Trace creates, moves and
+    truncates nothing, so it can read a running store."""
     session, records = read_log(args.store, args.session)
-    usage_lines = [line for line in UsageLog(Path(args.store) / "requests.jsonl").lines()
-                   if line.get("session_id") == args.session]
     snapshots = iter(snapshot_records(records))
     pending = next(snapshots, None)
-    turn = 0
     rendered = iter(session.rendered)  # an entry per event that renders, blocks aside
     print(f"session {session.session_id} status={session.status.value} "
           f"workspace={session.workspace_root}")
     print(f"routed skills: {', '.join(session.routed_skills) or '(none)'}")
     for event in session.history:
         line = f"{event.seq:>4} {event.kind.value:<20}"
+        payload = event.payload
         if event.kind is EventKind.ASSISTANT_MESSAGE:
-            usage = usage_lines[turn] if turn < len(usage_lines) else None
-            turn += 1
-            if usage:
-                line += f" [tokens in={usage['input_tokens']} out={usage['output_tokens']}]"
+            usage = payload.get("usage")
+            if usage is not None:
+                line += f" [tokens in={usage[0]} out={usage[1]}]"
+            payload = {k: v for k, v in payload.items() if k != "usage"}
         message = render_event(event)
         block_id = (event.payload.get("standing")
                     if event.kind is EventKind.GUIDANCE_INJECTION else None)
@@ -155,7 +154,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if stale:
             line += (" [args not sent again]" if event.kind is EventKind.ASSISTANT_MESSAGE
                      else " [superseded]")
-        line += " " + _brief(event.payload)
+        line += " " + _brief(payload)
         print(line)
         while pending is not None and pending["seq"] <= event.seq:
             phase = pending["state"].get("phase")

@@ -304,13 +304,16 @@ class Runtime:
             self.store.set_status(session.session_id, SessionStatus.FAILED)
             return None
 
-        self.usage_log.record(session, response)
+        # the ledger line first, then the record whose fold counts it
+        usage = self.usage_log.record(session, response)
         self.store.append_event(session.session_id, EventKind.ASSISTANT_MESSAGE, {
             "text": response.text,
             "tool_call": (
                 {"name": response.tool_call.name, "args": response.tool_call.args}
                 if response.tool_call else None
             ),
+            "usage": [usage.input_tokens, usage.output_tokens, usage.cache_tokens,
+                      usage.total_tokens],
         })
 
         forced = self.pipeline.run_after_llm(session, response, outcome.visible_tools)

@@ -22,9 +22,9 @@ Opening a store reads each log's first record and its last whole record,
 both from the file's ends (`read_ends`). A log whose last whole record
 closed it, a completion event or a COMPLETED or FAILED status record, is
 closed: its session is built from those two records and holds only its
-meta fields, status, usage totals and last seq. Only the open logs are
-folded, and an open session holds its skill state and its rendering but not
-its history. Whatever a session does not hold is folded from its log, with
+meta fields, status and last seq. Only the open logs are folded, and an
+open session holds its usage totals, skill state and rendering but not its
+history. Whatever a session does not hold is folded from its log, with
 `replay`, when it is read (`Session`), and the write that closes a session
 drops what only an open session holds. So open time and memory follow the
 open sessions, not every session the store has run. A torn tail line is
@@ -78,10 +78,15 @@ file, takes no append after a failed cut back, and holds the file open only
 while it is written. So the store holds no descriptor between calls and
 needs no closing. `set_status` writes a status record only when the status
 changes, and a COMPLETED or FAILED session stays closed: it takes no other
-status and no record. Usage totals are rebuilt on load from one scan of
-`<store>/requests.jsonl`, the per-request log that `UsageLog` appends to;
-its torn last line is skipped there, and cut only by `UsageLog` before it
-appends.
+status and no record.
+
+Usage comes from the log too. The planner writes each model request's
+usage into the `assistant_message` that records its reply, as
+`"usage": [input_tokens, output_tokens, cache_tokens, total_tokens]`, and
+the fold adds that array to `Session.usage`, counting one request. An
+`assistant_message` without `usage`, as a log written before it was
+recorded has, counts no tokens and no request. No store reads
+`<store>/requests.jsonl`: that per-request ledger is `UsageLog`'s alone.
 """
 
 from __future__ import annotations
@@ -216,15 +221,17 @@ class Session:
     """One session's state, as the fold of its log builds it.
 
     A session that `replay` or `read_log` builds holds all of it. A store's
-    session always holds its meta fields, status, usage totals and
-    `last_seq`; while it is open it also holds its `_OpenState` (skill
-    state, tool calls, `rendered`, `standing`, `guidance`), which the write
-    that closes it drops. Its `history` is not built until it is read: an
-    open session then keeps the list it folded, and later writes append to
-    it. What a session does not hold is folded from its log, through the
-    same `replay`, at each read; a closed log takes no more records, so that
-    fold is the session. The runtime reads only what a session holds, so it
-    folds no closed session."""
+    session always holds its meta fields, status and `last_seq`, and its
+    usage totals (the sums of its `assistant_message` records' `usage`)
+    unless the store built it from a closed log's ends. While it is open it
+    also holds its `_OpenState` (skill state, tool calls, `rendered`,
+    `standing`, `guidance`), which the write that closes it drops. Its
+    `history` is not built until it is read: an open session then keeps the
+    list it folded, and later writes append to it. What a session does not
+    hold is folded from its log, through the same `replay`, at each read; a
+    closed log takes no more records, so that fold is the session. The
+    runtime reads only what a session holds, so it folds no closed
+    session."""
 
     session_id: str
     workspace_root: Path
@@ -235,9 +242,9 @@ class Session:
     routed_skills: list[str] = field(default_factory=list)
     required_artifacts: list[str] = field(default_factory=list)
     status: SessionStatus = SessionStatus.ACTIVE
-    usage: UsageTotals = field(default_factory=UsageTotals)
     last_seq: int = 0  # the seq of the last history event, 0 before the first
     # None where not held, so read from the log (class docstring)
+    _usage: UsageTotals | None = field(default_factory=UsageTotals, repr=False)
     _history: list[HistoryEvent] | None = field(default_factory=list, repr=False)
     _open: _OpenState | None = field(default_factory=_OpenState, repr=False)
     _log: JsonlLog | None = field(default=None, repr=False)  # a store session's log
@@ -260,6 +267,10 @@ class Session:
                 if self.status in OPEN_STATUSES:
                     self._history = history
             return history
+
+    @property
+    def usage(self) -> UsageTotals:
+        return self._usage if self._usage is not None else self._fold().usage
 
     @property
     def next_seq(self) -> int:
@@ -393,6 +404,8 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
         if event.kind is EventKind.TOOL_CALL:
             state.tool_calls += 1
             state.tool_call_ids.add(event.payload.get("call_id"))
+        elif event.kind is EventKind.ASSISTANT_MESSAGE and "usage" in event.payload:
+            session._usage.add(*event.payload["usage"])
         elif event.kind is EventKind.COMPLETION:
             session.status = SessionStatus.COMPLETED
     return session
@@ -801,11 +814,11 @@ class SessionStore:
                 session = replay(parse_jsonl(log_path.read_bytes(), log_path.name)[0])
             else:
                 session = apply_record(None, first)
-                session.status, session.last_seq, session._open = status, last["seq"], None
+                session.status, session.last_seq = status, last["seq"]
+                session._usage = session._open = None
             self._hold(session, JsonlLog(log_path, intact))
         for log_path in self.quarantine_dir.glob("*.log"):
             self._note_id(log_path)
-        self._load_usage()
 
     def _note_id(self, log_path: Path) -> None:
         match = _SESSION_ID.fullmatch(log_path.stem)
@@ -818,15 +831,3 @@ class SessionStore:
         target = self.quarantine_dir / log_path.name
         os.replace(log_path, target)
         log.warning("%s: %s, moved to %s", log_path.name, reason, target)
-
-    def _load_usage(self) -> None:
-        requests = self.store_dir / "requests.jsonl"
-        if not requests.exists():
-            return
-        # UsageLog owns this log and cuts a torn tail before it appends
-        records, _ = parse_jsonl(requests.read_bytes(), requests.name)
-        for line in records:
-            session = self._sessions.get(line.get("session_id"))
-            if session is not None:
-                session.usage.add(line["input_tokens"], line["output_tokens"],
-                                  line["cache_tokens"], line["total_tokens"])

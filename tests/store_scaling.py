@@ -5,7 +5,9 @@ session's first wakeup.
 
 For each N (100, 1000 and 4000 by default) it runs the canonical plain
 repair run (`conftest.canonical_runtime`, single worker), copies its log to
-N closed session ids and submits one repair task, which stays open. A fresh
+N closed session ids, writes the run's `requests.jsonl` lines once for each
+copy (five per session, so 20,000 lines at N = 4000), and submits one
+repair task, which stays open. A fresh
 process then opens the store and runs the open session's first wakeup, a
 scripted `repair_collect_evidence` on the fixture's log, and prints one JSON
 line: the open time, the growth of peak RSS (`ru_maxrss`) across the open,
@@ -46,12 +48,17 @@ def build(tmp: Path, closed: int) -> str:
     canonical_runtime(registry(), ws, canonical, delegated=False,
                       single_worker=True).run_until_quiescent(25)
     meta, rest = (canonical / "sessions" / "s0001.log").read_bytes().split(b"\n", 1)
+    ledger = (canonical / "requests.jsonl").read_bytes()
     sessions = tmp / "store" / "sessions"
     sessions.mkdir(parents=True)
-    for i in range(1, closed + 1):
-        session_id = f"s{i:04d}"
-        own_meta = meta.replace(b'"session_id":"s0001"', f'"session_id":"{session_id}"'.encode())
-        (sessions / f"{session_id}.log").write_bytes(own_meta + b"\n" + rest)
+    with open(tmp / "store" / "requests.jsonl", "wb") as requests:
+        for i in range(1, closed + 1):
+            session_id = f"s{i:04d}"
+            own_meta = meta.replace(b'"session_id":"s0001"',
+                                    f'"session_id":"{session_id}"'.encode())
+            (sessions / f"{session_id}.log").write_bytes(own_meta + b"\n" + rest)
+            requests.write(ledger.replace(b'"session_id": "s0001"',
+                                          f'"session_id": "{session_id}"'.encode()))
     runtime = Runtime(registry(), SessionStore(tmp / "store"), ScriptedBackend([]),
                       UsageLog(tmp / "store" / "requests.jsonl"))
     return submit_repair_task(runtime, ws).session_id

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import skillet
-from skillet import ScriptedBackend, SessionStore, UsageLog, backends
+from skillet import ScriptedBackend, UsageLog, backends
 from skillet.backends import (
     HttpBackend,
     ModelRequest,
@@ -391,13 +391,16 @@ class TestUsageLog:
         ws.mkdir()
         return open_store(tmp_path / "store").create_session("t", "misc", ws, "")
 
-    def test_line_schema_and_totals(self, tmp_path):
+    def test_line_schema_and_returned_usage(self, tmp_path):
         session = self.make_session(tmp_path)
         log = UsageLog(tmp_path / "requests.jsonl")
         backend = ScriptedBackend([{"respond": {"text": "one"}},
                                    {"respond": {"text": "two"}}])
+        returned = []
         for _ in range(2):
-            log.record(session, backend.complete(request(session_id=session.session_id)))
+            response = backend.complete(request(session_id=session.session_id))
+            returned.append(log.record(session, response))
+            assert returned[-1] is response.usage
         lines = log.lines()
         assert len(lines) == 2
         expected_keys = {"ts_us", "session_id", "provider", "response_model",
@@ -405,8 +408,9 @@ class TestUsageLog:
                          "total_tokens"}
         assert set(lines[0]) == expected_keys
         assert isinstance(lines[0]["ts_us"], int)
-        assert session.usage.request_count == 2
-        assert session.usage.total_tokens == sum(l["total_tokens"] for l in lines)
+        assert [l["total_tokens"] for l in lines] == [u.total_tokens for u in returned]
+        # the ledger counts nothing: a session's totals come from its log
+        assert session.usage.request_count == 0
 
     def test_lines_keep_one_width_whatever_the_clock(self, tmp_path, monkeypatch):
         session = self.make_session(tmp_path)
@@ -436,9 +440,9 @@ class TestUsageLog:
             "usage": {"prompt_tokens": 3, "completion_tokens": 1},
         }).encode())
         log.record(session, http_backend(stub_server).complete(req))
-        providers = [l["provider"] for l in log.lines()]
-        assert providers == ["scripted", "http"]
-        assert session.usage.request_count == 2
+        assert [(l["provider"], l["session_id"]) for l in log.lines()] == \
+            [("scripted", session.session_id), ("http", session.session_id)]
+        assert log.lines()[1]["input_tokens"] == 3
 
     def test_lines_skip_a_torn_last_line_without_writing(self, tmp_path):
         session = self.make_session(tmp_path)
@@ -481,11 +485,10 @@ class TestUsageLog:
         assert len(log.path.read_bytes().splitlines()) == 400
         assert sorted(l["input_tokens"] for l in lines) == list(range(400))
         assert len(fsyncs) == 400  # each record is made durable by its own caller
-        for session in sessions:
-            mine = [l for l in lines if l["session_id"] == session.session_id]
-            assert session.usage.request_count == len(mine)
-            for column in ("input_tokens", "output_tokens", "cache_tokens", "total_tokens"):
-                assert getattr(session.usage, column) == sum(l[column] for l in mine)
+        # each line names the session its caller recorded it for
+        assert sorted((l["input_tokens"], l["session_id"]) for l in lines) == [
+            (t * 25 + i, sessions[(t + i) % len(sessions)].session_id)
+            for t in range(16) for i in range(25)]
 
     def test_a_failed_fsync_raises_to_its_own_caller_only(self, tmp_path, monkeypatch):
         failing = self.make_session(tmp_path)
@@ -522,15 +525,13 @@ class TestUsageLog:
         first.join(10)
         second.join(10)
         assert outcomes == {"failing": "raised", "other": "returned"}
-        assert (failing.usage.request_count, failing.usage.input_tokens) == (1, 1)
-        assert (other.usage.request_count, other.usage.input_tokens) == (1, 3)
-        # the next record appends one whole line after whatever the failed one left
+        # the failed line was cut back; the next record appends one whole line
         log.record(failing, self.usage_response(4))
         data = log.path.read_bytes()
         assert data.endswith(b"\n")
         assert len(log.lines()) == len(data.splitlines())
-        assert log.lines()[-1]["input_tokens"] == 4
-        assert (failing.usage.request_count, failing.usage.input_tokens) == (2, 5)
+        assert [(l["session_id"], l["input_tokens"]) for l in log.lines()] == [
+            (failing.session_id, 1), (other.session_id, 3), (failing.session_id, 4)]
 
     def test_a_failed_append_leaves_no_line(self, tmp_path, monkeypatch):
         session = self.make_session(tmp_path)
@@ -548,10 +549,6 @@ class TestUsageLog:
         log.record(session, self.usage_response(4))
         assert [line["input_tokens"] for line in log.lines()] == [1, 4]
         assert log.path.read_bytes().count(b"\n") == 2
-        assert session.usage.input_tokens == 5
-        reopened = SessionStore(tmp_path / "store")
-        again = reopened.session(session.session_id).usage
-        assert (again.input_tokens, again.request_count) == (5, 2)
 
     def test_a_failed_cut_back_refuses_later_lines_until_reopened(self, tmp_path,
                                                                   monkeypatch):
@@ -571,7 +568,7 @@ class TestUsageLog:
         monkeypatch.setattr(os, "ftruncate", real_ftruncate)
         with pytest.raises(LogWriteError, match="requests.jsonl"):
             log.record(session, self.usage_response(3))
-        assert session.usage.request_count == 1
+        assert [line["input_tokens"] for line in log.lines()] == [1, 2]  # the refused line stays
         UsageLog(log.path).record(session, self.usage_response(4))
         assert [line["input_tokens"] for line in log.lines()] == [1, 2, 4]
 

@@ -1,13 +1,14 @@
 """CLI contract: exit codes, summary output, skill listing, trace rendering."""
 
 import json
+import re
 
 import pytest
 
 from skillet import builtin_skills_dir
 from skillet.cli import main
 
-from conftest import repair_script, REPAIR_DONE_WHEN, REPAIR_TASK_TEXT
+from conftest import read_jsonl, repair_script, REPAIR_DONE_WHEN, REPAIR_TASK_TEXT
 
 
 @pytest.fixture
@@ -219,20 +220,54 @@ class TestTrace:
         assert not any("[args not sent again]" in line or "[superseded]" in line
                        for line in lines if "tool_call" in line and "fs_read" in line)
 
-    def test_torn_usage_log_tail_is_skipped_and_left_alone(
+    def test_each_turn_shows_the_tokens_of_its_own_reply(
             self, repair_workspace, tmp_path, script_file, config_file, capsys):
         main(run_args(repair_workspace, tmp_path, script_file, config_file))
         capsys.readouterr()
+        trace = ["trace", "--store", str(tmp_path / "store"), "--session", "s0001"]
+        main(trace)
+        before = capsys.readouterr().out
         requests = tmp_path / "store" / "requests.jsonl"
-        whole = requests.read_bytes().count(b"\n")
+        ledger = read_jsonl(requests)
+        assert re.findall(r"\[tokens (in=\d+ out=\d+)\]", before) == \
+            [f"in={line['input_tokens']} out={line['output_tokens']}" for line in ledger]
+        # a billed request whose reply was never logged, ahead of every turn
+        lost = dict(ledger[0], input_tokens=1, output_tokens=1, total_tokens=2)
+        requests.write_bytes(json.dumps(lost).encode() + b"\n" + requests.read_bytes())
+        main(trace)
+        assert capsys.readouterr().out == before
+
+    def test_a_torn_usage_log_changes_no_trace(
+            self, repair_workspace, tmp_path, script_file, config_file, capsys):
+        main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        capsys.readouterr()
+        trace = ["trace", "--store", str(tmp_path / "store"), "--session", "s0001"]
+        main(trace)
+        before = capsys.readouterr().out
+        requests = tmp_path / "store" / "requests.jsonl"
         # a runtime may be appending to the log while an operator traces it
         requests.write_bytes(requests.read_bytes()[:-9])
         torn = requests.read_bytes()
-        code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("[tokens in=") == whole - 1
+        assert main(trace) == 0
+        assert capsys.readouterr().out == before
         assert requests.read_bytes() == torn
+
+    def test_a_reply_logged_without_usage_shows_no_tokens(
+            self, repair_workspace, tmp_path, script_file, config_file, capsys):
+        main(run_args(repair_workspace, tmp_path, script_file, config_file))
+        capsys.readouterr()
+        trace = ["trace", "--store", str(tmp_path / "store"), "--session", "s0001"]
+        main(trace)
+        before = capsys.readouterr().out
+        # rewrite the log as it was written before replies carried their usage
+        log = tmp_path / "store" / "sessions" / "s0001.log"
+        records = [json.loads(line) for line in log.read_bytes().splitlines()]
+        for record in records:
+            if record["kind"] == "assistant_message":
+                del record["payload"]["usage"]
+        log.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        main(trace)
+        assert capsys.readouterr().out == re.sub(r" \[tokens in=\d+ out=\d+\]", "", before)
 
     def test_torn_session_log_tail_is_left_alone(
             self, repair_workspace, tmp_path, script_file, config_file, capsys):

@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import threading
+from collections import defaultdict
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import pytest
 import skillet
 from skillet import DelegatedTask, EventKind, RunConfig, SessionStatus, SessionStore
 from skillet.backends import ModelResponse, ToolCallRequest, UsageRecord
-from skillet.errors import ModelBackendError, NotFound, StepBudgetExhausted
+from skillet.errors import LogWriteError, ModelBackendError, NotFound, StepBudgetExhausted
+from skillet.sessions import UsageTotals
 from skillet.planner import Runtime, WakeupQueue
 from skillet.sessions import read_log
 
@@ -27,9 +30,11 @@ from conftest import (
     finish_step,
     make_runtime,
     patch_step,
+    read_jsonl,
     repair_script,
     submit_repair_task,
     verify_step,
+    write_repair_workspace,
 )
 
 
@@ -882,3 +887,75 @@ class TestMultiWorker:
         runtime.backend = Broken()
         with pytest.raises(RuntimeError, match="backend bug"):
             runtime.run_until_quiescent()
+
+
+class TestUsageFromTheLog:
+    """A session's usage totals are the fold of the `usage` arrays its
+    assistant_message records carry; requests.jsonl is a ledger beside them."""
+
+    COLUMNS = ("input_tokens", "output_tokens", "cache_tokens", "total_tokens")
+
+    @pytest.mark.parametrize("single_worker", [True, False], ids=["single", "threaded"])
+    @pytest.mark.parametrize("delegated", [False, True], ids=["plain", "delegated"])
+    def test_a_reopened_store_counts_what_the_live_session_did_at_every_record(
+            self, registry, tmp_path, monkeypatch, delegated, single_worker):
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        write_repair_workspace(ws)
+        store_dir = tmp_path / "store"
+        runtime = canonical_runtime(registry, ws, store_dir, delegated=delegated,
+                                    single_worker=single_worker)
+        live = defaultdict(lambda: [asdict(UsageTotals())])  # totals after each record
+        commit = SessionStore._commit
+
+        def counted(store, session, record):
+            commit(store, session, record)
+            live[session.session_id].append(asdict(session.usage))
+
+        monkeypatch.setattr(SessionStore, "_commit", counted)
+        runtime.run_until_quiescent(25)
+        monkeypatch.undo()
+        ledger = read_jsonl(store_dir / "requests.jsonl")
+        for session in runtime.store.sessions():
+            sid = session.session_id
+            lines = (store_dir / "sessions" / f"{sid}.log").read_bytes().splitlines(True)
+            assert len(lines) == 1 + len(live[sid])  # the create writes two records
+            replies = [record["payload"]["usage"] for record in map(json.loads, lines)
+                       if record["kind"] == "assistant_message"]
+            assert replies == [[line[c] for c in self.COLUMNS]
+                               for line in ledger if line["session_id"] == sid]
+            for count, totals in enumerate(live[sid], start=2):
+                cut = tmp_path / f"{sid}-{count}"
+                (cut / "sessions").mkdir(parents=True)
+                (cut / "sessions" / f"{sid}.log").write_bytes(b"".join(lines[:count]))
+                assert asdict(SessionStore(cut).session(sid).usage) == totals, (sid, count)
+
+    def test_a_ledger_line_left_by_a_failed_cut_back_is_not_counted(
+            self, registry, repair_workspace, tmp_path, monkeypatch):
+        runtime = make_runtime(registry, repair_workspace, tmp_path / "store", repair_script())
+        session = submit_repair_task(runtime, repair_workspace)
+        first = runtime.queue.pop()
+        runtime.run_wakeup(first)
+        runtime.queue.done(first)
+        requests = tmp_path / "store" / "requests.jsonl"
+        ledger = (requests.stat().st_dev, requests.stat().st_ino)
+
+        def failing(real):
+            def call(fd, *args):
+                st = os.fstat(fd)
+                if (st.st_dev, st.st_ino) == ledger:
+                    raise OSError(errno.EIO, "Input/output error")
+                return real(fd, *args)
+            return call
+
+        monkeypatch.setattr(os, "fsync", failing(os.fsync))
+        monkeypatch.setattr(os, "ftruncate", failing(os.ftruncate))
+        with pytest.raises(LogWriteError):
+            runtime.run_wakeup(runtime.queue.pop())
+        monkeypatch.undo()
+        assert len(read_jsonl(requests)) == 2  # the refused line stays in the ledger
+        # the reply whose ledger line failed was never logged, nor counted
+        assert [e.kind for e in session.history].count(EventKind.ASSISTANT_MESSAGE) == 1
+        assert session.usage.request_count == 1
+        reopened = SessionStore(tmp_path / "store").session(session.session_id)
+        assert asdict(reopened.usage) == asdict(session.usage)

@@ -55,6 +55,14 @@ def record_usage(store_dir, session, *usages):
         usage_log.record(session, ModelResponse(usage=UsageRecord("p", "m", *usage)))
 
 
+def reply(store, session, *usages):
+    """Log one assistant_message per (input, output, cache, total) tuple, as
+    the planner logs a model's reply with its request's usage."""
+    for usage in usages:
+        store.append_event(session.session_id, EventKind.ASSISTANT_MESSAGE,
+                           {"text": "r", "tool_call": None, "usage": list(usage)})
+
+
 class TestCreate:
     def test_top_level_session(self, store, ws):
         s = make_session(store, ws)
@@ -615,25 +623,29 @@ class TestPersistence:
         seqs = [e.seq for e in s.history]
         assert seqs == list(range(1, len(seqs) + 1))
 
-    def test_usage_totals_survive_reload_via_requests_log(self, tmp_path, ws, store):
+    def test_usage_totals_survive_reload_via_the_session_log(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
-        record_usage(tmp_path / "store", s, (10, 5, 0, 15), (7, 3, 1, 11))
+        reply(store, s, (10, 5, 0, 15), (7, 3, 1, 11))
+        assert asdict(s.usage) == {"input_tokens": 17, "output_tokens": 8, "cache_tokens": 1,
+                                   "total_tokens": 26, "request_count": 2}
         reloaded = SessionStore(tmp_path / "store").session(s.session_id)
-        assert reloaded.usage.total_tokens == 26
-        assert reloaded.usage.request_count == 2
         assert asdict(reloaded.usage) == asdict(s.usage)
+        store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "r"})
+        assert asdict(s.usage) == asdict(reloaded.usage)  # closing keeps the totals
+        closed = SessionStore(tmp_path / "store").session(s.session_id)
+        assert closed._usage is None  # built from the log's ends: folded when read
+        assert asdict(closed.usage) == asdict(s.usage)
 
-    def test_usage_totals_survive_a_crash_right_after_record(self, tmp_path, ws):
+    def test_usage_totals_survive_a_crash_right_after_the_reply_is_logged(self, tmp_path, ws):
         import subprocess
         import sys
         code = (
             "import os\n"
-            "from skillet import SessionStore, UsageLog\n"
-            "from skillet.backends import ModelResponse, UsageRecord\n"
+            "from skillet import EventKind, SessionStore\n"
             f"store = SessionStore({str(tmp_path / 'store')!r})\n"
             f"s = store.create_session('t', 'misc', {str(ws)!r}, '')\n"
-            f"UsageLog({str(tmp_path / 'store' / 'requests.jsonl')!r}).record(\n"
-            "    s, ModelResponse(usage=UsageRecord('p', 'm', 10, 5, 2, 17)))\n"
+            "store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE,\n"
+            "                   {'text': 'r', 'tool_call': None, 'usage': [10, 5, 2, 17]})\n"
             "os._exit(1)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -642,19 +654,39 @@ class TestPersistence:
         assert asdict(usage) == {"input_tokens": 10, "output_tokens": 5, "cache_tokens": 2,
                                    "total_tokens": 17, "request_count": 1}
 
-    def test_torn_last_line_of_requests_log_is_tolerated(self, tmp_path, ws, store):
+    def test_a_torn_reply_counts_no_usage(self, tmp_path, ws, store):
         s = store.create_session("t", "misc", ws, "")
-        record_usage(tmp_path / "store", s, (10, 5, 0, 15), (7, 3, 1, 11))
-        requests = tmp_path / "store" / "requests.jsonl"
-        requests.write_bytes(requests.read_bytes()[:-9])  # cut into the second line
-        reloaded = SessionStore(tmp_path / "store").session(s.session_id)
-        assert reloaded.usage.total_tokens == 15
-        assert reloaded.usage.request_count == 1
+        reply(store, s, (10, 5, 0, 15), (7, 3, 1, 11))
+        log = tmp_path / "store" / "sessions" / f"{s.session_id}.log"
+        log.write_bytes(log.read_bytes()[:-9])  # cut into the second reply
+        reloaded_store = SessionStore(tmp_path / "store")
+        reloaded = reloaded_store.session(s.session_id)
+        assert (reloaded.usage.total_tokens, reloaded.usage.request_count) == (15, 1)
         # the torn line is cut, so the next record starts on a line of its own
-        record_usage(tmp_path / "store", reloaded, (1, 1, 0, 2))
+        reply(reloaded_store, reloaded, (1, 1, 0, 2))
         again = SessionStore(tmp_path / "store").session(s.session_id)
-        assert again.usage.total_tokens == 17
-        assert again.usage.request_count == 2
+        assert (again.usage.total_tokens, again.usage.request_count) == (17, 2)
+
+    def test_a_reply_logged_without_usage_counts_nothing(self, tmp_path, ws, store):
+        # a log written before replies carried their usage
+        s = store.create_session("t", "misc", ws, "")
+        store.append_event(s.session_id, EventKind.ASSISTANT_MESSAGE,
+                           {"text": "old", "tool_call": None})
+        reply(store, s, (3, 1, 0, 4))
+        assert (s.usage.total_tokens, s.usage.request_count) == (4, 1)
+        reloaded = SessionStore(tmp_path / "store").session(s.session_id)
+        assert asdict(reloaded.usage) == asdict(s.usage)
+
+    def test_opening_a_store_reads_no_byte_of_the_usage_ledger(self, tmp_path, ws, store):
+        s = store.create_session("t", "misc", ws, "")
+        reply(store, s, (10, 5, 0, 15))
+        record_usage(tmp_path / "store", s, (10, 5, 0, 15), (1, 1, 0, 2))
+        requests = tmp_path / "store" / "requests.jsonl"
+        first, second = requests.read_bytes().splitlines(keepends=True)
+        requests.write_bytes(first + b"{corrupt\n" + second)  # a corrupt middle line
+        reloaded = SessionStore(tmp_path / "store").session(s.session_id)
+        assert asdict(reloaded.usage) == asdict(s.usage)
+        assert requests.read_bytes() == first + b"{corrupt\n" + second
 
     def test_reload_reproduces_open_and_failed_statuses(self, tmp_path, ws, store):
         failed, parked, fresh = (make_session(store, ws) for _ in range(3))
