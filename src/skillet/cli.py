@@ -48,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    skills_dir = Path(args.skills)
-    if not skills_dir.is_dir():
-        print(f"error: skills directory not found: {skills_dir}", file=sys.stderr)
-        return 1
     workspace = Path(args.workspace)
     if not workspace.is_dir():
         print(f"error: workspace not found: {workspace}", file=sys.stderr)
@@ -72,7 +68,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
 
     registry = SkillRegistry()
-    registry.load_all(skills_dir)
+    registry.load_all(args.skills)
     try:
         store = SessionStore(args.store)
     except OSError as exc:  # such as a --store that names a regular file

@@ -339,7 +339,7 @@ class Runtime:
                   visible: list[ActionSchema]) -> Followup | None:
         call = response.tool_call
         assert call is not None
-        call_id = f"call-{session.tool_calls + 1}"
+        call_id = f"call-{len(session.tool_call_ids) + 1}"
         schema = next((t for t in visible if t.name == call.name), None)
 
         def refuse(output: dict) -> Followup:
@@ -373,7 +373,7 @@ class Runtime:
         })
         self.store.sync(session.session_id)  # the call is durable before its effect
         ok, output = self._execute(schema, validation.value, session)
-        seq = self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
+        self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
             "call_id": call_id, "name": call.name, "ok": ok, "output": output,
         })
         if ok and schema.executor_id == "core.finish":
@@ -381,7 +381,7 @@ class Runtime:
             self._complete(session, output["report_text"])
             return None
         self.pipeline.run_after_tool(session, {
-            "name": call.name, "ok": ok, "args": validation.value, "result": output, "seq": seq,
+            "name": call.name, "ok": ok, "args": validation.value, "result": output,
         })
         # a successful delegation parks the parent until the child reports;
         # every other executed tool needs a turn for the model to see its result
@@ -459,7 +459,11 @@ class Runtime:
                 run(event)
             else:
                 runner = threading.Thread(target=run, args=(event,), daemon=True)
-                runner.start()
+                try:
+                    runner.start()
+                except RuntimeError:  # no thread can be started: run it here
+                    run(event)
+                    continue
                 runners.append(runner)
         for runner in runners:
             runner.join()

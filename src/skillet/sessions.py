@@ -10,13 +10,14 @@ at the seq of the last event written.
 
 One fold, `apply_record`, is the only code that turns a record into session
 state: the meta record builds the `Session`, a history event is appended (a
-completion event also sets COMPLETED and the session's tool-call fields are
-kept up to date), a snapshot replaces that skill's state, and a status record
-sets the status. Each writer builds its record, appends it to the log, then
-applies it through the fold; reading a log back is the same fold run over
-its parsed records (`replay`). So the live session and a reload of its log
-agree after every write, and a process that dies at any record boundary
-leaves a log whose reload gives the session as it was at that point.
+completion event also sets COMPLETED, and a tool call adds its id to the
+session's call ids, whose count numbers the next call), a snapshot replaces
+that skill's state, and a status record sets the status. Each writer builds
+its record, appends it to the log, then applies it through the fold;
+reading a log back is the same fold run over its parsed records (`replay`).
+So the live session and a reload of its log agree after every write, and a
+process that dies at any record boundary leaves a log whose reload gives
+the session as it was at that point.
 
 Opening a store reads each log's first record and its last whole record,
 both from the file's ends (`read_ends`). A log whose last whole record
@@ -48,9 +49,9 @@ messages of `rendered`, then each routed skill's latest block in routed
 order (`planner.render_messages`), which is where the wakeup that writes a
 block puts it; a skill whose block is unchanged writes nothing, and its
 block still rides at the tail. One supersede rule keeps repeated or dead
-text out of `rendered`: a message may stand under a key, and a later record
-under that key makes it stale, whereupon the fold replaces it in place by
-its stub. The log keeps every record. The rule has two users:
+text out of `rendered`: at most one message stands under a key, and a later
+record under that key makes it stale, whereupon the fold replaces it in
+place by its stub. The log keeps every record. The rule has two users:
 - reads: an ok `fs_read` result stands under its relative path and becomes a
   one-line stub once a later ok `fs_read` of the same path is folded in.
   Reads of different paths, and failed reads, supersede nothing;
@@ -173,16 +174,6 @@ Message = tuple[str, str]  # (role, text)
 
 
 @dataclass
-class Standing:
-    """The messages of `Session.rendered` that stand under one supersede key:
-    the tag of the records that wrote them, and each one's index with the
-    stub it becomes once a later record makes it stale."""
-
-    tag: object
-    stubs: list[tuple[int, Message]] = field(default_factory=list)
-
-
-@dataclass
 class Block:
     """A skill's standing guidance: the id of the before_llm stage that wrote
     it and the messages of its injections, in write order."""
@@ -195,15 +186,15 @@ class Block:
 class _OpenState:
     """What a session holds beyond its meta fields, status, usage and last
     seq while it can still take records, kept by apply_record as records
-    are folded in: its skill state, its tool calls, the chat messages its
-    history renders to in log order (stubs where stale), what stands under
-    each supersede key, and each skill's standing guidance."""
+    are folded in: its skill state, its tool call ids, the chat messages its
+    history renders to in log order (stubs where stale), the one message
+    that stands under each supersede key (its index in `rendered` and its
+    stub), and each skill's standing guidance."""
 
     skill_state: dict[str, dict] = field(default_factory=dict)
-    tool_calls: int = 0
     tool_call_ids: set[str] = field(default_factory=set)
     rendered: list[Message] = field(default_factory=list)
-    standing: dict[tuple[str, str], Standing] = field(default_factory=dict)
+    standing: dict[tuple[str, str], tuple[int, Message]] = field(default_factory=dict)
     guidance: dict[str, Block] = field(default_factory=dict)
 
 
@@ -224,7 +215,7 @@ class Session:
     session always holds its meta fields, status and `last_seq`, and its
     usage totals (the sums of its `assistant_message` records' `usage`)
     unless the store built it from a closed log's ends. While it is open it
-    also holds its `_OpenState` (skill state, tool calls, `rendered`,
+    also holds its `_OpenState` (skill state, tool call ids, `rendered`,
     `standing`, `guidance`), which the write that closes it drops. Its
     `history` is not built until it is read: an open session then keeps the
     list it folded, and later writes append to it. What a session does not
@@ -250,7 +241,6 @@ class Session:
     _log: JsonlLog | None = field(default=None, repr=False)  # a store session's log
 
     skill_state = _held("skill_state")
-    tool_calls = _held("tool_calls")
     tool_call_ids = _held("tool_call_ids")
     rendered = _held("rendered")
     standing = _held("standing")
@@ -321,22 +311,18 @@ def render_event(event: HistoryEvent) -> Message | None:
 _CALL = ("call", "")
 
 
-def _stand(state: _OpenState, key: tuple[str, str], tag: object, stub: Message) -> None:
-    """The message just rendered stands under `key`: a later message under
-    the key with another tag makes it stale, and so does `_retire(key)`."""
-    current = state.standing.get(key)
-    if current is None or current.tag != tag:
-        _retire(state, key)
-        current = state.standing[key] = Standing(tag)
-    current.stubs.append((len(state.rendered) - 1, stub))
+def _stand(state: _OpenState, key: tuple[str, str], stub: Message) -> None:
+    """The message just rendered stands under `key` in place of the one that
+    stood there, which becomes its stub; `_retire(key)` makes it stale too."""
+    _retire(state, key)
+    state.standing[key] = (len(state.rendered) - 1, stub)
 
 
 def _retire(state: _OpenState, key: tuple[str, str]) -> None:
-    """Replace every message that stands under `key` by its stub."""
+    """Replace the message that stands under `key`, if any, by its stub."""
     stale = state.standing.pop(key, None)
     if stale is not None:
-        for index, stub in stale.stubs:
-            state.rendered[index] = stub
+        state.rendered[stale[0]] = stale[1]
 
 
 def _render(state: _OpenState, event: HistoryEvent) -> None:
@@ -361,11 +347,11 @@ def _render(state: _OpenState, event: HistoryEvent) -> None:
         call = payload.get("tool_call")
         if call:
             stub = _call_line(payload.get("text") or "", call["name"], "...")
-            _stand(state, _CALL, event.seq, stub)
+            _stand(state, _CALL, stub)
     elif (event.kind is EventKind.TOOL_RESULT and payload["name"] == "fs_read"
           and payload["ok"]):
         path = payload["output"]["path"]
-        _stand(state, ("read", path), event.seq, ("user", (
+        _stand(state, ("read", path), ("user", (
             "[tool_result fs_read] ok=true "
             + json.dumps({"path": path, "superseded": "read again later"}, sort_keys=True))))
 
@@ -373,8 +359,8 @@ def _render(state: _OpenState, event: HistoryEvent) -> None:
 def apply_record(session: Session | None, record: dict) -> Session | None:
     """Fold one log record into session state; no other code does. A history
     event is also rendered here, once, onto its skill's standing block or
-    onto `Session.rendered`, where the supersede rule replaces the messages
-    it makes stale by their stubs. Returns the session, or None for a first
+    onto `Session.rendered`, where the supersede rule replaces the message
+    it makes stale by its stub. Returns the session, or None for a first
     record that is not a `session_meta`."""
     kind = record.get("kind")
     if session is None:
@@ -402,7 +388,6 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
             session._history.append(event)
         _render(state, event)
         if event.kind is EventKind.TOOL_CALL:
-            state.tool_calls += 1
             state.tool_call_ids.add(event.payload.get("call_id"))
         elif event.kind is EventKind.ASSISTANT_MESSAGE and "usage" in event.payload:
             session._usage.add(*event.payload["usage"])

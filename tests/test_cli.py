@@ -299,15 +299,18 @@ class TestTrace:
         assert code == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_log_still_being_created_is_left_in_place(self, tmp_path, capsys):
-        # create_session leaves an empty log between creating it and writing its meta line
+    @pytest.mark.parametrize("content", [
+        b"",  # create_session has made the log but not yet written its meta line
+        b'{"seq": 1, "kind": "user_message", "payload": {"text": "t"}}\n',  # no meta line
+    ], ids=["empty", "no_session_meta"])
+    def test_log_still_being_created_is_left_in_place(self, tmp_path, capsys, content):
         log = tmp_path / "store" / "sessions" / "s0001.log"
         log.parent.mkdir(parents=True)
-        log.touch()
+        log.write_bytes(content)
         code = main(["trace", "--store", str(tmp_path / "store"), "--session", "s0001"])
         assert code == 1
         assert "s0001" in capsys.readouterr().err
-        assert log.read_bytes() == b""
+        assert log.read_bytes() == content
         assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["sessions"]
 
     def test_corrupt_log_of_another_session_is_not_read(

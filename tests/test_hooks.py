@@ -242,7 +242,7 @@ class TestBeforeTool:
 
 
 class TestAfterTool:
-    RECORD = {"name": "t_a", "ok": True, "args": {}, "result": {}, "seq": 5}
+    RECORD = {"name": "t_a", "ok": True, "args": {}, "result": {}}
 
     def test_no_hooks_no_updates(self, tmp_path):
         registry = SkillRegistry()

@@ -888,6 +888,26 @@ class TestMultiWorker:
         with pytest.raises(RuntimeError, match="backend bug"):
             runtime.run_until_quiescent()
 
+    @pytest.mark.parametrize("failing_starts", [1, 100], ids=["first", "every"])
+    def test_a_wakeup_no_thread_can_take_runs_on_the_draining_thread(
+            self, registry, tmp_path, monkeypatch, failing_starts):
+        start = threading.Thread.start
+        failures = []
+
+        def refuse_then_start(thread):
+            if len(failures) < failing_starts:
+                failures.append(thread)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        runtime = self.threaded_runtime(registry, tmp_path, [{"respond": {"text": "done"}}] * 3, 3)
+        monkeypatch.setattr(threading.Thread, "start", refuse_then_start)
+        summary = runtime.run_until_quiescent()
+        assert failures
+        assert {s.status for s in summary.sessions} == {"completed"}
+        assert summary.steps_used == 3
+        assert not runtime.queue.pending_sessions() and not runtime.queue._in_flight
+
 
 class TestUsageFromTheLog:
     """A session's usage totals are the fold of the `usage` arrays its

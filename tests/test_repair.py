@@ -606,7 +606,7 @@ class TestTransitions:
             manifest = pipeline.registry.lookup("repair")
             manifest.config = {**manifest.config, **config_extra}
         pipeline.run_after_tool(session, {"name": name, "ok": ok, "args": {},
-                                          "result": result, "seq": 7})
+                                          "result": result})
         return RepairState.from_doc(store.get_skill_state(session.session_id, "repair"))
 
     def test_evidence_advances_reproduce_to_patch(self, rig):

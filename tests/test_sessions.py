@@ -161,6 +161,8 @@ class TestAppend:
                     store.set_status(s.session_id, status)
         with pytest.raises(SessionClosed):
             store.append_event(s.session_id, EventKind.COMPLETION, {"report_text": "b"})
+        with pytest.raises(SessionClosed):
+            store.put_skill_state(s.session_id, "repair", {"phase": "late"})
         assert log.read_bytes() == before
         assert SessionStore(tmp_path / "store").session(s.session_id).status is closed
 

@@ -143,13 +143,34 @@ class TestTailCut:
         data = (canonical[True, True] / "requests.jsonl").read_bytes()
         assert data.count(b"\n") >= 4
         last_line = data.rindex(b"\n", 0, -1) + 1
+        before_last = data.rindex(b"\n", 0, last_line - 1) + 1
+        first_line = data.index(b"\n") + 1
+        bad = b'{"session_id": "s00\n'  # a whole line that does not parse
         cases = [data[:n] for n in range(len(data) + 1)]
-        cases.append(data[:last_line] + b'{"session_id": "s00\n')  # whole, unparseable
+        cases.append(data[:last_line] + bad)
+        # a corrupt record short of the tail: both readers raise
+        cases.append(data[:before_last] + bad + data[last_line:-1])  # then a torn line
+        cases.append(data[:before_last] + bad + bad)  # then an unparseable last line
+        cases.append(bad + data[first_line:])  # at line 1
+
+        def outcome(read):
+            try:
+                return read()
+            except CorruptStore:
+                return CorruptStore
+
         path = tmp_path / "requests.jsonl"
+        raised = 0
         for case in cases:
             path.write_bytes(case)
-            records, cut = parse_jsonl(case, path.name)
-            assert read_ends(path)[1:] == ((records[-1] if records else None), cut), len(case)
+            parsed = outcome(lambda: parse_jsonl(case, path.name))
+            if parsed is CorruptStore:
+                raised += 1
+            else:
+                records, cut = parsed
+                parsed = (records[-1] if records else None), cut
+            assert outcome(lambda: read_ends(path)[1:]) == parsed, len(case)
+        assert raised == 3
 
     def test_the_first_usage_append_reads_only_the_tail(self, tmp_path, monkeypatch):
         store = SessionStore(tmp_path / "store")
@@ -255,7 +276,7 @@ class TestClosedSessions:
         assert statuses == {"s0003": "completed", "s0004": "completed",
                             child.session_id: "active"}
         assert folds == []
-        assert child.tool_calls == 1
+        assert child.tool_call_ids == {"call-1"}
 
 
 def corrupt_closed_log(tmp_path, registry) -> Path:

@@ -349,8 +349,22 @@ class TestBoundedRead:
             out = fs_read({"path": "wide.txt"}, make_ctx(guarded_workspace, truncate=cap))
             assert (out["content"], out["truncated"]) == _truncate(text, cap)
 
-    def test_fifo_reads_as_no_such_file(self, guarded_workspace):
-        os.mkfifo(guarded_workspace / "pipe")
+    @pytest.mark.parametrize("swapped", [False, True], ids=["at_resolve", "after_resolve"])
+    def test_fifo_reads_as_no_such_file(self, guarded_workspace, monkeypatch, swapped):
+        pipe = guarded_workspace / "pipe"
+        if swapped:  # resolve sees a regular file; the open meets a FIFO
+            pipe.write_text("a file\n")
+            real_resolve = workspace.resolve
+
+            def resolve_then_swap(root, raw):
+                scoped = real_resolve(root, raw)
+                pipe.unlink()
+                os.mkfifo(pipe)
+                return scoped
+
+            monkeypatch.setattr(workspace, "resolve", resolve_then_swap)
+        else:
+            os.mkfifo(pipe)
         with pytest.raises(ToolError, match="no such file"):
             fs_read({"path": "pipe"}, make_ctx(guarded_workspace))
 
@@ -502,9 +516,14 @@ def test_a_nul_byte_in_a_patch_target_is_refused_before_tool(registry, repair_wo
     assert (repair_workspace / "in" / "calc.py").read_text() == BUGGY_CALC
 
 
-def test_a_nul_byte_in_a_read_is_a_tool_error(registry, repair_workspace, tmp_path):
-    script = [{"respond": {"tool_call": {"name": "fs_read", "args": {"path": "in/calc\x00.py"}}}}]
+@pytest.mark.parametrize("name, args, error", [
+    ("fs_read", {"path": "in/calc\x00.py"}, "path_escape"),
+    ("run_command", {"argv": []}, "command_not_allowed"),
+], ids=["nul_byte_in_a_read", "empty_argv"])
+def test_an_unrunnable_call_is_a_tool_error(registry, repair_workspace, tmp_path,
+                                            name, args, error):
+    script = [{"respond": {"tool_call": {"name": name, "args": args}}}]
     history = run_repair_session(registry, repair_workspace, tmp_path / "store", script)
     result = next(e.payload for e in history if e.kind is EventKind.TOOL_RESULT)
     assert result["ok"] is False
-    assert result["output"]["error"] == "path_escape"
+    assert result["output"]["error"] == error
