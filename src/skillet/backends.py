@@ -262,7 +262,8 @@ class HttpBackend:
 
 class UsageLog:
     """requests.jsonl writer: one self-delimiting line per model request,
-    the ledger an operator or a check can sum; no session state is rebuilt
+    compact JSON with sorted keys as the session logs are written, the
+    ledger an operator or a check can sum; no session state is rebuilt
     from it. Readers skip a torn last line; only the writer cuts it, at its
     first append. Each line goes through a `sessions.JsonlLog` opened for
     that line alone, under the log's lock: a caller returns once its own
@@ -286,7 +287,7 @@ class UsageLog:
             "output_tokens": usage.output_tokens,
             "cache_tokens": usage.cache_tokens,
             "total_tokens": usage.total_tokens,
-        }, sort_keys=True) + "\n"
+        }, sort_keys=True, separators=(",", ":")) + "\n"
         with self._log.lock:
             try:
                 self._log.append(line.encode("utf-8"), self.fsync)

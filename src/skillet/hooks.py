@@ -127,6 +127,7 @@ class HookPipeline:
         self.registry = registry
         self.store = store
         self.apply_tool_filters = apply_tool_filters
+        self._protected: dict[str, list[str]] = {}  # protected_globs by session id
 
     def _routed(self, session: Session) -> list[SkillManifest]:
         return [self.registry.lookup(skill_id) for skill_id in session.routed_skills]
@@ -136,7 +137,16 @@ class HookPipeline:
         protected_path_globs of its routed skills and of every ancestor's,
         each anchored at the root of the session that declares it. A child's
         root lies inside its parent's (`create_session` checks it), so an
-        ancestor's glob matches exactly the paths under that ancestor's root."""
+        ancestor's glob matches exactly the paths under that ancestor's root.
+        A session's routed skills, root and ancestors are fixed once it
+        exists, so the list is built once per session; each call returns a
+        copy of it."""
+        globs = self._protected.get(session.session_id)
+        if globs is None:
+            globs = self._protected[session.session_id] = self._build_globs(session)
+        return list(globs)
+
+    def _build_globs(self, session: Session) -> list[str]:
         globs: list[str] = []
         while True:
             globs.extend(anchor_globs(session.workspace_root, (

@@ -342,13 +342,14 @@ class Runtime:
         call_id = f"call-{len(session.tool_call_ids) + 1}"
         schema = next((t for t in visible if t.name == call.name), None)
 
+        # the call's name and raw arguments are in the assistant_message just
+        # written, and the fold puts them back into these records' payloads
         def refuse(output: dict) -> Followup:
-            # the raw arguments are in the assistant_message just written
             self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
-                "name": call.name, "call_id": call_id, "accepted": False,
+                "call_id": call_id, "accepted": False,
             })
             self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
-                "call_id": call_id, "name": call.name, "ok": False, "output": output,
+                "call_id": call_id, "ok": False, "output": output,
             })
             return FOLLOWUP
 
@@ -368,13 +369,14 @@ class Runtime:
                            "redirect_hint": pre.redirect_hint,
                            "rejected_by": pre.rejecting_skill})
 
-        self.store.append_event(session.session_id, EventKind.TOOL_CALL, {
-            "name": call.name, "args": validation.value, "call_id": call_id, "accepted": True,
-        })
+        payload = {"call_id": call_id, "accepted": True}
+        if validation.value != call.args:  # a filled default: log the args that run
+            payload["args"] = validation.value
+        self.store.append_event(session.session_id, EventKind.TOOL_CALL, payload)
         self.store.sync(session.session_id)  # the call is durable before its effect
         ok, output = self._execute(schema, validation.value, session)
         self.store.append_event(session.session_id, EventKind.TOOL_RESULT, {
-            "call_id": call_id, "name": call.name, "ok": ok, "output": output,
+            "call_id": call_id, "ok": ok, "output": output,
         })
         if ok and schema.executor_id == "core.finish":
             # a successful finish: gates were checked inside the executor

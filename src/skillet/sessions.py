@@ -10,14 +10,14 @@ at the seq of the last event written.
 
 One fold, `apply_record`, is the only code that turns a record into session
 state: the meta record builds the `Session`, a history event is appended (a
-completion event also sets COMPLETED, and a tool call adds its id to the
-session's call ids, whose count numbers the next call), a snapshot replaces
-that skill's state, and a status record sets the status. Each writer builds
-its record, appends it to the log, then applies it through the fold;
-reading a log back is the same fold run over its parsed records (`replay`).
-So the live session and a reload of its log agree after every write, and a
-process that dies at any record boundary leaves a log whose reload gives
-the session as it was at that point.
+completion event also sets COMPLETED, and a tool call adds its id, with its
+tool's name, to the session's call ids, whose count numbers the next call),
+a snapshot replaces that skill's state, and a status record sets the
+status. Each writer builds its record, appends it to the log, then applies
+it through the fold; reading a log back is the same fold run over its
+parsed records (`replay`). So the live session and a reload of its log
+agree after every write, and a process that dies at any record boundary
+leaves a log whose reload gives the session as it was at that point.
 
 Opening a store reads each log's first record and its last whole record,
 both from the file's ends (`read_ends`). A log whose last whole record
@@ -37,6 +37,18 @@ when it is first folded. A log without a `session_meta` line is moved to
 one append and one fsync, then fsyncs `sessions/` so the new name is durable.
 If either fails, the new log is quarantined before the error is raised, so
 no store holds the session and its id is never handed out again.
+
+Each call fact is written once. An `assistant_message` record holds the
+reply's text, its `tool_call` (`name` and raw `args`) and its `usage`. The
+`tool_call` record that follows holds `call_id` and `accepted`, plus `args`
+only when validation changed them (a filled schema default); its
+`tool_result` holds `call_id`, `ok` and `output`. The fold puts the left-out
+fields back into the history payload: a tool_call's `name`, and an accepted
+one's `args`, from the tool call of the latest `assistant_message`, and a
+tool_result's `name` from its call id. So every reader sees
+`{name, args, call_id, accepted}` (a refused call has no `args`) and
+`{call_id, name, ok, output}`. A record that still holds those fields, as
+one written before they were left out does, folds as it stands.
 
 Rendering is part of the fold. Each history event is rendered to its chat
 message once, when it is folded in. Standing guidance, a guidance injection
@@ -186,13 +198,15 @@ class Block:
 class _OpenState:
     """What a session holds beyond its meta fields, status, usage and last
     seq while it can still take records, kept by apply_record as records
-    are folded in: its skill state, its tool call ids, the chat messages its
+    are folded in: its skill state, its tool call ids with their tool names,
+    the tool call of its latest assistant line, the chat messages its
     history renders to in log order (stubs where stale), the one message
     that stands under each supersede key (its index in `rendered` and its
     stub), and each skill's standing guidance."""
 
     skill_state: dict[str, dict] = field(default_factory=dict)
-    tool_call_ids: set[str] = field(default_factory=set)
+    tool_call_ids: dict[str, str] = field(default_factory=dict)  # call id -> tool name
+    call: dict | None = None  # the latest assistant_message's tool_call
     rendered: list[Message] = field(default_factory=list)
     standing: dict[tuple[str, str], tuple[int, Message]] = field(default_factory=dict)
     guidance: dict[str, Block] = field(default_factory=dict)
@@ -356,6 +370,23 @@ def _render(state: _OpenState, event: HistoryEvent) -> None:
             + json.dumps({"path": path, "superseded": "read again later"}, sort_keys=True))))
 
 
+def _restored(state: _OpenState, kind: EventKind, payload: dict) -> dict:
+    """A call record's payload with the fields its log record leaves out put
+    back: a tool_call's `name`, and an accepted one's `args`, from the
+    tool_call of the assistant line before it; a tool_result's `name` from
+    its call id. A record that holds them, as one written before they were
+    left out does, is the payload as it stands."""
+    missing = {}
+    if kind is EventKind.TOOL_CALL:
+        if "name" not in payload:
+            missing["name"] = state.call["name"]
+        if payload.get("accepted") and "args" not in payload:
+            missing["args"] = state.call["args"]
+    elif kind is EventKind.TOOL_RESULT and "name" not in payload:
+        missing["name"] = state.tool_call_ids[payload["call_id"]]
+    return {**missing, **payload} if missing else payload
+
+
 def apply_record(session: Session | None, record: dict) -> Session | None:
     """Fold one log record into session state; no other code does. A history
     event is also rendered here, once, onto its skill's standing block or
@@ -382,15 +413,19 @@ def apply_record(session: Session | None, record: dict) -> Session | None:
     elif kind == _STATUS_KIND:
         session.status = SessionStatus(record["status"])
     else:
-        event = HistoryEvent(seq=record["seq"], kind=EventKind(kind), payload=record["payload"])
+        kind = EventKind(kind)
+        event = HistoryEvent(seq=record["seq"], kind=kind,
+                             payload=_restored(state, kind, record["payload"]))
         session.last_seq = event.seq
         if session._history is not None:
             session._history.append(event)
         _render(state, event)
         if event.kind is EventKind.TOOL_CALL:
-            state.tool_call_ids.add(event.payload.get("call_id"))
-        elif event.kind is EventKind.ASSISTANT_MESSAGE and "usage" in event.payload:
-            session._usage.add(*event.payload["usage"])
+            state.tool_call_ids[event.payload.get("call_id")] = event.payload.get("name")
+        elif event.kind is EventKind.ASSISTANT_MESSAGE:
+            state.call = event.payload.get("tool_call")
+            if "usage" in event.payload:
+                session._usage.add(*event.payload["usage"])
         elif event.kind is EventKind.COMPLETION:
             session.status = SessionStatus.COMPLETED
     return session

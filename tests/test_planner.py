@@ -590,10 +590,11 @@ class TestDurabilityPoints:
         real_fsync = os.fsync
 
         def fsync(fd):
-            last = json.loads(log_path.read_bytes().splitlines()[-1])
             if (os.fstat(fd).st_ino == log_path.stat().st_ino
-                    and last["kind"] == "tool_call"
-                    and last["payload"]["name"] == "repair_apply_unified_patch"):
+                    and json.loads(log_path.read_bytes().splitlines()[-1])["kind"] == "tool_call"
+                    # the record holds no name: the fold takes it from the assistant line
+                    and read_log(tmp_path / "store", "s0001")[0].history[-1].payload["name"]
+                    == "repair_apply_unified_patch"):
                 raise OSError(errno.EIO, "injected fsync failure")
             real_fsync(fd)
 

@@ -276,7 +276,7 @@ class TestClosedSessions:
         assert statuses == {"s0003": "completed", "s0004": "completed",
                             child.session_id: "active"}
         assert folds == []
-        assert child.tool_call_ids == {"call-1"}
+        assert child.tool_call_ids == {"call-1": "repair_collect_evidence"}
 
 
 def corrupt_closed_log(tmp_path, registry) -> Path:
